@@ -1,50 +1,21 @@
 //! **E10 (extension)** — slab-backed register groups at scale: ops/sec,
-//! tail latency and resident bytes-per-register for 10k/100k/1M registers,
-//! group slab vs K independent boxed registers.
+//! tail latency and bytes-per-register for 10k/100k/1M registers.
 //!
 //! ```text
 //! ARC_BENCH_PROFILE=quick|standard|full cargo run -p arc-bench --release --bin group_scaling
 //! ```
 //!
-//! Three measurements feed the `group_scaling` section of `BENCH_ops.json`:
-//!
-//! 1. **scaling points** — the mixed multi-register workload (one batch
-//!    writer + R reader threads, uniform and Zipf(0.99) key skew) against
-//!    the slab group at each K, reporting ops/sec and sampled p50/p99;
-//! 2. **density** — bytes-per-register of the slab vs K independent
-//!    `ArcRegister`s at the comparison K (100k when in range), by exact
-//!    heap accounting and by measured RSS delta around construction;
-//! 3. **fast-path parity** — a hot single-register read loop through a
-//!    group handle vs a standalone register: the slab's indexing must not
-//!    tax the R2 no-RMW fast path (target: within 20%).
+//! The `group_scaling` section of `BENCH_ops.json` holds the scaling
+//! points: the mixed multi-register workload (one batch writer + R reader
+//! threads, uniform and Zipf(0.99) key skew) against the slab group at
+//! each K, reporting ops/sec, sampled p50/p99 and exact heap bytes per
+//! register.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use arc_bench::{json_dir, merge_section, out_dir, BenchProfile, Json};
-use arc_register::{ArcGroup, ArcRegister, GroupTableFamily, IndependentTableFamily};
-use register_common::traits::{RegisterSpec, TableFamily};
+use arc_register::GroupTableFamily;
 use workload_harness::{run_table, write_csv, KeyDist, MultiConfig, MultiResult, Table};
-
-/// Resident set size of this process in bytes (Linux; `None` elsewhere).
-fn rss_bytes() -> Option<usize> {
-    let statm = std::fs::read_to_string("/proc/self/statm").ok()?;
-    let resident_pages: usize = statm.split_whitespace().nth(1)?.parse().ok()?;
-    Some(resident_pages * 4096)
-}
-
-/// Measured RSS growth (bytes) across `build()`, keeping the built value
-/// alive until after the measurement. Noisy (allocator reuse, page
-/// laziness) — reported alongside the exact accounting, not instead of it.
-fn rss_delta<T>(build: impl FnOnce() -> T) -> (T, Option<usize>) {
-    let before = rss_bytes();
-    let value = build();
-    let after = rss_bytes();
-    let delta = match (before, after) {
-        (Some(b), Some(a)) => Some(a.saturating_sub(b)),
-        _ => None,
-    };
-    (value, delta)
-}
 
 fn point_row(
     table: &mut Table,
@@ -91,110 +62,6 @@ fn point_row(
     j
 }
 
-/// The density comparison: slab vs independent at `registers`.
-fn density(registers: usize, reader_threads: usize, value_size: usize) -> Json {
-    let spec = RegisterSpec::new(reader_threads, value_size);
-    let initial = vec![0u8; value_size.min(8)];
-
-    let (group, group_rss) =
-        rss_delta(|| GroupTableFamily::build(registers, spec, &initial).expect("group build"));
-    let group_bytes = GroupTableFamily::heap_bytes(&group.0).expect("group accounts for itself");
-    drop(group);
-
-    let (indep, indep_rss) = rss_delta(|| {
-        IndependentTableFamily::build(registers, spec, &initial).expect("independent build")
-    });
-    let indep_bytes =
-        IndependentTableFamily::heap_bytes(&indep.0).expect("independent accounts for itself");
-    drop(indep);
-
-    let per = |total: usize| total / registers;
-    let ratio = indep_bytes as f64 / group_bytes as f64;
-    let rss_ratio = match (group_rss, indep_rss) {
-        (Some(g), Some(i)) if g > 0 => Some(i as f64 / g as f64),
-        _ => None,
-    };
-    println!(
-        "  density K={registers}: group {} B/reg vs independent {} B/reg -> {ratio:.2}x \
-         (rss {:?} vs {:?}, ratio {:?})",
-        per(group_bytes),
-        per(indep_bytes),
-        group_rss.map(per),
-        indep_rss.map(per),
-        rss_ratio,
-    );
-    let mut j = Json::obj();
-    j.set("registers", Json::int(registers as u64));
-    j.set("group_bytes_per_register", Json::int(per(group_bytes) as u64));
-    j.set("independent_bytes_per_register", Json::int(per(indep_bytes) as u64));
-    j.set("ratio", Json::num(ratio));
-    j.set("group_rss_per_register", group_rss.map_or(Json::Null, |b| Json::int(per(b) as u64)));
-    j.set(
-        "independent_rss_per_register",
-        indep_rss.map_or(Json::Null, |b| Json::int(per(b) as u64)),
-    );
-    j.set("rss_ratio", rss_ratio.map_or(Json::Null, Json::num));
-    j
-}
-
-/// Hot single-key reads: group handle vs standalone register.
-///
-/// Scheduler noise can sink either side of the comparison for a whole
-/// window, so the two loops are measured in **interleaved trials**
-/// (back-to-back windows per trial) and the median-ratio trial is
-/// reported whole.
-fn fast_path_parity(registers: usize, value_size: usize, window: Duration) -> Json {
-    const TRIALS: usize = 5;
-    let value = vec![3u8; value_size];
-    let window = (window / TRIALS as u32).max(Duration::from_millis(40));
-    let mops_of = |read: &mut dyn FnMut() -> usize| -> f64 {
-        // Warm up, then time a fixed window.
-        for _ in 0..10_000 {
-            std::hint::black_box(read());
-        }
-        let started = Instant::now();
-        let mut ops = 0u64;
-        while started.elapsed() < window {
-            for _ in 0..1024 {
-                std::hint::black_box(read());
-            }
-            ops += 1024;
-        }
-        ops as f64 / started.elapsed().as_secs_f64() / 1e6
-    };
-
-    let single = ArcRegister::builder(1, value_size).initial(&value).build().unwrap();
-    let mut sr = single.reader().unwrap();
-    let group = ArcGroup::builder(registers, 1, value_size).initial(&value).build().unwrap();
-    let mut gr = group.reader(registers / 2).unwrap();
-
-    // Per-trial ratios from back-to-back windows (shared thermal/turbo
-    // state), then the whole median trial: a stall or turbo spike skews
-    // one trial, not the reported figures — and the three reported
-    // fields (single, group, ratio) come from the same trial, so
-    // `ratio == group/single` holds exactly in the emitted JSON.
-    let mut trials: Vec<(f64, f64, f64)> = (0..TRIALS)
-        .map(|_| {
-            let s = mops_of(&mut || sr.read().len());
-            let g = mops_of(&mut || gr.read().len());
-            (g / s, s, g)
-        })
-        .collect();
-    trials.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("finite ratios"));
-
-    let (ratio, single_mops, group_mops) = trials[TRIALS / 2];
-    println!(
-        "  fast-path parity: single {single_mops:.2} Mops/s vs group {group_mops:.2} Mops/s \
-         ({ratio:.3}x)"
-    );
-    let mut j = Json::obj();
-    j.set("registers", Json::int(registers as u64));
-    j.set("single_register_mops", Json::num(single_mops));
-    j.set("group_register_mops", Json::num(group_mops));
-    j.set("ratio", Json::num(ratio));
-    j
-}
-
 fn main() {
     let profile = BenchProfile::from_env();
     let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
@@ -204,12 +71,7 @@ fn main() {
         BenchProfile::Quick => vec![10_000, 100_000],
         _ => vec![10_000, 100_000, 1_000_000],
     };
-    // The density comparison builds K *independent* registers too, so cap
-    // it at 100k (1M boxed registers is exactly the pathology the slab
-    // exists to avoid — building it would need GBs).
-    let density_k = *ks.iter().filter(|&&k| k <= 100_000).max().expect("at least one K");
-
-    println!("# E10 — group scaling: slab vs independent registers ({value_size} B values)");
+    println!("# E10 — group scaling ({value_size} B values)");
     println!("# profile={profile:?}, reader_threads={reader_threads}, K={ks:?}\n");
 
     let mut table = Table::new(vec![
@@ -224,12 +86,6 @@ fn main() {
         "write_p99_ns",
         "bytes_per_register",
     ]);
-    // Density first, while the process RSS is still at its floor: after
-    // the workload loop the allocator would serve the group slab from
-    // recycled pages and its measured RSS delta would read as zero.
-    let density_json = density(density_k, reader_threads, value_size);
-    println!();
-
     let mut points = Vec::new();
     for &k in &ks {
         for dist in [KeyDist::Uniform, KeyDist::Zipf(0.99)] {
@@ -249,17 +105,12 @@ fn main() {
         }
     }
 
-    println!();
-    let parity_json = fast_path_parity(density_k, value_size, profile.duration());
-
     let path = out_dir().join("group_scaling.csv");
     write_csv(&table, &path).expect("write CSV");
     println!("\nwrote {}", path.display());
 
     let mut section = Json::obj();
     section.set("points", Json::Arr(points));
-    section.set("density", density_json);
-    section.set("fast_path_parity", parity_json);
     let json_path = json_dir().join("BENCH_ops.json");
     merge_section(&json_path, "arc-bench/ops/v1", "group_scaling", section)
         .expect("write BENCH_ops.json");

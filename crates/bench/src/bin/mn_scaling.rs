@@ -1,7 +1,6 @@
 //! **E8 (extension)** — (M,N) register scaling: throughput as the writer
-//! count M grows, at fixed reader count — plus the MN-on-slab sections:
-//! slab-vs-standalone density, read-scan latency, and the multi-writer
-//! table workload.
+//! count M grows, at fixed reader count — plus the multi-writer table
+//! workload on the shared slab.
 //!
 //! ```text
 //! ARC_BENCH_PROFILE=quick|standard|full cargo run -p arc-bench --release --bin mn_scaling
@@ -12,19 +11,12 @@
 //! throughput degrades roughly linearly in M — the price of multi-writer
 //! atomicity without locks, and still wait-free end to end.
 //!
-//! Four sections feed the committed reports:
+//! Two sections feed `BENCH_ops.json`:
 //!
-//! 1. **`mn_scaling`** (`BENCH_ops.json`) — throughput per writer count,
-//!    `profile.runs()` (≥ 3) trials per point with mean **and** std;
-//! 2. **`mn_density`** (`BENCH_ops.json`) — [`MnRegister::heap_bytes`]
-//!    of the slab layout vs the standalone composition at M = 8
-//!    (acceptance floor: slab ≤ 1/4 of standalone, schema-enforced);
-//! 3. **`mn_read_scan`** (`BENCH_latency.json`) — sampled p50/p99 of the
-//!    O(M) read scan at M = 8 on both layouts, interleaved trials with
-//!    the median-ratio trial reported (acceptance: slab p50 no worse);
-//! 4. **`mn_table`** (`BENCH_ops.json`) — the multi-writer table
-//!    workload (W writer roles × K cells, uniform/Zipf) through
-//!    `MnTableFamily` on the shared slab.
+//! 1. **`mn_scaling`** — throughput per writer count, `profile.runs()`
+//!    (≥ 3) trials per point with mean **and** std;
+//! 2. **`mn_table`** — the multi-writer table workload (W writer roles ×
+//!    K cells, uniform/Zipf) through `MnTableFamily` on the shared slab.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -32,10 +24,8 @@ use std::time::{Duration, Instant};
 
 use arc_bench::json::table_to_json;
 use arc_bench::{json_dir, merge_section, out_dir, BenchProfile, Json};
-use mn_register::{MnLayout, MnRegister, MnTableFamily};
-use workload_harness::{
-    run_mw_table, write_csv, KeyDist, LatencyHistogram, MwMultiConfig, Summary, Table,
-};
+use mn_register::{MnRegister, MnTableFamily};
+use workload_harness::{run_mw_table, write_csv, KeyDist, MwMultiConfig, Summary, Table};
 
 /// One timed trial; returns (read Mops/s, write Mops/s).
 fn run_trial(writers: usize, readers: usize, size: usize, profile: BenchProfile) -> (f64, f64) {
@@ -106,94 +96,6 @@ fn run_point(
         wr.push(w);
     }
     (Summary::new(rd), Summary::new(wr))
-}
-
-/// The density comparison the refactor is accountable to: exact
-/// [`MnRegister::heap_bytes`] of both layouts at M = 8, N = 4, with
-/// small payloads (sub-register capacity within the inline line — the
-/// regime the slab targets).
-fn mn_density() -> Json {
-    const M: usize = 8;
-    const N: usize = 4;
-    const CAP: usize = 32; // + 16 B MN header = 48 B sub-register values
-    let slab = MnRegister::with_layout(M, N, CAP, b"x", MnLayout::Slab).unwrap();
-    let standalone = MnRegister::with_layout(M, N, CAP, b"x", MnLayout::Standalone).unwrap();
-    let (s, b) = (slab.heap_bytes(), standalone.heap_bytes());
-    let ratio = b as f64 / s as f64;
-    println!(
-        "  density M={M}: slab {s} B vs standalone {b} B -> {ratio:.2}x \
-         (acceptance floor 4.0x)"
-    );
-    let mut j = Json::obj();
-    j.set("writers", Json::int(M as u64));
-    j.set("readers", Json::int(N as u64));
-    j.set("capacity", Json::int(CAP as u64));
-    j.set("slab_bytes", Json::int(s as u64));
-    j.set("standalone_bytes", Json::int(b as u64));
-    j.set("ratio", Json::num(ratio));
-    j
-}
-
-/// Sampled per-read latency of the M-way timestamp scan on one layout:
-/// all M sub-registers carry real values, the reader is quiescent-hot
-/// (every sub-read on the R2 fast path), so the figure isolates the
-/// *scan walk* — M adjacent slab lines vs M scattered boxed registers.
-fn scan_hist(layout: MnLayout, samples: u64) -> LatencyHistogram {
-    const M: usize = 8;
-    let reg = MnRegister::with_layout(M, 1, 32, b"", layout).unwrap();
-    let mut ws: Vec<_> = (0..M).map(|_| reg.writer().unwrap()).collect();
-    for (i, w) in ws.iter_mut().enumerate() {
-        w.write(&[i as u8; 16]);
-    }
-    let mut r = reg.reader().unwrap();
-    for _ in 0..10_000 {
-        r.read_with(|v, _ts| std::hint::black_box(v.len()));
-    }
-    let mut hist = LatencyHistogram::new();
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        r.read_with(|v, _ts| std::hint::black_box(v.len()));
-        hist.record(t0.elapsed().as_nanos() as u64);
-    }
-    hist
-}
-
-/// The read-scan comparison at M = 8: interleaved trials (slab and
-/// standalone back-to-back per trial, shared thermal state), the whole
-/// median-ratio trial reported — so `p50_ratio == slab_p50 /
-/// standalone_p50` holds exactly in the emitted JSON.
-fn mn_read_scan(profile: BenchProfile) -> Json {
-    const TRIALS: usize = 5;
-    let samples: u64 = match profile {
-        BenchProfile::Quick => 50_000,
-        _ => 200_000,
-    };
-    let mut trials: Vec<(f64, LatencyHistogram, LatencyHistogram)> = (0..TRIALS)
-        .map(|_| {
-            let slab = scan_hist(MnLayout::Slab, samples);
-            let standalone = scan_hist(MnLayout::Standalone, samples);
-            let ratio = slab.quantile(0.50) as f64 / standalone.quantile(0.50).max(1) as f64;
-            (ratio, slab, standalone)
-        })
-        .collect();
-    trials.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite ratios"));
-    let (ratio, slab, standalone) = trials.swap_remove(TRIALS / 2);
-
-    let (sp50, _, sp99, _, _) = slab.summary();
-    let (bp50, _, bp99, _, _) = standalone.summary();
-    println!(
-        "  read scan M=8: slab p50/p99 {sp50}/{sp99} ns vs standalone {bp50}/{bp99} ns \
-         ({ratio:.3}x, acceptance: <= 1.0)"
-    );
-    let mut j = Json::obj();
-    j.set("writers", Json::int(8));
-    j.set("samples", Json::int(samples));
-    j.set("slab_p50_ns", Json::int(sp50));
-    j.set("slab_p99_ns", Json::int(sp99));
-    j.set("standalone_p50_ns", Json::int(bp50));
-    j.set("standalone_p99_ns", Json::int(bp99));
-    j.set("p50_ratio", Json::num(ratio));
-    j
 }
 
 /// The multi-writer table workload: W writer roles × K cells on one
@@ -301,9 +203,7 @@ fn main() {
     write_csv(&table, &path).expect("write CSV");
     println!("\nwrote {}", path.display());
 
-    println!("\n# MN-on-slab: density, read-scan latency, multi-writer table\n");
-    let density_json = mn_density();
-    let scan_json = mn_read_scan(profile);
+    println!("\n# MN-on-slab: multi-writer table\n");
     let mut mw_table = Table::new(vec![
         "writers",
         "registers",
@@ -339,14 +239,7 @@ fn main() {
     let json_path = json_dir().join("BENCH_ops.json");
     merge_section(&json_path, "arc-bench/ops/v1", "mn_scaling", Json::Arr(rows))
         .expect("write BENCH_ops.json");
-    merge_section(&json_path, "arc-bench/ops/v1", "mn_density", density_json)
-        .expect("write BENCH_ops.json");
     merge_section(&json_path, "arc-bench/ops/v1", "mn_table", Json::Arr(table_rows))
         .expect("write BENCH_ops.json");
-    println!("merged mn_scaling/mn_density/mn_table into {}", json_path.display());
-
-    let latency_path = json_dir().join("BENCH_latency.json");
-    merge_section(&latency_path, "arc-bench/latency/v1", "mn_read_scan", scan_json)
-        .expect("write BENCH_latency.json");
-    println!("merged mn_read_scan into {}", latency_path.display());
+    println!("merged mn_scaling/mn_table into {}", json_path.display());
 }

@@ -141,8 +141,8 @@ pub enum ConfigError {
     SlotIndexWidth {
         /// Slots requested.
         n_slots: usize,
-        /// Width of the index field in bits (32 standalone, 31 for
-        /// groups, whose hint word spends the top bit).
+        /// Width of the index field in bits (31: the writer's candidate
+        /// cache spends the top bit of each entry as a hint tag).
         bits: u32,
     },
     /// A register table of zero registers was requested.

@@ -97,7 +97,7 @@ pub struct MetricsSnapshot {
     pub slot_probes: u64,
     /// Writes served by the §3.4 hint.
     pub hint_hits: u64,
-    /// Writes served by the writer-local free-slot ring.
+    /// Writes served by the writer-local candidate cache.
     pub ring_hits: u64,
     /// Zero-copy guard reads started.
     pub guard_reads: u64,

@@ -20,11 +20,16 @@ pub const COUNTER_BITS: u32 = 32;
 /// Mask of the counter field.
 pub const COUNTER_MASK: u64 = (1u64 << COUNTER_BITS) - 1;
 
-/// Maximum number of concurrent readers ARC admits: `2^32 − 2` (§1).
+/// Maximum number of concurrent readers the `current` encoding admits:
+/// `2^32 − 2` (§1).
 ///
 /// The counter field must be able to hold one presence unit per live reader
 /// within a single write generation without overflowing into the index
 /// field; one unit of slack is reserved for the churn guard.
+///
+/// The slab that stores every register indexes slots in 31 bits, so a
+/// register that can actually be built has `max_readers + 2 < 2^31` slots;
+/// a larger cap is a typed `ConfigError::SlotIndexWidth` build error.
 pub const MAX_READERS: u32 = u32::MAX - 1;
 
 /// A decoded `current` word.

@@ -1,10 +1,7 @@
 //! [`RegisterFamily`] adapter so the conformance suite and figure benches
 //! can drive ARC through the same interface as the baselines, plus the
 //! [`TableFamily`] adapters for multi-register workloads: the slab-backed
-//! [`ArcGroup`] and the baseline it is measured against (the same K
-//! registers as independent boxed [`ArcRegister`]s).
-
-use std::sync::Arc;
+//! [`ArcGroup`] and the NUMA-sharded [`ShardedTable`].
 
 use register_common::traits::{
     BuildError, ReadHandle, RefReadHandle, RegisterFamily, RegisterSpec, TableFamily,
@@ -192,79 +189,6 @@ impl TableFamily for GroupTableFamily {
     }
 }
 
-/// The density/locality baseline: the same K registers, each its own
-/// boxed [`ArcRegister`] with the padded single-register layout.
-pub struct IndependentTableFamily;
-
-/// Writer side of [`IndependentTableFamily`]: one [`ArcWriter`] per
-/// register.
-pub struct IndependentTableWriter {
-    writers: Vec<ArcWriter>,
-}
-
-/// Reader side of [`IndependentTableFamily`]: one [`ArcReader`] per
-/// register.
-pub struct IndependentTableReader {
-    readers: Vec<ArcReader>,
-}
-
-impl TableWriteHandle for IndependentTableWriter {
-    #[inline]
-    fn write(&mut self, k: usize, value: &[u8]) {
-        self.writers[k].write(value);
-    }
-}
-
-impl TableReadHandle for IndependentTableReader {
-    #[inline]
-    fn read_with<R, F: FnOnce(&[u8]) -> R>(&mut self, k: usize, f: F) -> R {
-        f(&self.readers[k].read())
-    }
-}
-
-impl TableFamily for IndependentTableFamily {
-    type Writer = IndependentTableWriter;
-    type Reader = IndependentTableReader;
-
-    const NAME: &'static str = "arc-indep";
-
-    fn build(
-        registers: usize,
-        spec: RegisterSpec,
-        initial: &[u8],
-    ) -> Result<(Self::Writer, Vec<Self::Reader>), BuildError> {
-        if registers == 0 {
-            return Err(BuildError::ZeroRegisters);
-        }
-        let readers = u32::try_from(spec.readers).ok().filter(|&r| r <= MAX_READERS).ok_or(
-            BuildError::TooManyReaders { requested: spec.readers, limit: MAX_READERS as usize },
-        )?;
-        let regs: Vec<Arc<ArcRegister>> = (0..registers)
-            .map(|_| ArcRegister::builder(readers, spec.capacity).initial(initial).build())
-            .collect::<Result<_, _>>()?;
-        let writers =
-            regs.iter().map(|r| r.writer().expect("fresh register has no writer")).collect();
-        let reader_sets = (0..spec.readers)
-            .map(|_| IndependentTableReader {
-                readers: regs
-                    .iter()
-                    .map(|r| r.reader().expect("within the configured reader cap"))
-                    .collect(),
-            })
-            .collect();
-        Ok((IndependentTableWriter { writers }, reader_sets))
-    }
-
-    fn heap_bytes(writer: &Self::Writer) -> Option<usize> {
-        // Count each register's own heap plus the Vec-of-handles and
-        // Arc control blocks this layout additionally drags in.
-        let regs: usize = writer.writers.iter().map(|w| w.register().heap_bytes()).sum();
-        let handles = writer.writers.len()
-            * (std::mem::size_of::<ArcWriter>() + 2 * std::mem::size_of::<usize>());
-        Some(regs + handles)
-    }
-}
-
 /// Compile-time configuration of a [`ShardedTableFamily`]: the table
 /// drivers are monomorphized per family, so placement variants (bench
 /// plans, the CI split plan) are expressed as zero-sized plan types
@@ -404,33 +328,10 @@ mod tests {
     }
 
     #[test]
-    fn independent_table_family_roundtrip() {
-        let (mut w, mut readers) =
-            IndependentTableFamily::build(4, RegisterSpec::new(1, 64), b"seed").unwrap();
-        w.write(2, b"two");
-        readers[0].read_with(2, |v| assert_eq!(v, b"two"));
-        readers[0].read_with(0, |v| assert_eq!(v, b"seed"));
-        // Default read_many visits in input order.
-        let mut seen = Vec::new();
-        readers[0].read_many(&[2, 0], |k, _| seen.push(k));
-        assert_eq!(seen, vec![2, 0]);
-    }
-
-    #[test]
     fn table_families_reject_bad_specs() {
         assert!(GroupTableFamily::build(0, RegisterSpec::new(1, 16), b"").is_err());
-        assert!(IndependentTableFamily::build(0, RegisterSpec::new(1, 16), b"").is_err());
         assert!(GroupTableFamily::build(2, RegisterSpec::new(0, 16), b"").is_err());
-        assert!(IndependentTableFamily::build(2, RegisterSpec::new(1, 0), b"").is_err());
-    }
-
-    #[test]
-    fn group_table_is_denser_than_independent() {
-        let (gw, _gr) = GroupTableFamily::build(256, RegisterSpec::new(1, 48), b"x").unwrap();
-        let (iw, _ir) = IndependentTableFamily::build(256, RegisterSpec::new(1, 48), b"x").unwrap();
-        let g = GroupTableFamily::heap_bytes(&gw).unwrap();
-        let i = IndependentTableFamily::heap_bytes(&iw).unwrap();
-        assert!(i >= 4 * g, "independent {i} B vs group {g} B: expected ≥ 4x density win");
+        assert!(GroupTableFamily::build(2, RegisterSpec::new(1, 0), b"").is_err());
     }
 
     #[test]

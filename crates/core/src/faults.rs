@@ -5,7 +5,7 @@
 //! allocations behind slab creation, attach, and placement — so every
 //! error branch in `shm.rs`/`topology.rs`/`supervise.rs` can be executed
 //! deterministically. Each fallible operation is tagged with a
-//! [`FaultSite`]; on its way to the OS it asks [`fail_errno`] whether an
+//! [`FaultSite`]; on its way to the OS it asks `fail_errno` whether an
 //! armed schedule wants this particular hit to fail, and if so returns
 //! the injected `errno` as if the kernel had.
 //!

@@ -1,18 +1,18 @@
 //! Slab-backed register groups: K ARC registers from **one relocatable
-//! slab**.
+//! slab** — the crate's one storage layout.
 //!
-//! A standalone [`ArcRegister`](crate::ArcRegister) optimizes for the
-//! latency of *one* hot register: every contended word sits alone in a
-//! `CachePadded` cache line, and each register costs several separate heap
-//! allocations (~1.5 KB for a small-payload, single-reader register before
-//! allocator overhead). A table of a **million** small registers — the
-//! "large-scale data sharing" in the paper's title — inverts the trade:
-//! per-register footprint and placement dominate, and a million scattered
-//! boxed allocations are memory-bloated, allocation-heavy and
-//! cache-hostile.
+//! A table of a **million** small registers — the "large-scale data
+//! sharing" in the paper's title — is dominated by per-register footprint
+//! and placement: a million scattered boxed allocations would be
+//! memory-bloated, allocation-heavy and cache-hostile. [`ArcGroup`]
+//! therefore builds K registers in one shot inside a single
+//! offset-addressed mapping (the [`crate::shm`] slab). The single register
+//! of the paper is the K = 1 case: [`ArcRegister`](crate::ArcRegister) and
+//! [`TypedArc`](crate::TypedArc) are thin views over a one-register group,
+//! so shm, recovery, the pin registry, supervision and scrub all apply to
+//! them too.
 //!
-//! [`ArcGroup`] builds K registers in one shot inside a single
-//! offset-addressed mapping (the [`crate::shm`] slab):
+//! The slab's regions:
 //!
 //! ```text
 //! superblock : 128 B                        magic, geometry, recovery epoch
@@ -43,16 +43,14 @@
 //!   `r_end`) with its length word and the [`INLINE_CAP`]-byte inline
 //!   value buffer into exactly one cache line: a fast-path read touches
 //!   the header line plus one slot line, and a small-payload register
-//!   costs `64 + n_slots × 64` bytes — `O(n_slots × INLINE_CAP)`, an
-//!   order of magnitude below the padded standalone layout.
+//!   costs `64 + n_slots × 64` bytes — `O(n_slots × INLINE_CAP)`.
 //! * The optional **arena** gives each `(register, slot)` pair a disjoint
-//!   `capacity`-byte region, exactly like the standalone register's arena.
+//!   `capacity`-byte region.
 //!
-//! # Same protocol, same proof
+//! # One protocol, one proof
 //!
-//! The group runs the *identical* wait-free state machine as the
-//! standalone register: every operation goes through the storage-generic
-//! protocol functions of [`crate::raw`], with the crate-private `GroupCells` view merely
+//! Every operation goes through the storage-generic protocol functions of
+//! [`crate::raw`], with the crate-private `GroupCells` view merely
 //! translating `(register, slot)` to a slab position. Register `k` only
 //! ever touches header `k`, slots `k*n_slots .. (k+1)*n_slots` and arena
 //! bytes `k*n_slots*capacity .. (k+1)*n_slots*capacity` — the disjointness
@@ -62,20 +60,21 @@
 //! writer can recycle a slot pinned by another register's reader, because
 //! it cannot even *name* another register's slots.
 //!
-//! The packing does give up two paddings the standalone register pays for:
-//! a register's slot *counters* share their slot's payload line (a reader
-//! releasing slot A may ping a line another reader of slot A still loads
-//! from), and a register's header words share one line (readers' R4 RMWs
-//! and the writer's W2 swap contend on it). Both are *within* one
-//! register — the contention domain the protocol already bounds — and are
-//! the price of density; cross-register traffic shares nothing.
+//! The packing pads nothing inside a register: its slot *counters* share
+//! their slot's payload line (a reader releasing slot A may ping a line
+//! another reader of slot A still loads from), and its header words share
+//! one line (readers' R4 RMWs and the writer's W2 swap contend on it).
+//! Both are *within* one register — the contention domain the protocol
+//! already bounds — and cross-register traffic shares nothing. DESIGN.md
+//! §3.5 records what the packing costs a contended writer/reader pair
+//! against a layout that padded every hot word.
 //!
 //! # Batched operation
 //!
-//! [`GroupWriterSet`] holds the writer role of every register with a
-//! 16-byte packed writer state per register (a million standalone
-//! [`RawWriter`](crate::raw::RawWriter)s would re-introduce a heap ring
-//! allocation each): [`GroupWriterSet::write_batch`] streams a batch of
+//! [`GroupWriterSet`] holds the writer role of every register with 16
+//! bytes of packed writer memory per register (the crate-private
+//! `raw::WriterMem`, no per-register heap state):
+//! [`GroupWriterSet::write_batch`] streams a batch of
 //! `(register, value)` pairs through W1–W3 with the per-register candidate
 //! caches staying warm across batches. [`GroupReaderSet`] joins every
 //! register once and [`GroupReaderSet::read_many`] sorts the requested
@@ -100,12 +99,13 @@ use crate::current::{index_of, Current, MAX_READERS};
 use crate::errors::{HandleError, WriteError};
 use crate::raw::{
     guard_created_on, guard_drop_on, outstanding_units_on, quarantine_on, read_acquire_on,
-    reader_join_on, reader_leave_on, wip_slot, wip_stage, writer_claim_on, writer_release_on,
-    ArcCells, ArcWriterMem, PublishGuard, RawOptions, RawReader, HEALTH_BAD_CURRENT,
-    HEALTH_BAD_JOURNAL, HEALTH_BAD_LEN, HEALTH_OK, NO_HINT, STAGE_IDLE, STAGE_PUB_RAW,
+    reader_join_on, reader_leave_on, wait_for_version_on, wait_for_version_timeout_on, wip_slot,
+    wip_stage, writer_claim_on, writer_release_on, ArcCells, PublishGuard, RawOptions, RawReader,
+    ReadOutcome, WriterMem, HEALTH_BAD_CURRENT, HEALTH_BAD_JOURNAL, HEALTH_BAD_LEN, HEALTH_OK,
+    NO_HINT, SLOT_INDEX_BITS, STAGE_IDLE, STAGE_PUB_RAW,
 };
 use crate::recovery::{self, RecoveryReport};
-use crate::register::{GuardBackend, ReadGuard, Snapshot, INLINE_CAP};
+use crate::register::{ReadGuard, Snapshot, INLINE_CAP};
 use crate::shm::{
     pid_alive, PlacementInfo, Slab, SlabBackend, SlabError, SlabGeometry, SlabLayout,
     SlabPlacement, FLAG_FAST_PATH, FLAG_HINT, FLAG_INLINE, FLAG_PINS, HDR_BYTES, SLOT_BYTES,
@@ -298,9 +298,9 @@ impl RegHeader {
 /// One slot of the slab: protocol counters + length + inline value buffer
 /// fused into exactly one cache line.
 ///
-/// `len` and `inline` are protocol-protected plain memory (same argument
-/// as the standalone register's `SlotBuf`); the counters are the slot's
-/// [`crate::raw`] metadata.
+/// `len` and `inline` are protocol-protected plain memory (written by the
+/// writer between W1 and W2, read under a standing presence unit); the
+/// counters are the slot's [`crate::raw`] metadata.
 #[repr(C, align(64))]
 struct PackedSlot {
     r_start: AtomicU32,
@@ -322,24 +322,22 @@ const _: () = assert!(std::mem::size_of::<RegHeader>() == HDR_BYTES);
 // == 0` makes slot 0 the valid initial publication of a zeroed header
 // word — though headers are written explicitly for the NO_HINT sentinel).
 
-// SAFETY: the UnsafeCell fields are accessed under the RawArc protocol
-// exactly like the standalone register's SlotBuf — writer-exclusive
-// between select_slot and publish, shared under a standing presence unit
-// otherwise (module docs).
+// SAFETY: the UnsafeCell fields are accessed under the ARC protocol —
+// writer-exclusive between select_slot and publish, shared under a
+// standing presence unit otherwise (module docs).
 unsafe impl Sync for PackedSlot {}
 // SAFETY: the cells hold plain bytes/words; moving the slot between
 // threads carries no thread-affine state.
 unsafe impl Send for PackedSlot {}
 
 /// View of one register's protocol words inside the slab: the
-/// [`ArcCells`] implementation that lets the group reuse the single
-/// register's wait-free protocol unchanged.
+/// [`ArcCells`] implementation the wait-free protocol runs over.
 ///
 /// Constructed only by [`ArcGroup::cells`] with an in-range `k`, so the
 /// header reference is resolved once and the slot accessors can skip the
 /// per-access bounds check — on the R2 fast path (a handful of ns) that
-/// check is measurable against the standalone register.
-struct GroupCells<'a> {
+/// check is measurable.
+pub(crate) struct GroupCells<'a> {
     g: &'a ArcGroup,
     /// This register's header line.
     header: &'a RegHeader,
@@ -482,21 +480,6 @@ impl ArcCells for GroupCells<'_> {
     }
 }
 
-/// Packed per-register writer memory for [`GroupWriterSet`]: 16 bytes
-/// instead of a heap-backed candidate ring per register.
-///
-/// The candidate cache is two entries deep — enough for the steady-state
-/// feed (one lazily-reclaimed slot per write) plus one drained hint.
-/// Overflow drops the candidate, which is sound: entries are re-validated
-/// at pop, and a dropped slot resurfaces via the fallback scan.
-#[derive(Debug, Clone, Copy)]
-struct PackedWriterMem {
-    last_slot: u32,
-    search_pos: u32,
-    /// Candidate slots (`NO_CAND` = empty); bit 31 tags hint origin.
-    cand: [u32; 2],
-}
-
 /// How long a [`ArcGroup::recover`] call that lost the cross-process
 /// arbitration waits for the winning claimant to release the token before
 /// giving up and returning `lost_arbitration`. Long enough for any real
@@ -504,62 +487,6 @@ struct PackedWriterMem {
 /// that died mid-recovery (its successor steals the token on the *next*
 /// call) cannot wedge the loser forever.
 const RECOVERY_WAIT: std::time::Duration = std::time::Duration::from_secs(5);
-
-/// Empty-candidate sentinel (slot indices are bounded by `n_slots`, which
-/// the builder caps well below 2^31).
-const NO_CAND: u32 = u32::MAX;
-/// Tag bit recording that a candidate came from the §3.4 shared hint.
-const CAND_HINT_BIT: u32 = 1 << 31;
-
-impl PackedWriterMem {
-    fn new(last_slot: usize, n_slots: usize) -> Self {
-        Self {
-            last_slot: last_slot as u32,
-            search_pos: ((last_slot + 1) % n_slots) as u32,
-            cand: [NO_CAND; 2],
-        }
-    }
-}
-
-impl ArcWriterMem for PackedWriterMem {
-    #[inline]
-    fn last_slot(&self) -> usize {
-        self.last_slot as usize
-    }
-    #[inline]
-    fn set_last_slot(&mut self, slot: usize) {
-        self.last_slot = slot as u32;
-    }
-    #[inline]
-    fn search_pos(&self) -> usize {
-        self.search_pos as usize
-    }
-    #[inline]
-    fn set_search_pos(&mut self, pos: usize) {
-        self.search_pos = pos as u32;
-    }
-    #[inline]
-    fn push_candidate(&mut self, slot: u32, from_hint: bool) {
-        let tagged = slot | if from_hint { CAND_HINT_BIT } else { 0 };
-        for c in self.cand.iter_mut() {
-            if *c == NO_CAND {
-                *c = tagged;
-                return;
-            }
-        }
-        // Full: drop (candidates are lossy by contract).
-    }
-    #[inline]
-    fn pop_candidate(&mut self) -> Option<(u32, bool)> {
-        let head = self.cand[0];
-        if head == NO_CAND {
-            return None;
-        }
-        self.cand[0] = self.cand[1];
-        self.cand[1] = NO_CAND;
-        Some((head & !CAND_HINT_BIT, head & CAND_HINT_BIT != 0))
-    }
-}
 
 /// Builder for [`ArcGroup`].
 #[derive(Debug, Clone)]
@@ -672,6 +599,14 @@ impl GroupBuilder {
 
     /// Build the group (one slab allocation regardless of K).
     pub fn build(self) -> Result<Arc<ArcGroup>, BuildError> {
+        self.build_group().map(Arc::new)
+    }
+
+    /// [`GroupBuilder::build`] without the `Arc`, for the K = 1 views
+    /// ([`crate::ArcRegister`], [`crate::TypedArc`]) that embed the group
+    /// by value: their handles then reach the slab through one pointer,
+    /// exactly like a [`GroupReader`]'s.
+    pub(crate) fn build_group(self) -> Result<ArcGroup, BuildError> {
         if self.registers == 0 {
             return Err(BuildError::ZeroRegisters);
         }
@@ -681,8 +616,8 @@ impl GroupBuilder {
         if n_slots < 3 {
             return Err(ConfigError::TooFewSlots { n_slots }.into());
         }
-        if n_slots >= CAND_HINT_BIT as usize {
-            return Err(ConfigError::SlotIndexWidth { n_slots, bits: 31 }.into());
+        if n_slots >= 1 << SLOT_INDEX_BITS {
+            return Err(ConfigError::SlotIndexWidth { n_slots, bits: SLOT_INDEX_BITS }.into());
         }
         let mut flags = 0;
         if self.inline {
@@ -757,7 +692,7 @@ impl GroupBuilder {
         // Stamp the superblock last: the Release store of the magic
         // publishes a fully initialized slab to any attacher.
         group.slab.superblock().initialize(&group.layout, group.slab.placement());
-        Ok(Arc::new(group))
+        Ok(group)
     }
 }
 
@@ -1195,12 +1130,7 @@ impl ArcGroup {
     /// and strictly outside the wait-free protocol.
     pub fn wait_for_update(&self, k: usize, last: u64) -> u64 {
         self.check_index(k);
-        let mut seen = last;
-        self.watch.wait_until(|| {
-            seen = self.header(k).version.load(Ordering::Acquire);
-            seen > last
-        });
-        seen
+        wait_for_version_on(&self.cells(k), last)
     }
 
     /// Like [`ArcGroup::wait_for_update`] with a timeout; `None` if it
@@ -1212,15 +1142,13 @@ impl ArcGroup {
         timeout: std::time::Duration,
     ) -> Option<u64> {
         self.check_index(k);
-        let mut seen = last;
-        let woke = self.watch.wait_until_timeout(
-            || {
-                seen = self.header(k).version.load(Ordering::Acquire);
-                seen > last
-            },
-            timeout,
-        );
-        woke.then_some(seen)
+        wait_for_version_timeout_on(&self.cells(k), last, timeout)
+    }
+
+    /// The group-wide wait set, for async waker registration.
+    #[cfg(feature = "async")]
+    pub(crate) fn watch_set(&self) -> &WaitSet {
+        &self.watch
     }
 
     /// Bytes of memory the whole group owns (the slab — superblock +
@@ -1239,26 +1167,15 @@ impl ArcGroup {
     /// if the register's ledger was found scribbled (§3.10; permanent).
     pub fn writer(self: &Arc<Self>, k: usize) -> Result<GroupWriter, HandleError> {
         self.check_index(k);
-        let cells = self.cells(k);
-        if cells.health_word().load(Ordering::Acquire) != HEALTH_OK {
-            return Err(HandleError::Quarantined);
-        }
-        if recovery::register_needs_recovery(&cells, &mut pid_alive) {
-            return Err(HandleError::NeedsRecovery);
-        }
-        let last_slot = writer_claim_on(&cells)?;
-        Ok(GroupWriter {
-            group: Arc::clone(self),
-            k,
-            mem: PackedWriterMem::new(last_slot, self.n_slots),
-        })
+        let mem = self.claim_writer(k)?;
+        Ok(GroupWriter { group: Arc::clone(self), k, mem })
     }
 
     /// Register a reader handle on register `k` (up to `max_readers`
     /// concurrently per register).
     pub fn reader(self: &Arc<Self>, k: usize) -> Result<GroupReader, HandleError> {
         self.check_index(k);
-        let rd = reader_join_on(&self.cells(k))?;
+        let rd = self.join_reader(k)?;
         Ok(GroupReader { group: Arc::clone(self), k, rd: Some(rd) })
     }
 
@@ -1273,20 +1190,12 @@ impl ArcGroup {
     pub fn writer_set(self: &Arc<Self>) -> Result<GroupWriterSet, HandleError> {
         let mut mems = Vec::with_capacity(self.registers);
         for k in 0..self.registers {
-            let cells = self.cells(k);
-            let claimed = if cells.health_word().load(Ordering::Acquire) != HEALTH_OK {
-                Err(HandleError::Quarantined)
-            } else if recovery::register_needs_recovery(&cells, &mut pid_alive) {
-                Err(HandleError::NeedsRecovery)
-            } else {
-                writer_claim_on(&cells)
-            };
-            match claimed {
-                Ok(last_slot) => mems.push(PackedWriterMem::new(last_slot, self.n_slots)),
+            match self.claim_writer(k) {
+                Ok(mem) => mems.push(mem),
                 Err(e) => {
                     // Roll back the claims made so far.
                     for j in 0..k {
-                        writer_release_on(&self.cells(j));
+                        self.release_writer(j);
                     }
                     return Err(e);
                 }
@@ -1302,17 +1211,48 @@ impl ArcGroup {
     pub fn reader_set(self: &Arc<Self>) -> Result<GroupReaderSet, HandleError> {
         let mut rds = Vec::with_capacity(self.registers);
         for k in 0..self.registers {
-            match reader_join_on(&self.cells(k)) {
+            match self.join_reader(k) {
                 Ok(rd) => rds.push(rd),
                 Err(e) => {
                     for (j, rd) in rds.into_iter().enumerate() {
-                        reader_leave_on(&self.cells(j), rd);
+                        self.leave_reader(j, rd);
                     }
                     return Err(e);
                 }
             }
         }
         Ok(GroupReaderSet { group: Arc::clone(self), rds, scratch: Vec::new() })
+    }
+
+    /// Claim register `k`'s writer role (`k < registers`), refusing
+    /// quarantined registers and ones a dead process left damaged; the
+    /// claim hook of every writer handle.
+    pub(crate) fn claim_writer(&self, k: usize) -> Result<WriterMem, HandleError> {
+        let cells = self.cells(k);
+        if cells.health_word().load(Ordering::Acquire) != HEALTH_OK {
+            return Err(HandleError::Quarantined);
+        }
+        if recovery::register_needs_recovery(&cells, &mut pid_alive) {
+            return Err(HandleError::NeedsRecovery);
+        }
+        let last_slot = writer_claim_on(&cells)?;
+        Ok(WriterMem::new(last_slot, self.n_slots))
+    }
+
+    /// Release register `k`'s writer role (the drop hook of every writer
+    /// handle).
+    pub(crate) fn release_writer(&self, k: usize) {
+        writer_release_on(&self.cells(k));
+    }
+
+    /// Join register `k` as a reader (`k < registers`).
+    pub(crate) fn join_reader(&self, k: usize) -> Result<RawReader, HandleError> {
+        reader_join_on(&self.cells(k))
+    }
+
+    /// Leave register `k`, releasing the reader's outstanding unit.
+    pub(crate) fn leave_reader(&self, k: usize, rd: RawReader) {
+        reader_leave_on(&self.cells(k), rd);
     }
 
     /// Group-wide operation metrics, available with the `metrics` feature.
@@ -1350,11 +1290,10 @@ impl ArcGroup {
     ///
     /// Callers guarantee `k < registers` — every handle checks its index
     /// at creation and carries it immutably. Resolving the header and the
-    /// slot run without per-call bounds checks is what keeps the group's
-    /// R2 fast path within the standalone register's envelope (the
-    /// `fast_path_parity` probe of the `group_scaling` bench).
+    /// slot run without per-call bounds checks keeps the R2 fast path to a
+    /// few loads.
     #[inline]
-    fn cells(&self, k: usize) -> GroupCells<'_> {
+    pub(crate) fn cells(&self, k: usize) -> GroupCells<'_> {
         debug_assert!(k < self.registers);
         let base = layout::slot_index(k, self.n_slots, 0);
         // SAFETY: k < registers, so header index k, the slot/version runs
@@ -1437,23 +1376,17 @@ impl ArcGroup {
         }
     }
 
-    /// Write `len` bytes into `cell` (= slot `slot` of register `k`) via
-    /// `fill`, then record the length.
+    /// Write `len` bytes into slot `slot` of register `k` via `fill`, then
+    /// record the length.
     ///
     /// # Safety
     ///
     /// Caller must hold *exclusive* write rights on `(k, slot)` per the
-    /// protocol (between `select_slot` and `publish`, or sole access at
-    /// build time), and `cell` must be that slot's cell.
+    /// protocol (between W1 and W2, or sole access at build time), with
+    /// `k < registers` and `slot < n_slots`.
     #[inline]
-    unsafe fn fill_slot_in(
-        &self,
-        cell: &PackedSlot,
-        k: usize,
-        slot: usize,
-        len: usize,
-        fill: impl FnOnce(&mut [u8]),
-    ) {
+    unsafe fn fill_slot(&self, k: usize, slot: usize, len: usize, fill: impl FnOnce(&mut [u8])) {
+        let cell = self.cells(k).slot(slot);
         // SAFETY: exclusivity per the function contract; placement is the
         // same pure function of `len` that readers use.
         unsafe {
@@ -1474,26 +1407,38 @@ impl ArcGroup {
         }
     }
 
-    /// Build-time variant of [`ArcGroup::fill_slot_in`] with checked
-    /// indexing (cold path).
+    /// The read hook of Algorithm 2: acquire register `k` with reader
+    /// state `rd` (R1–R5) and return the slot to read. The typed register
+    /// dereferences its side array through it.
+    #[inline]
+    pub(crate) fn acquire(&self, k: usize, rd: &mut RawReader) -> ReadOutcome {
+        read_acquire_on(&self.cells(k), rd)
+    }
+
+    /// Read register `k` with reader state `rd`: the one snapshot read path
+    /// of every byte-register handle.
     ///
-    /// # Safety
-    ///
-    /// Same contract as [`ArcGroup::fill_slot_in`].
-    unsafe fn fill_slot(&self, k: usize, slot: usize, len: usize, fill: impl FnOnce(&mut [u8])) {
-        assert!(k < self.registers && slot < self.n_slots, "fill_slot out of range");
+    /// The snapshot borrows `rd` mutably for its whole life, so the pin it
+    /// rests on cannot be released or moved while the bytes are visible.
+    #[inline]
+    pub(crate) fn read_in<'a>(&'a self, k: usize, rd: &'a mut RawReader) -> Snapshot<'a> {
         let cells = self.cells(k);
-        // SAFETY: forwarded contract; indices checked above.
-        unsafe { self.fill_slot_in(cells.slot(slot), k, slot, len, fill) }
+        let out = read_acquire_on(&cells, rd);
+        // SAFETY: read_acquire pinned `(k, out.slot)` for this reader
+        // state; the pin lasts until its next acquire or leave, and `rd`
+        // stays mutably borrowed for the snapshot's lifetime.
+        let bytes = unsafe { self.slot_bytes_in(cells.slot(out.slot), k, out.slot) };
+        let inline = self.stored_inline(bytes.len());
+        Snapshot::assemble(bytes, out, inline)
     }
 
     /// Acquire a zero-copy guard over register `k` with reader state `rd`;
-    /// shared by every guard-returning read path of the group.
+    /// shared by every guard-returning read path.
     ///
     /// Splitting the borrows (`&self` for the slab, `&mut` for the reader
     /// state) is what lets the guard hold both for its whole life.
     #[inline]
-    fn read_ref_in<'a>(&'a self, k: usize, rd: &'a mut RawReader) -> ReadGuard<'a> {
+    pub(crate) fn read_ref_in<'a>(&'a self, k: usize, rd: &'a mut RawReader) -> ReadGuard<'a> {
         let cells = self.cells(k);
         let out = read_acquire_on(&cells, rd);
         guard_created_on(&cells);
@@ -1503,52 +1448,68 @@ impl ArcGroup {
         // borrowed for that lifetime, so no other acquire can intervene.
         let bytes = unsafe { self.slot_bytes_in(cells.slot(out.slot), k, out.slot) };
         let inline = self.stored_inline(bytes.len());
-        ReadGuard::assemble(
-            bytes,
-            out.slot,
-            out.fast,
-            inline,
-            out.version,
-            rd,
-            GuardBackend::Group { group: self, k },
-        )
+        ReadGuard::assemble(bytes, out, inline, rd, self, k)
     }
 
-    /// Guard-drop hook for [`ReadGuard`]s over register `k` (the eager
-    /// stale-pin release of `crate::raw::guard_drop_on`).
+    /// Guard-drop hook (the eager stale-pin release of
+    /// `crate::raw::guard_drop_on`) for guards over register `k`, typed or
+    /// byte.
     #[inline]
     pub(crate) fn guard_drop(&self, k: usize, rd: &mut RawReader) {
         guard_drop_on(&self.cells(k), rd);
     }
 
-    /// One write against register `k` using writer memory `mem`
-    /// (W1 + copy + W2/W3); shared by all writer handle types.
+    /// Metric hook: a guard over register `k` was created outside
+    /// [`ArcGroup::read_ref_in`] (the typed register's guards).
+    #[inline]
+    pub(crate) fn guard_created(&self, k: usize) {
+        guard_created_on(&self.cells(k));
+    }
+
+    /// The write hook of Algorithm 3: W1 on register `k` with writer
+    /// memory `mem`, then `fill(slot)`, then W2 + W3. Every writer handle,
+    /// typed or byte, goes through here.
     ///
-    /// The W1→W3 window runs under a [`PublishGuard`]: if `fill` (or an
-    /// injected crash point in panic mode) unwinds, the guard classifies
-    /// the journal and completes or discards the publication, so a
-    /// panicking writer closure leaves the register consistent and the
-    /// handle immediately writable again.
-    fn write_one(
+    /// `fill` has exclusive access to the storage of `(k, slot)` until it
+    /// returns: W1 proved the slot free, and the Acquire edge on its
+    /// `r_end` ordered all prior readers' loads before the fill's stores.
+    ///
+    /// The window runs under a [`PublishGuard`]: if `fill` (or an injected
+    /// crash point in panic mode) unwinds, the guard classifies the journal
+    /// and completes or discards the publication, so a panicking fill
+    /// leaves the register consistent and the handle writable again.
+    #[inline]
+    pub(crate) fn publish_with<R>(
         &self,
         k: usize,
-        mem: &mut PackedWriterMem,
+        mem: &mut WriterMem,
+        fill: impl FnOnce(usize) -> R,
+    ) -> R {
+        let cells = self.cells(k);
+        let guard = PublishGuard::select(&cells, mem);
+        let out = fill(guard.slot());
+        guard.publish();
+        out
+    }
+
+    /// One byte write against register `k` (capacity check + W1 + copy +
+    /// W2/W3), shared by all byte writer handles.
+    #[inline]
+    pub(crate) fn write_one(
+        &self,
+        k: usize,
+        mem: &mut WriterMem,
         len: usize,
         fill: impl FnOnce(&mut [u8]),
     ) -> Result<(), WriteError> {
         if len > self.capacity {
             return Err(WriteError::PayloadTooLarge { len, capacity: self.capacity });
         }
-        let cells = self.cells(k);
-        let guard = PublishGuard::select(&cells, mem);
-        let slot = guard.slot();
-        // SAFETY: select_slot grants exclusive access to `(k, slot)` until
-        // publish; the Acquire edge on r_end ordered all prior readers'
-        // loads before these stores.
-        unsafe {
-            self.fill_slot_in(cells.slot(slot), k, slot, len, fill);
-        }
-        guard.publish();
+        self.publish_with(k, mem, |slot| {
+            // SAFETY: publish_with hands over the slot W1 selected, which
+            // is exclusively the writer's until the publish that follows.
+            unsafe { self.fill_slot(k, slot, len, fill) }
+        });
         Ok(())
     }
 }
@@ -1570,7 +1531,7 @@ impl fmt::Debug for ArcGroup {
 pub struct GroupWriter {
     group: Arc<ArcGroup>,
     k: usize,
-    mem: PackedWriterMem,
+    mem: WriterMem,
 }
 
 impl GroupWriter {
@@ -1632,7 +1593,7 @@ impl fmt::Debug for GroupWriter {
 
 impl Drop for GroupWriter {
     fn drop(&mut self) {
-        writer_release_on(&self.group.cells(self.k));
+        self.group.release_writer(self.k);
     }
 }
 
@@ -1650,14 +1611,7 @@ impl GroupReader {
     #[inline]
     pub fn read(&mut self) -> Snapshot<'_> {
         let rd = self.rd.as_mut().expect("reader state present until drop");
-        let cells = self.group.cells(self.k);
-        let out = read_acquire_on(&cells, rd);
-        // SAFETY: read_acquire pinned `(k, out.slot)` for this handle; the
-        // pin lasts until the next acquire/leave, which require &mut self
-        // and are excluded while the Snapshot's borrow is live.
-        let bytes = unsafe { self.group.slot_bytes_in(cells.slot(out.slot), self.k, out.slot) };
-        let inline = self.group.stored_inline(bytes.len());
-        Snapshot::assemble(bytes, out.slot, out.fast, inline, out.version)
+        self.group.read_in(self.k, rd)
     }
 
     /// Read the most recent value of this register as an RAII zero-copy
@@ -1697,7 +1651,7 @@ impl fmt::Debug for GroupReader {
 impl Drop for GroupReader {
     fn drop(&mut self) {
         if let Some(rd) = self.rd.take() {
-            reader_leave_on(&self.group.cells(self.k), rd);
+            self.group.leave_reader(self.k, rd);
         }
     }
 }
@@ -1709,7 +1663,7 @@ impl Drop for GroupReader {
 /// stays O(1) without any per-register heap state.
 pub struct GroupWriterSet {
     group: Arc<ArcGroup>,
-    mems: Vec<PackedWriterMem>,
+    mems: Vec<WriterMem>,
 }
 
 impl GroupWriterSet {
@@ -1801,7 +1755,7 @@ impl fmt::Debug for GroupWriterSet {
 impl Drop for GroupWriterSet {
     fn drop(&mut self) {
         for k in 0..self.mems.len() {
-            writer_release_on(&self.group.cells(k));
+            self.group.release_writer(k);
         }
     }
 }
@@ -1823,14 +1777,7 @@ impl GroupReaderSet {
     #[inline]
     pub fn read(&mut self, k: usize) -> Snapshot<'_> {
         self.group.check_index(k);
-        let cells = self.group.cells(k);
-        let out = read_acquire_on(&cells, &mut self.rds[k]);
-        // SAFETY: as in GroupReader::read — the pin on `(k, out.slot)`
-        // lasts until this set's next acquire on register k, which
-        // requires &mut self.
-        let bytes = unsafe { self.group.slot_bytes_in(cells.slot(out.slot), k, out.slot) };
-        let inline = self.group.stored_inline(bytes.len());
-        Snapshot::assemble(bytes, out.slot, out.fast, inline, out.version)
+        self.group.read_in(k, &mut self.rds[k])
     }
 
     /// Read the most recent value of register `k` as an RAII zero-copy
@@ -1929,7 +1876,7 @@ impl fmt::Debug for GroupReaderSet {
 impl Drop for GroupReaderSet {
     fn drop(&mut self) {
         for (k, rd) in self.rds.drain(..).enumerate() {
-            reader_leave_on(&self.group.cells(k), rd);
+            self.group.leave_reader(k, rd);
         }
     }
 }
@@ -2154,21 +2101,6 @@ mod tests {
     }
 
     #[test]
-    fn slab_is_at_least_4x_denser_than_standalone() {
-        // The acceptance shape of the group_scaling bench, in miniature:
-        // exact heap accounting at K = 1000 small registers.
-        let k = 1000;
-        let g = ArcGroup::builder(k, 1, 48).build().unwrap();
-        let group_per_reg = g.heap_bytes() / k;
-        let single = crate::ArcRegister::builder(1, 48).build().unwrap();
-        let single_bytes = single.heap_bytes();
-        assert!(
-            single_bytes >= 4 * group_per_reg,
-            "density regression: single {single_bytes} B vs group {group_per_reg} B/register"
-        );
-    }
-
-    #[test]
     fn k1_degenerates_to_single_register_semantics() {
         let g = ArcGroup::builder(1, 2, 64).initial(b"seed").build().unwrap();
         let mut w = g.writer(0).unwrap();
@@ -2228,18 +2160,6 @@ mod tests {
         let set_dbg = format!("{g:?} {w:?} {r:?}");
         let _ = r.read();
         assert!(set_dbg.contains("ArcGroup") && set_dbg.contains("GroupWriter"));
-    }
-
-    #[test]
-    fn packed_writer_mem_candidate_fifo() {
-        let mut m = PackedWriterMem::new(0, 4);
-        assert_eq!(m.pop_candidate(), None);
-        m.push_candidate(1, false);
-        m.push_candidate(2, true);
-        m.push_candidate(3, false); // dropped: cache is two deep
-        assert_eq!(m.pop_candidate(), Some((1, false)));
-        assert_eq!(m.pop_candidate(), Some((2, true)));
-        assert_eq!(m.pop_candidate(), None);
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! > (1,N) Register for Large-scale Data Sharing on Multi-core Machines.*
 //! > IEEE CLUSTER 2017 (arXiv:1707.07478).
 //!
-//! One writer and up to **2³² − 2** concurrent readers share a value of
-//! arbitrary (bounded) size with *linearizable* semantics and *wait-free*
-//! progress for every operation:
+//! One writer and up to **2³² − 2** concurrent readers (the `current`
+//! encoding's bound; the slab's 31-bit slot index caps a built register
+//! below 2³¹ − 2, see [`MAX_READERS`]) share a value of arbitrary (bounded)
+//! size with *linearizable* semantics and *wait-free* progress for every
+//! operation:
 //!
 //! * **reads are O(1), zero-copy, and RMW-free** when the value hasn't
 //!   changed since the reader's last read (the R2 fast path);
@@ -53,18 +55,21 @@
 //!
 //! ## Crate layout
 //!
-//! * [`register`] — [`ArcRegister`]: byte-payload register (the paper's).
+//! * [`register`] — [`ArcRegister`]: byte-payload register (the paper's),
+//!   a view over a one-register [`ArcGroup`].
 //! * [`group`] — [`ArcGroup`]: K registers (up to ~1M) from one slab,
-//!   with batched write/read paths for multi-register workloads.
-//! * [`typed`] — [`TypedArc`]: the same protocol carrying any `T`.
+//!   the crate's one storage layout, with batched write/read paths for
+//!   multi-register workloads.
+//! * [`typed`] — [`TypedArc`]: the same protocol carrying any `T`, over a
+//!   one-register group's protocol words.
 //! * [`watch`] — versioned reads + change notification: park until the
 //!   register publishes past a version watermark ([`WatchReader`]),
 //!   batch-poll a group's header lines ([`ArcGroup::poll_changed`]), or
 //!   (feature `async`) stream versions to any `std::task` executor. The
 //!   read/write paths stay wait-free — waiting is opt-in and outside the
 //!   protocol.
-//! * [`raw`] — the slot/counter protocol, payload-agnostic and
-//!   storage-generic (both layouts above run it unchanged).
+//! * [`raw`] — the slot/counter protocol, payload-agnostic and written
+//!   once against the slab's per-register words.
 //! * [`shm`] — the relocatable slab: [`ArcGroup`] stores all K registers
 //!   in one offset-addressed mapping, on heap memory or (Linux) on a
 //!   shareable `memfd` ([`SlabBackend::Shm`]) that other processes attach
@@ -123,15 +128,14 @@ pub mod watch;
 pub use crash::CrashPoint;
 pub use errors::{HandleError, WriteError};
 pub use family::{
-    ArcFamily, GroupTableFamily, IndependentTableFamily, LocalPlan, ShardPlan, ShardedTableFamily,
-    SplitPlan,
+    ArcFamily, GroupTableFamily, LocalPlan, ShardPlan, ShardedTableFamily, SplitPlan,
 };
 pub use faults::{FaultSite, RetryPolicy};
 pub use group::{
     ArcGroup, GroupBuilder, GroupReader, GroupReaderSet, GroupWriter, GroupWriterSet, HealthReport,
     QuarantineReason, QuarantinedRegister, RegisterHealth, ScrubReport, WriterProbe,
 };
-pub use raw::{RawArc, RawOptions, ReadOutcome};
+pub use raw::RawOptions;
 pub use recovery::RecoveryReport;
 pub use register::{
     ArcBuilder, ArcReader, ArcRegister, ArcWriter, ReadGuard, Snapshot, INLINE_CAP,
@@ -152,5 +156,11 @@ pub use typed::{TypedArc, TypedReadGuard, TypedReader, TypedWriter, Versioned};
 pub use watch::VersionStream;
 pub use watch::{TypedWatchReader, WatchReader};
 
-/// The maximum number of concurrent readers: 2³² − 2 (the paper's headline).
+/// The maximum number of concurrent readers the `current` encoding admits:
+/// 2³² − 2 (the paper's headline).
+///
+/// Every register lives in a slab whose slot index is 31 bits wide, so the
+/// registers you can build are bounded tighter: `max_readers + 2` slots
+/// must stay below 2³¹, or the builder returns
+/// [`ConfigError::SlotIndexWidth`] before allocating anything.
 pub const MAX_READERS: u32 = current::MAX_READERS;

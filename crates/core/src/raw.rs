@@ -2,9 +2,9 @@
 //!
 //! This layer implements the *coordination* part of ARC (who may read or
 //! write which slot, and when), independent of what the slots store. The
-//! byte register ([`crate::register`]) and the typed register
-//! ([`crate::typed`]) both drive this state machine and attach their own
-//! payload storage.
+//! slab ([`crate::group`]) stores byte payloads next to these words; the
+//! typed register ([`crate::typed`]) keeps a side array of `T` values for
+//! the same words.
 //!
 //! # Protocol summary
 //!
@@ -21,24 +21,21 @@
 //!   atomically learns the new index and registers an anonymous presence
 //!   unit on it (R5).
 //! * **Write** (Algorithm 3): pick a free slot `≠ last_slot` (W1), fill it
-//!   (caller's job, between [`RawArc::select_slot`] and
-//!   [`RawArc::publish`]), `swap` it into `current` with a zeroed counter
-//!   (W2), and freeze the swapped-out counter into the old slot's `r_start`
-//!   (W3).
+//!   (the caller's job, while it holds the `PublishGuard` that W1
+//!   returned), `swap` it into `current` with a zeroed counter (W2), and
+//!   freeze the swapped-out counter into the old slot's `r_start` (W3).
 //!
-//! # One protocol, two storage layouts
+//! # One protocol, one storage layout
 //!
 //! The state machine is written once, against the crate-private `ArcCells`
-//! trait (which atomics implement the protocol words). Two layouts drive it:
-//!
-//! * [`RawArc`] — the single-register layout: every hot word is
-//!   `CachePadded` into its own line, trading footprint for latency;
-//! * `crate::group` — the slab layout: K registers share three contiguous
-//!   allocations (headers / packed slots / arena), trading per-slot padding
-//!   for density so a million registers stay cheap and cache-local.
-//!
-//! Both execute the *same* wait-free algorithm; the proof sketch below and
-//! the ordering budget apply verbatim to either layout.
+//! trait (which atomics hold the protocol words of one register). The slab
+//! (`crate::group`) implements it: K registers share one mapping of packed
+//! 64 B header and slot lines. Every register type runs on that layout —
+//! [`crate::ArcGroup`] at any K, [`crate::ArcRegister`] and
+//! [`crate::TypedArc`] as K = 1 groups — so the proof sketch below and the
+//! ordering budget describe exactly one implementation. The trait stays as
+//! the seam through which a model checker can drive these functions over
+//! its own word type.
 //!
 //! # Why the fast path is safe (the linchpin)
 //!
@@ -102,36 +99,37 @@
 //!   `Acquire` loads: they are racy by nature and only exact in quiescent
 //!   states, which the `Acquire` is enough to observe.
 //!
-//! # The writer free-slot ring (killing the O(N) scan)
+//! # The writer candidate cache (killing the O(N) scan)
 //!
 //! The paper's W1 is "pick any free slot"; the obvious implementation is a
 //! linear probe over all `N + 2` slots per write. This module instead keeps
-//! a **writer-local ring** of candidate-free slot indices, fed by two
-//! sources that are already in hand:
+//! a **writer-local cache** of candidate-free slot indices (the crate-private
+//! `WriterMem`), fed by two sources that are already in hand:
 //!
 //! 1. **lazy reclamation** — at W3 the writer just read the superseded
 //!    slot's `r_end`; if the frozen count is already matched, the slot is
-//!    free *now* and goes straight into the ring (no shared-memory traffic
+//!    free *now* and goes straight into the cache (no shared-memory traffic
 //!    at all);
 //! 2. **reader hints (§3.4)** — the shared hint word is drained into the
-//!    ring at the top of W1 (the same single `swap` the seed paid).
+//!    cache at the top of W1 (the same single `swap` the seed paid).
 //!
-//! Ring entries are *candidates*, not facts: a popped slot is re-validated
-//! through the writer's free check (`slot_free_on`) before use, so stale or duplicate entries
-//! are harmless (exactly the property that makes the §3.4 hint safe). When
-//! the ring runs dry the rotating scan remains as the Lemma 4.1 fallback,
-//! so the wait-freedom bound (≤ one sweep when `n_slots ≥ live_readers+2`)
-//! is untouched — the ring only changes *how fast* the common case finds a
-//! slot, not the worst case. In steady state (readers keep up, or nobody
-//! reads) every write is served from the ring in O(1).
+//! Cache entries are *candidates*, not facts: a popped slot is re-validated
+//! through the writer's free check (`slot_free_on`) before use, so stale or
+//! duplicate entries are harmless (exactly the property that makes the
+//! §3.4 hint safe). When the cache runs dry the rotating scan remains as
+//! the Lemma 4.1 fallback, so the wait-freedom bound (≤ one sweep when
+//! `n_slots ≥ live_readers+2`) is untouched — the cache only changes *how
+//! fast* the common case finds a slot, not the worst case. In steady state
+//! (readers keep up, or nobody reads) every write is served from the cache
+//! in O(1).
 //!
-//! Candidate storage is behind the crate-private `ArcWriterMem` trait:
-//! the single-register [`RawWriter`] uses a heap ring sized to `n_slots`,
-//! while group writer sets use a two-entry inline cache per register (a
-//! million heap rings would defeat the slab). Any lossy FIFO is sound —
-//! losing a *candidate* never loses a *slot*.
+//! The cache is two entries deep: one lazily reclaimed slot per write plus
+//! one drained hint, in 16 bytes of writer memory per register, so a writer
+//! set over a million registers holds no per-register heap state. Overflow
+//! drops the candidate, which is sound — losing a *candidate* never loses a
+//! *slot*.
 //!
-//! Both ring feeds are gated by [`RawOptions::hint`]: the §3.4 ablation
+//! Both cache feeds are gated by [`RawOptions::hint`]: the §3.4 ablation
 //! switch disables the whole candidate machinery at once, restoring the
 //! pure rotating scan the E6 experiment compares against.
 //!
@@ -146,8 +144,6 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
-use register_common::errors::ConfigError;
-use register_common::pad::CachePadded;
 #[cfg(feature = "metrics")]
 use register_common::OpMetrics;
 use sync_primitives::WaitSet;
@@ -200,12 +196,12 @@ pub(crate) fn wip_slot(w: u64) -> usize {
 }
 
 // ---------------------------------------------------------------------
-// The reader pin registry (slab layouts only)
+// The reader pin registry
 // ---------------------------------------------------------------------
 //
 // An ARC presence unit is *anonymous* — perfect for wait-freedom, fatal
-// for crash recovery (a dead reader's unit pins its slot forever). Slab
-// layouts therefore carry one registry word per reader handle, packing
+// for crash recovery (a dead reader's unit pins its slot forever). Shared
+// slabs therefore carry one registry word per reader handle, packing
 // `(owner pid) << 32 | (pinned slot + 1)` (low half 0 = no pin). The
 // entry mirrors what the handle's own bookkeeping knows, with stores
 // ordered so a sweep of a dead owner's entry errs toward *leaking until
@@ -255,8 +251,8 @@ pub(crate) fn quarantine_on<C: ArcCells>(c: &C, reason: u64) {
     }
 }
 
-/// Pin-registry index meaning "this layout has no registry" (single-
-/// register layout, or registry exhausted — handle works, unsweepable).
+/// Pin-registry index meaning "no registry entry" (the slab carries no
+/// registry, or it was exhausted — the handle works, but is unsweepable).
 pub(crate) const NO_PIN: u32 = u32::MAX;
 
 /// Owner pid of a registry entry (0 = entry free).
@@ -271,8 +267,8 @@ pub(crate) fn pin_pinned_slot(entry: u64) -> Option<usize> {
     (entry & u32::MAX as u64).checked_sub(1).map(|s| s as usize)
 }
 
-/// Mirror the handle's pin state into its registry entry (no-op for
-/// layouts without a registry).
+/// Mirror the handle's pin state into its registry entry (no-op for a
+/// handle without one).
 #[inline]
 fn pin_record<C: ArcCells>(c: &C, rd: &RawReader, slot: Option<usize>) {
     if rd.pin_idx != NO_PIN {
@@ -284,23 +280,6 @@ fn pin_record<C: ArcCells>(c: &C, rd: &RawReader, slot: Option<usize>) {
         // (see the registry comment above).
         c.pin_entry(rd.pin_idx).store(v, Ordering::Release);
     }
-}
-
-/// Per-slot coordination metadata.
-///
-/// One cache line per slot: `r_end` is hammered by readers releasing the
-/// slot, and must not false-share with *other* slots' counters.
-#[derive(Debug)]
-struct SlotMeta {
-    /// Presence units frozen into the slot by the writer (W3). Written only
-    /// by the writer; read by the writer (W1) and by readers posting hints.
-    r_start: AtomicU32,
-    /// Presence units released by readers that switched away (R3).
-    r_end: AtomicU32,
-    /// Publication version stamped into the slot before W2 (protocol-
-    /// protected like the payload; `Relaxed` per the ordering budget).
-    /// Shares the slot's padded line — the counters leave 56 spare bytes.
-    version: AtomicU64,
 }
 
 /// Runtime-tunable protocol options (ablation switches for the E6 bench).
@@ -346,9 +325,10 @@ macro_rules! bump {
 /// Storage view the protocol state machine runs over: which atomics hold
 /// the protocol words of *one* register.
 ///
-/// Implementors guarantee the usual ownership discipline (the words are
-/// dedicated to this register and live as long as the view); the protocol
-/// functions below provide all synchronization.
+/// The slab's per-register view is the implementor. It guarantees the
+/// usual ownership discipline (the words are dedicated to this register
+/// and live as long as the view); the protocol functions below provide all
+/// synchronization.
 pub(crate) trait ArcCells {
     /// Number of slots of this register.
     fn n_slots(&self) -> usize;
@@ -397,15 +377,11 @@ pub(crate) trait ArcCells {
     /// Version of the last publication known good before quarantine
     /// (stamped when the register is quarantined, for staleness reports).
     fn last_good_word(&self) -> &AtomicU64;
-    /// Number of reader pin-registry entries (0 = no registry: single-
-    /// register layout; reader death then leaks at most one unit).
-    fn pin_entries(&self) -> u32 {
-        0
-    }
+    /// Number of reader pin-registry entries (0 = the slab carries no
+    /// registry; reader death then leaks at most one unit).
+    fn pin_entries(&self) -> u32;
     /// Pin-registry entry `i` (`i < pin_entries()`).
-    fn pin_entry(&self, _i: u32) -> &AtomicU64 {
-        unreachable!("layout has no pin registry")
-    }
+    fn pin_entry(&self, i: u32) -> &AtomicU64;
     /// Configured reader cap `N`.
     fn max_readers(&self) -> u32;
     /// Protocol ablation switches.
@@ -415,27 +391,69 @@ pub(crate) trait ArcCells {
     fn metrics(&self) -> &OpMetrics;
 }
 
+/// Width of a slot index: bit 31 of a cached candidate tags its hint
+/// origin, so builders refuse `n_slots >= 2^SLOT_INDEX_BITS`.
+pub(crate) const SLOT_INDEX_BITS: u32 = 31;
+/// Empty-candidate sentinel (slot indices stay below `2^SLOT_INDEX_BITS`).
+const NO_CAND: u32 = u32::MAX;
+/// Tag bit recording that a candidate came from the §3.4 shared hint.
+const CAND_HINT_BIT: u32 = 1 << SLOT_INDEX_BITS;
+
 /// Writer-handle-local memory for W1/W3: the last published slot, the
-/// rotating-scan position, and a lossy FIFO of candidate-free slots.
+/// rotating-scan position, and a two-entry FIFO of candidate-free slots
+/// (module docs) — 16 bytes per register.
 ///
-/// Candidate storage differs per layout ([`RawWriter`] keeps a heap ring
-/// sized to `n_slots`; group writer sets keep a two-entry inline cache per
-/// register). Entries are *candidates* — every pop is re-validated through
-/// `slot_free` — so dropping, duplicating or staling entries is harmless.
-pub(crate) trait ArcWriterMem {
+/// Entries are *candidates*: every pop is re-validated through
+/// `slot_free_on`, so dropping, duplicating or staling entries is harmless,
+/// and a dropped slot resurfaces through the fallback scan.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WriterMem {
     /// Slot of the current publication (always equals `current.index`).
-    fn last_slot(&self) -> usize;
-    /// Record the newly published slot.
-    fn set_last_slot(&mut self, slot: usize);
+    last_slot: u32,
     /// Rotating start position for the W1 fallback scan.
-    fn search_pos(&self) -> usize;
-    /// Advance the rotating scan position.
-    fn set_search_pos(&mut self, pos: usize);
+    search_pos: u32,
+    /// Candidate slots (`NO_CAND` = empty); bit 31 tags hint origin.
+    cand: [u32; 2],
+}
+
+impl WriterMem {
+    /// Fresh writer memory for a claim that found `last_slot` published.
+    pub(crate) fn new(last_slot: usize, n_slots: usize) -> Self {
+        Self {
+            last_slot: last_slot as u32,
+            search_pos: ((last_slot + 1) % n_slots) as u32,
+            cand: [NO_CAND; 2],
+        }
+    }
+
+    /// Slot of the current publication.
+    #[inline]
+    pub(crate) fn last_slot(&self) -> usize {
+        self.last_slot as usize
+    }
+
     /// Queue a candidate-free slot (`from_hint` keeps metric attribution
-    /// exact); implementations may drop when full.
-    fn push_candidate(&mut self, slot: u32, from_hint: bool);
+    /// exact even when the candidate waits several calls); dropped when
+    /// both entries are taken.
+    #[inline]
+    fn push_candidate(&mut self, slot: u32, from_hint: bool) {
+        let tagged = slot | if from_hint { CAND_HINT_BIT } else { 0 };
+        if let Some(c) = self.cand.iter_mut().find(|c| **c == NO_CAND) {
+            *c = tagged;
+        }
+    }
+
     /// Dequeue the oldest candidate, if any.
-    fn pop_candidate(&mut self) -> Option<(u32, bool)>;
+    #[inline]
+    fn pop_candidate(&mut self) -> Option<(u32, bool)> {
+        let head = self.cand[0];
+        if head == NO_CAND {
+            return None;
+        }
+        self.cand[0] = self.cand[1];
+        self.cand[1] = NO_CAND;
+        Some((head & !CAND_HINT_BIT, head & CAND_HINT_BIT != 0))
+    }
 }
 
 /// Register a reader handle (bounded by `max_readers`).
@@ -643,6 +661,11 @@ pub(crate) fn slot_free_on<C: ArcCells>(c: &C, slot: usize) -> bool {
 /// Claim the unique writer role, returning the slot of the current
 /// publication (the claimer's initial `last_slot`).
 pub(crate) fn writer_claim_on<C: ArcCells>(c: &C) -> Result<usize, HandleError> {
+    // Make both syscalls (getpid, a /proc read) before taking the role: a
+    // signal is delivered on syscall return, and a claimant killed between
+    // the swap and the lease store leaves a claimed role with no lease for
+    // recovery to find.
+    let (pid, birth) = (self_pid(), self_birth());
     // Acquire: lock-style handoff — pairs with the Release store in
     // writer_release_on, ordering the previous writer's publishes (and
     // slot stores) before this claimer's reads of protocol state.
@@ -655,8 +678,8 @@ pub(crate) fn writer_claim_on<C: ArcCells>(c: &C) -> Result<usize, HandleError> 
     // quiescent recovery. The birth token lands first so a probe that
     // sees our pid sees our incarnation too (a pid with birth 0 is
     // treated as "no birth evidence", i.e. v1 pid-only semantics).
-    c.birth_word().store(self_birth(), Ordering::Relaxed);
-    c.lease_word().store(self_pid(), Ordering::Relaxed);
+    c.birth_word().store(birth, Ordering::Relaxed);
+    c.lease_word().store(pid, Ordering::Relaxed);
     // Invariant: last_slot always equals current.index between writes,
     // so a re-claimed writer reconstructs it from `current`.
     Ok(current_index_on(c))
@@ -694,7 +717,7 @@ pub(crate) fn heartbeat_tick_on<C: ArcCells>(c: &C) {
 /// live_readers + 2` a single sweep always finds a slot (Lemma 4.1),
 /// preserving writer wait-freedom. Below that bound (ablation only) the
 /// scan retries with backoff, which is where wait-freedom is lost.
-pub(crate) fn select_slot_on<C: ArcCells, W: ArcWriterMem>(c: &C, wr: &mut W) -> usize {
+pub(crate) fn select_slot_on<C: ArcCells>(c: &C, wr: &mut WriterMem) -> usize {
     bump!(c, writes, 1);
     // The watchdog's stall classifier keys on "journal mid-publication,
     // heartbeat not moving": tick once as the operation starts so a
@@ -742,13 +765,13 @@ pub(crate) fn select_slot_on<C: ArcCells, W: ArcWriterMem>(c: &C, wr: &mut W) ->
     let mut backoff = sync_backoff();
     loop {
         for off in 0..n {
-            let s = (wr.search_pos() + off) % n;
+            let s = (wr.search_pos as usize + off) % n;
             if s == wr.last_slot() {
                 continue;
             }
             bump!(c, slot_probes, 1);
             if slot_free_on(c, s) {
-                wr.set_search_pos((s + 1) % n);
+                wr.search_pos = ((s + 1) % n) as u32;
                 // Journal W1 (fallback-scan path) — same as above.
                 c.wip_word().store(wip_pack(STAGE_FILLING, s), Ordering::Relaxed);
                 return s;
@@ -768,7 +791,8 @@ pub(crate) fn select_slot_on<C: ArcCells, W: ArcWriterMem>(c: &C, wr: &mut W) ->
 ///
 /// `slot` must come from [`select_slot_on`] with the same writer memory,
 /// and the caller must have completed all payload stores to it.
-pub(crate) fn publish_on<C: ArcCells, W: ArcWriterMem>(c: &C, wr: &mut W, slot: usize) {
+#[cfg(test)]
+pub(crate) fn publish_on<C: ArcCells>(c: &C, wr: &mut WriterMem, slot: usize) {
     let mut displaced = NOT_SWAPPED;
     publish_core(c, wr, slot, &mut displaced);
 }
@@ -779,7 +803,7 @@ pub(crate) fn publish_on<C: ArcCells, W: ArcWriterMem>(c: &C, wr: &mut W, slot: 
 /// `displaced`, a place in the *caller's* frame. An in-process unwind
 /// preserves outer frames, so the guard can always finish W3 exactly;
 /// the lossy at-W2 census repair is for cross-process crashes only.
-fn publish_core<C: ArcCells, W: ArcWriterMem>(c: &C, wr: &mut W, slot: usize, displaced: &mut u64) {
+fn publish_core<C: ArcCells>(c: &C, wr: &mut WriterMem, slot: usize, displaced: &mut u64) {
     debug_assert_ne!(slot, wr.last_slot(), "W1 forbids reusing the current slot");
     debug_assert!(slot_free_on(c, slot), "publishing a slot with standing readers");
     // Journal the publication intent (§3.9): capture the previous slot,
@@ -843,7 +867,7 @@ fn publish_core<C: ArcCells, W: ArcWriterMem>(c: &C, wr: &mut W, slot: usize, di
     } else {
         quarantine_on(c, HEALTH_BAD_CURRENT);
     }
-    wr.set_last_slot(slot);
+    wr.last_slot = slot as u32;
     // The watch edge: bump the event word strictly AFTER W2, so any
     // watcher observing `version` finds publication `version` readable
     // (bumping before W2 would let a woken watcher re-read the old value
@@ -915,7 +939,7 @@ impl JournalVerdict {
 /// frees the role while the guard's handle keeps it.
 ///
 /// The at-W2 census (`displaced = None`) counts the previous slot's
-/// standing pins from the registry; on registry-less layouts it
+/// standing pins from the registry; on a slab without one it
 /// conservatively over-freezes with the live-reader count — a possible
 /// one-slot leak, never a torn read. In-process this branch is
 /// unreachable (the guard always has the displaced word); it exists for
@@ -1035,18 +1059,18 @@ pub(crate) fn roll_forward_version_on<C: ArcCells>(c: &C, slot: usize) {
 /// writer closure can no longer wedge the register until process exit.
 ///
 /// [`publish`]: PublishGuard::publish
-pub(crate) struct PublishGuard<'g, C: ArcCells, W: ArcWriterMem> {
+pub(crate) struct PublishGuard<'g, C: ArcCells> {
     c: &'g C,
-    wr: &'g mut W,
+    wr: &'g mut WriterMem,
     slot: usize,
     /// The word the W2 swap displaced ([`NOT_SWAPPED`] until it runs).
     displaced: u64,
     armed: bool,
 }
 
-impl<'g, C: ArcCells, W: ArcWriterMem> PublishGuard<'g, C, W> {
+impl<'g, C: ArcCells> PublishGuard<'g, C> {
     /// W1: select a free slot and arm the unwind repair.
-    pub(crate) fn select(c: &'g C, wr: &'g mut W) -> Self {
+    pub(crate) fn select(c: &'g C, wr: &'g mut WriterMem) -> Self {
         let slot = select_slot_on(c, wr);
         PublishGuard { c, wr, slot, displaced: NOT_SWAPPED, armed: true }
     }
@@ -1066,7 +1090,7 @@ impl<'g, C: ArcCells, W: ArcWriterMem> PublishGuard<'g, C, W> {
     }
 }
 
-impl<C: ArcCells, W: ArcWriterMem> Drop for PublishGuard<'_, C, W> {
+impl<C: ArcCells> Drop for PublishGuard<'_, C> {
     fn drop(&mut self) {
         if !self.armed {
             return;
@@ -1077,7 +1101,7 @@ impl<C: ArcCells, W: ArcWriterMem> Drop for PublishGuard<'_, C, W> {
             // An adopted publication is a completed write: the invariant
             // `last_slot == current.index` must be restored before the
             // handle's next W1 (which forbids re-selecting it).
-            self.wr.set_last_slot(published);
+            self.wr.last_slot = published as u32;
         }
         // Retire the journal only. Unlike recovery, the claim, lease, and
         // birth words stay: the handle survives the unwind, so the role is
@@ -1165,169 +1189,11 @@ pub(crate) fn outstanding_units_on<C: ArcCells>(c: &C) -> u64 {
     units.saturating_sub(c.r_end(cur_idx).load(Ordering::Acquire) as u64)
 }
 
-// ---------------------------------------------------------------------
-// The padded single-register layout
-// ---------------------------------------------------------------------
-
-/// The ARC coordination state machine (single-register padded layout).
-#[derive(Debug)]
-pub struct RawArc {
-    /// The packed `(index, counter)` synchronization word.
-    current: CachePadded<AtomicU64>,
-    /// §3.4 free-slot hint posted by readers (NO_HINT when empty).
-    hint: CachePadded<AtomicUsize>,
-    /// Per-slot counters.
-    meta: Box<[CachePadded<SlotMeta>]>,
-    /// Live reader handles.
-    live_readers: CachePadded<AtomicU32>,
-    /// Reader handles created since the last write (churn guard).
-    gen_joins: CachePadded<AtomicU32>,
-    /// Published-version event word (bumped after W2); padded because
-    /// watchers poll it while the writer bumps it.
-    version: CachePadded<AtomicU64>,
-    /// Wait/notify edge for watchers (cold unless someone waits).
-    watch: WaitSet,
-    /// Publication journal + writer lease (§3.9). One shared line: all
-    /// three words are written by the writer on the write path only.
-    journal: CachePadded<Journal>,
-    /// Whether the unique writer handle is claimed.
-    writer_claimed: AtomicBool,
-    /// Reader cap `N`.
-    max_readers: u32,
-    opts: RawOptions,
-    /// Operation counters for experiment E5/E6.
-    #[cfg(feature = "metrics")]
-    pub metrics: OpMetrics,
-}
-
-impl ArcCells for RawArc {
-    #[inline]
-    fn n_slots(&self) -> usize {
-        self.meta.len()
-    }
-    #[inline]
-    fn current_word(&self) -> &AtomicU64 {
-        &self.current
-    }
-    #[inline]
-    fn hint_word(&self) -> &AtomicUsize {
-        &self.hint
-    }
-    #[inline]
-    fn r_start(&self, slot: usize) -> &AtomicU32 {
-        &self.meta[slot].r_start
-    }
-    #[inline]
-    fn r_end(&self, slot: usize) -> &AtomicU32 {
-        &self.meta[slot].r_end
-    }
-    #[inline]
-    fn live_readers_word(&self) -> &AtomicU32 {
-        &self.live_readers
-    }
-    #[inline]
-    fn gen_joins_word(&self) -> &AtomicU32 {
-        &self.gen_joins
-    }
-    #[inline]
-    fn writer_claimed_word(&self) -> &AtomicBool {
-        &self.writer_claimed
-    }
-    #[inline]
-    fn version_word(&self) -> &AtomicU64 {
-        &self.version
-    }
-    #[inline]
-    fn slot_version(&self, slot: usize) -> &AtomicU64 {
-        &self.meta[slot].version
-    }
-    #[inline]
-    fn watch(&self) -> &WaitSet {
-        &self.watch
-    }
-    #[inline]
-    fn wip_word(&self) -> &AtomicU64 {
-        &self.journal.wip
-    }
-    #[inline]
-    fn wip_old_word(&self) -> &AtomicU64 {
-        &self.journal.wip_old
-    }
-    #[inline]
-    fn lease_word(&self) -> &AtomicU64 {
-        &self.journal.lease
-    }
-    #[inline]
-    fn birth_word(&self) -> &AtomicU64 {
-        &self.journal.birth
-    }
-    #[inline]
-    fn heartbeat_word(&self) -> &AtomicU64 {
-        &self.journal.heartbeat
-    }
-    #[inline]
-    fn health_word(&self) -> &AtomicU64 {
-        &self.journal.health
-    }
-    #[inline]
-    fn last_good_word(&self) -> &AtomicU64 {
-        &self.journal.last_good
-    }
-    #[inline]
-    fn max_readers(&self) -> u32 {
-        self.max_readers
-    }
-    #[inline]
-    fn opts(&self) -> RawOptions {
-        self.opts
-    }
-    #[cfg(feature = "metrics")]
-    #[inline]
-    fn metrics(&self) -> &OpMetrics {
-        &self.metrics
-    }
-}
-
-/// The per-register publication journal + writer lease (§3.9, lease v2
-/// words per §3.10) — what crash recovery and the watchdog probe read to
-/// classify a writer's progress. Seven words: still one padded line.
-#[derive(Debug)]
-struct Journal {
-    /// `(STAGE_* << 32) | slot`.
-    wip: AtomicU64,
-    /// Stage-dependent context (previous slot, or the displaced raw word).
-    wip_old: AtomicU64,
-    /// Pid of the process holding the writer claim (0 = none).
-    lease: AtomicU64,
-    /// Birth token of the lease holder (0 = unknown).
-    birth: AtomicU64,
-    /// Writer progress odometer (stall watchdog).
-    heartbeat: AtomicU64,
-    /// Register health: `HEALTH_OK` or a sticky quarantine reason.
-    health: AtomicU64,
-    /// Last-known-good version at quarantine time.
-    last_good: AtomicU64,
-}
-
-impl Journal {
-    fn new() -> Self {
-        Self {
-            wip: AtomicU64::new(0),
-            wip_old: AtomicU64::new(0),
-            lease: AtomicU64::new(0),
-            birth: AtomicU64::new(0),
-            heartbeat: AtomicU64::new(0),
-            health: AtomicU64::new(0),
-            last_good: AtomicU64::new(0),
-        }
-    }
-}
-
 /// Reader-side per-handle state: the slot pinned by the previous read.
 ///
 /// `None` until the handle's first read (lazy acquisition; DESIGN.md §3.2).
 #[derive(Debug)]
-pub struct RawReader {
+pub(crate) struct RawReader {
     last_index: Option<u32>,
     /// Version of the publication this handle pins — cached so the R2
     /// fast path reports a version without touching the slot line.
@@ -1336,10 +1202,10 @@ pub struct RawReader {
     /// target if the register is quarantined (slot 0 — the initial
     /// value — before the first read).
     last_good: u32,
-    /// Pin-registry entry owned by this handle (NO_PIN = layout has no
-    /// registry; the handle works but a crash of its process leaks its
-    /// unit until the slot is never reusable — single-register layouts
-    /// accept this, slab layouts don't).
+    /// Pin-registry entry owned by this handle (NO_PIN = the slab has no
+    /// registry; the handle works, but a crash of its process leaks its
+    /// unit and the pinned slot is never reusable — acceptable for heap
+    /// slabs, whose readers cannot outlive the process).
     pin_idx: u32,
     /// `pid << 32` — the owner half of this handle's registry entries.
     owner: u64,
@@ -1347,332 +1213,23 @@ pub struct RawReader {
 
 impl RawReader {
     /// Slot this reader currently pins, if any.
-    pub fn pinned_slot(&self) -> Option<usize> {
+    pub(crate) fn pinned_slot(&self) -> Option<usize> {
         self.last_index.map(|i| i as usize)
     }
-
-    /// Version of the publication this handle pins (0 before the first
-    /// read, or while pinning the initial value).
-    pub fn pinned_version(&self) -> u64 {
-        self.last_version
-    }
 }
 
-/// Writer-side per-handle state.
-#[derive(Debug)]
-pub struct RawWriter {
-    /// Slot used by the last write — always equals `current.index`.
-    last_slot: usize,
-    /// Rotating start position for the W1 fallback scan.
-    search_pos: usize,
-    /// Writer-local ring of candidate free slots (module docs); entries
-    /// are re-validated at pop, so staleness and duplicates are harmless.
-    ring: FreeRing,
-}
-
-impl RawWriter {
-    /// The slot holding the currently-published value.
-    pub fn last_slot(&self) -> usize {
-        self.last_slot
-    }
-
-    /// Candidate slots currently queued in the free-slot ring (diagnostic).
-    pub fn ring_len(&self) -> usize {
-        self.ring.len
-    }
-}
-
-impl ArcWriterMem for RawWriter {
-    #[inline]
-    fn last_slot(&self) -> usize {
-        self.last_slot
-    }
-    #[inline]
-    fn set_last_slot(&mut self, slot: usize) {
-        self.last_slot = slot;
-    }
-    #[inline]
-    fn search_pos(&self) -> usize {
-        self.search_pos
-    }
-    #[inline]
-    fn set_search_pos(&mut self, pos: usize) {
-        self.search_pos = pos;
-    }
-    #[inline]
-    fn push_candidate(&mut self, slot: u32, from_hint: bool) {
-        self.ring.push(slot, from_hint);
-    }
-    #[inline]
-    fn pop_candidate(&mut self) -> Option<(u32, bool)> {
-        self.ring.pop()
-    }
-}
-
-/// Fixed-capacity FIFO of candidate-free slot indices, owned by the writer
-/// handle — pushes and pops are plain loads/stores, no atomics.
-///
-/// Capacity is `n_slots`, so a full ring can only mean duplicates; pushes
-/// beyond capacity are dropped (the slot will resurface via the fallback
-/// scan or a later hint — losing a *candidate* never loses a *slot*).
-#[derive(Debug)]
-struct FreeRing {
-    /// `(slot, came from the §3.4 shared hint)` — the flag keeps metric
-    /// attribution exact even when a drained hint is consumed calls later.
-    buf: Box<[(u32, bool)]>,
-    head: usize,
-    len: usize,
-}
-
-impl FreeRing {
-    fn new(cap: usize) -> Self {
-        Self { buf: vec![(0u32, false); cap].into_boxed_slice(), head: 0, len: 0 }
-    }
-
-    #[inline]
-    fn push(&mut self, slot: u32, from_hint: bool) {
-        if self.len < self.buf.len() {
-            let tail = (self.head + self.len) % self.buf.len();
-            self.buf[tail] = (slot, from_hint);
-            self.len += 1;
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(u32, bool)> {
-        if self.len == 0 {
-            return None;
-        }
-        let entry = self.buf[self.head];
-        self.head = (self.head + 1) % self.buf.len();
-        self.len -= 1;
-        Some(entry)
-    }
-}
-
-/// Outcome of [`RawArc::read_acquire`].
+/// Outcome of `read_acquire_on`: the slot a read may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReadOutcome {
+pub(crate) struct ReadOutcome {
     /// Slot the caller may now read until its next `read_acquire`/leave.
-    pub slot: usize,
+    pub(crate) slot: usize,
     /// True if the no-RMW fast path was taken (R2).
-    pub fast: bool,
+    pub(crate) fast: bool,
     /// Publication version of the value in `slot`: the number of writes
     /// completed up to (and including) the one this read observes; 0 for
     /// the initial value. Strictly increases whenever the value changes,
     /// never decreases across a handle's reads.
-    pub version: u64,
-}
-
-impl RawArc {
-    /// Create the coordination state for up to `max_readers` readers over
-    /// `n_slots` slots, with the published value initially in slot 0
-    /// (Algorithm 1).
-    ///
-    /// `n_slots` is `max_readers + 2` for the wait-free guarantee; the
-    /// constructor accepts any `n_slots >= 3` so the slot-count ablation can
-    /// probe what happens below the `N + 2` lower bound (the writer then
-    /// spins in W1 — documented loss of wait-freedom).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_readers` is 0 or exceeds [`MAX_READERS`], or if
-    /// `n_slots < 3` or `n_slots > u32::MAX as usize` — the messages of
-    /// the [`RawArc::try_new`] errors this wrapper forwards.
-    pub fn new(max_readers: u32, n_slots: usize, opts: RawOptions) -> Self {
-        match Self::try_new(max_readers, n_slots, opts) {
-            Ok(arc) => arc,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`RawArc::new`]: geometry the protocol cannot run on
-    /// degrades into a typed [`ConfigError`] instead of a panic.
-    ///
-    /// [`ConfigError`]: register_common::errors::ConfigError
-    pub fn try_new(
-        max_readers: u32,
-        n_slots: usize,
-        opts: RawOptions,
-    ) -> Result<Self, ConfigError> {
-        if max_readers < 1 {
-            return Err(ConfigError::ZeroReaders);
-        }
-        if max_readers > MAX_READERS {
-            return Err(ConfigError::TooManyReaders { requested: max_readers as u64 });
-        }
-        if n_slots < 3 {
-            return Err(ConfigError::TooFewSlots { n_slots });
-        }
-        if n_slots > u32::MAX as usize {
-            return Err(ConfigError::SlotIndexWidth { n_slots, bits: 32 });
-        }
-        let meta = (0..n_slots)
-            .map(|_| {
-                CachePadded::new(SlotMeta {
-                    r_start: AtomicU32::new(0),
-                    r_end: AtomicU32::new(0),
-                    version: AtomicU64::new(0),
-                })
-            })
-            .collect();
-        Ok(Self {
-            // I1 (adapted): index 0 published, zero standing readers; reader
-            // handles acquire their first unit lazily (DESIGN.md §3.2).
-            current: CachePadded::new(AtomicU64::new(Current::fresh(0))),
-            hint: CachePadded::new(AtomicUsize::new(NO_HINT)),
-            meta,
-            live_readers: CachePadded::new(AtomicU32::new(0)),
-            gen_joins: CachePadded::new(AtomicU32::new(0)),
-            version: CachePadded::new(AtomicU64::new(0)),
-            watch: WaitSet::new(),
-            journal: CachePadded::new(Journal::new()),
-            writer_claimed: AtomicBool::new(false),
-            max_readers,
-            opts,
-            #[cfg(feature = "metrics")]
-            metrics: OpMetrics::new(),
-        })
-    }
-
-    /// Number of slots.
-    pub fn n_slots(&self) -> usize {
-        self.meta.len()
-    }
-
-    /// Configured reader cap.
-    pub fn max_readers(&self) -> u32 {
-        self.max_readers
-    }
-
-    /// Live reader handles right now.
-    pub fn live_readers(&self) -> u32 {
-        // Relaxed: a monotone-ish bookkeeping counter; callers only get a
-        // racy snapshot whichever ordering is used.
-        self.live_readers.load(Ordering::Relaxed)
-    }
-
-    /// The currently published slot index (diagnostic snapshot).
-    pub fn current_index(&self) -> usize {
-        current_index_on(self)
-    }
-
-    /// The standing-reader counter of the current publication (diagnostic).
-    pub fn current_counter(&self) -> u32 {
-        counter_of(self.current.load(Ordering::Acquire))
-    }
-
-    /// The published version: number of completed writes (0 = only the
-    /// initial value). Monotone; safe to poll from any thread.
-    #[inline]
-    pub fn published_version(&self) -> u64 {
-        published_version_on(self)
-    }
-
-    /// Block until the published version exceeds `last`; returns the
-    /// version observed. Opt-in blocking edge — see the module docs.
-    pub fn wait_for_version(&self, last: u64) -> u64 {
-        wait_for_version_on(self, last)
-    }
-
-    /// Like [`RawArc::wait_for_version`] with a timeout; `None` if it
-    /// elapsed first.
-    pub fn wait_for_version_timeout(&self, last: u64, timeout: std::time::Duration) -> Option<u64> {
-        wait_for_version_timeout_on(self, last, timeout)
-    }
-
-    /// The watch layer's wait/notify edge (for async waker registration).
-    #[cfg(feature = "async")]
-    pub(crate) fn watch_set(&self) -> &WaitSet {
-        &self.watch
-    }
-
-    /// Heap footprint of this coordination state in bytes (the slot-meta
-    /// allocation; the struct itself is counted by the owner).
-    pub(crate) fn meta_heap_bytes(&self) -> usize {
-        self.meta.len() * std::mem::size_of::<CachePadded<SlotMeta>>()
-    }
-
-    // ------------------------------------------------------------------
-    // Reader side
-    // ------------------------------------------------------------------
-
-    /// Register a reader handle (bounded by `max_readers`).
-    pub fn reader_join(&self) -> Result<RawReader, HandleError> {
-        reader_join_on(self)
-    }
-
-    /// Perform the coordination part of a read (Algorithm 2), returning the
-    /// slot the caller may read.
-    ///
-    /// The returned slot remains valid (never rewritten) until the next
-    /// `read_acquire` or [`RawArc::reader_leave`] with the same handle.
-    #[inline]
-    pub fn read_acquire(&self, rd: &mut RawReader) -> ReadOutcome {
-        read_acquire_on(self, rd)
-    }
-
-    /// Deregister a reader handle, releasing its outstanding unit (if any).
-    pub fn reader_leave(&self, rd: RawReader) {
-        reader_leave_on(self, rd)
-    }
-
-    // ------------------------------------------------------------------
-    // Writer side
-    // ------------------------------------------------------------------
-
-    /// Claim the unique writer handle.
-    pub fn writer_claim(&self) -> Result<RawWriter, HandleError> {
-        let last_slot = writer_claim_on(self)?;
-        Ok(RawWriter {
-            last_slot,
-            search_pos: (last_slot + 1) % self.meta.len(),
-            ring: FreeRing::new(self.meta.len()),
-        })
-    }
-
-    /// Release the writer handle so another thread may claim it.
-    pub fn writer_release(&self, _wr: RawWriter) {
-        writer_release_on(self)
-    }
-
-    /// Whether `slot` has no standing readers (`r_start == r_end`).
-    ///
-    /// Only sound for slots other than the current one (whose presence
-    /// units live in `current.counter`, not in `r_start`).
-    #[cfg(test)]
-    #[inline]
-    fn slot_free(&self, slot: usize) -> bool {
-        slot_free_on(self, slot)
-    }
-
-    /// W1: select a free slot different from the last written one.
-    ///
-    /// See the module docs for the candidate-ring fast path and the
-    /// Lemma 4.1 fallback scan.
-    pub fn select_slot(&self, wr: &mut RawWriter) -> usize {
-        select_slot_on(self, wr)
-    }
-
-    /// W2 + W3: publish `slot` (already filled by the caller) and freeze the
-    /// superseded publication's presence count into its `r_start`.
-    ///
-    /// # Contract
-    ///
-    /// `slot` must come from [`RawArc::select_slot`] on the same handle,
-    /// and the caller must have completed all payload stores to it.
-    pub fn publish(&self, wr: &mut RawWriter, slot: usize) {
-        publish_on(self, wr, slot)
-    }
-
-    /// Sum of outstanding presence units across all non-current slots plus
-    /// the current counter (test/diagnostic; racy under concurrency).
-    ///
-    /// In a quiescent state this equals the number of live readers that
-    /// have performed at least one read.
-    pub fn outstanding_units(&self) -> u64 {
-        outstanding_units_on(self)
-    }
+    pub(crate) version: u64,
 }
 
 /// A minimal backoff closure (avoids depending on sync-primitives here).
@@ -1692,30 +1249,97 @@ fn sync_backoff() -> impl FnMut() {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::sync::Arc;
 
-    fn raw(n: u32) -> RawArc {
-        RawArc::new(n, n as usize + 2, RawOptions::default())
+    use register_common::errors::ConfigError;
+    use register_common::traits::BuildError;
+
+    use super::*;
+    use crate::group::{ArcGroup, GroupCells};
+
+    /// The protocol functions driven directly on the one register of a
+    /// K = 1 group: the cells every register type of the crate runs on.
+    struct K1(Arc<ArcGroup>);
+
+    impl K1 {
+        fn with(n: u32, hint: bool, fast_path: bool) -> Self {
+            K1(ArcGroup::builder(1, n, 8).hint(hint).fast_path(fast_path).build().unwrap())
+        }
+
+        fn c(&self) -> GroupCells<'_> {
+            self.0.cells(0)
+        }
+
+        fn reader_join(&self) -> Result<RawReader, HandleError> {
+            reader_join_on(&self.c())
+        }
+
+        fn read_acquire(&self, rd: &mut RawReader) -> ReadOutcome {
+            read_acquire_on(&self.c(), rd)
+        }
+
+        fn reader_leave(&self, rd: RawReader) {
+            reader_leave_on(&self.c(), rd)
+        }
+
+        fn writer_claim(&self) -> Result<WriterMem, HandleError> {
+            let c = self.c();
+            writer_claim_on(&c).map(|last| WriterMem::new(last, c.n_slots()))
+        }
+
+        fn writer_release(&self, _wr: WriterMem) {
+            writer_release_on(&self.c())
+        }
+
+        fn select_slot(&self, wr: &mut WriterMem) -> usize {
+            select_slot_on(&self.c(), wr)
+        }
+
+        fn publish(&self, wr: &mut WriterMem, slot: usize) {
+            publish_on(&self.c(), wr, slot)
+        }
+
+        fn current_index(&self) -> usize {
+            current_index_on(&self.c())
+        }
+
+        fn current_counter(&self) -> u32 {
+            counter_of(self.c().current_word().load(Ordering::Acquire))
+        }
+
+        fn outstanding_units(&self) -> u64 {
+            outstanding_units_on(&self.c())
+        }
+
+        fn published_version(&self) -> u64 {
+            published_version_on(&self.c())
+        }
+    }
+
+    fn raw(n: u32) -> K1 {
+        K1::with(n, true, true)
     }
 
     #[test]
     fn init_matches_algorithm_1() {
         let r = raw(4);
-        assert_eq!(r.n_slots(), 6);
+        assert_eq!(r.c().n_slots(), 6);
         assert_eq!(r.current_index(), 0);
         assert_eq!(r.current_counter(), 0);
     }
 
     #[test]
-    #[should_panic(expected = "at least 3 slots")]
     fn rejects_too_few_slots() {
-        RawArc::new(1, 2, RawOptions::default());
+        let err = ArcGroup::builder(1, 1, 8).slots(2).build().unwrap_err();
+        assert_eq!(err, BuildError::Config(ConfigError::TooFewSlots { n_slots: 2 }));
+        assert!(err.to_string().contains("at least 3 slots"));
     }
 
     #[test]
-    #[should_panic(expected = "at least one reader")]
     fn rejects_zero_readers() {
-        RawArc::new(0, 3, RawOptions::default());
+        let err = ArcGroup::builder(1, 0, 8).slots(3).build().unwrap_err();
+        assert_eq!(err, BuildError::ZeroReaders);
+        assert!(err.to_string().contains("at least one reader"));
     }
 
     #[test]
@@ -1741,8 +1365,7 @@ mod tests {
 
     #[test]
     fn fast_path_disabled_forces_rmw() {
-        let r =
-            RawArc::new(2, 4, RawOptions { hint: true, fast_path: false, ..RawOptions::default() });
+        let r = K1::with(2, true, false);
         let mut rd = r.reader_join().unwrap();
         let a = r.read_acquire(&mut rd);
         let b = r.read_acquire(&mut rd);
@@ -1784,12 +1407,12 @@ mod tests {
         let s = r.select_slot(&mut w);
         r.publish(&mut w, s);
         // Slot 0 was superseded with one standing reader: frozen r_start = 1.
-        assert_eq!(r.meta[0].r_start.load(Ordering::SeqCst), 1);
-        assert_eq!(r.meta[0].r_end.load(Ordering::SeqCst), 0);
+        assert_eq!(r.c().r_start(0).load(Ordering::SeqCst), 1);
+        assert_eq!(r.c().r_end(0).load(Ordering::SeqCst), 0);
 
         // Reader switches away: releases slot 0.
         let _ = r.read_acquire(&mut rd);
-        assert_eq!(r.meta[0].r_end.load(Ordering::SeqCst), 1);
+        assert_eq!(r.c().r_end(0).load(Ordering::SeqCst), 1);
         r.reader_leave(rd);
         r.writer_release(w);
     }
@@ -1870,7 +1493,7 @@ mod tests {
         let c = r.reader_join().unwrap();
         r.reader_leave(b);
         r.reader_leave(c);
-        assert_eq!(r.live_readers(), 0);
+        assert_eq!(r.0.live_readers(0), 0);
     }
 
     #[test]
@@ -1883,7 +1506,7 @@ mod tests {
         // After leave + one write, slot 0 must be free again.
         let s = r.select_slot(&mut w);
         r.publish(&mut w, s); // freezes slot 0 with count 1; r_end already 1
-        assert!(r.slot_free(0), "dropped reader's unit must be released");
+        assert!(slot_free_on(&r.c(), 0), "dropped reader's unit must be released");
         r.writer_release(w);
     }
 
@@ -1925,10 +1548,10 @@ mod tests {
         let s1 = r.select_slot(&mut w);
         r.publish(&mut w, s1); // slot 0 frozen with 1 standing unit
         let _ = r.read_acquire(&mut rd); // release slot 0 -> posts hint(0)
-        assert_eq!(r.hint.load(Ordering::SeqCst), 0);
+        assert_eq!(r.c().hint_word().load(Ordering::SeqCst), 0);
         let s2 = r.select_slot(&mut w);
         assert_eq!(s2, 0, "writer must consume the reader-posted hint");
-        assert_eq!(r.hint.load(Ordering::SeqCst), NO_HINT, "hint consumed");
+        assert_eq!(r.c().hint_word().load(Ordering::SeqCst), NO_HINT, "hint consumed");
         r.reader_leave(rd);
         r.writer_release(w);
     }
@@ -1939,7 +1562,7 @@ mod tests {
         let mut w = r.writer_claim().unwrap();
         // Manually post a bogus hint at the current slot; select_slot must
         // reject it (hint == last_slot).
-        r.hint.store(0, Ordering::SeqCst);
+        r.c().hint_word().store(0, Ordering::SeqCst);
         let s = r.select_slot(&mut w);
         assert_ne!(s, 0);
         r.publish(&mut w, s);
@@ -1948,14 +1571,13 @@ mod tests {
 
     #[test]
     fn hint_disabled_still_finds_slots() {
-        let r =
-            RawArc::new(2, 4, RawOptions { hint: false, fast_path: true, ..RawOptions::default() });
+        let r = K1::with(2, false, true);
         let mut w = r.writer_claim().unwrap();
         for _ in 0..20 {
             let s = r.select_slot(&mut w);
             r.publish(&mut w, s);
         }
-        assert_eq!(r.hint.load(Ordering::SeqCst), NO_HINT, "no hints when disabled");
+        assert_eq!(r.c().hint_word().load(Ordering::SeqCst), NO_HINT, "no hints when disabled");
         r.writer_release(w);
     }
 
@@ -1965,8 +1587,8 @@ mod tests {
         // counter from carrying into the index field. Simulate a pathological
         // generation by pre-loading the join counter to the budget.
         let r = raw(4);
-        let budget = MAX_READERS - r.max_readers();
-        r.gen_joins.store(budget, Ordering::SeqCst);
+        let budget = MAX_READERS - r.c().max_readers();
+        r.c().gen_joins_word().store(budget, Ordering::SeqCst);
         assert_eq!(r.reader_join().unwrap_err(), HandleError::ChurnExhausted);
         // A write opens a fresh generation and resets the budget.
         let mut w = r.writer_claim().unwrap();
@@ -1978,38 +1600,39 @@ mod tests {
     }
 
     #[test]
-    fn ring_serves_steady_state_without_scanning() {
+    fn candidate_cache_serves_steady_state_without_scanning() {
         // With no readers, every freeze reclaims the superseded slot into
-        // the writer-local ring; after warm-up, every W1 pops from it.
+        // the writer-local cache; after warm-up, every W1 pops from it.
         let r = raw(4);
         let mut w = r.writer_claim().unwrap();
         for _ in 0..100 {
             let s = r.select_slot(&mut w);
             r.publish(&mut w, s);
         }
-        assert!(w.ring_len() >= 1, "steady state must keep the ring fed");
+        let cached = w.cand.iter().filter(|&&c| c != NO_CAND).count();
+        assert!(cached >= 1, "steady state must keep the cache fed");
         r.writer_release(w);
     }
 
     #[test]
-    fn ring_candidates_are_revalidated() {
-        // A slot queued in the ring that has standing readers by pop time
+    fn cached_candidates_are_revalidated() {
+        // A slot queued in the cache that has standing readers by pop time
         // must be rejected by the validation, never selected.
         let r = raw(2);
         let mut w = r.writer_claim().unwrap();
         let mut rd = r.reader_join().unwrap();
-        // Write once so slot 0 (never read) is reclaimed into the ring.
+        // Write once so slot 0 (never read) is reclaimed into the cache.
         let s1 = r.select_slot(&mut w);
         r.publish(&mut w, s1);
-        // A reader now pins the *current* slot s1; slot 0 sits in the ring.
+        // A reader now pins the *current* slot s1; slot 0 sits in the cache.
         let pinned = r.read_acquire(&mut rd).slot;
         assert_eq!(pinned, s1);
-        // Next write: ring proposes slot 0 (free — fine). Publish moves
+        // Next write: the cache proposes slot 0 (free — fine). Publish moves
         // current there; s1 is frozen with one standing unit and is NOT
         // reclaimed. Subsequent selections must never return s1.
         for _ in 0..20 {
             let s = r.select_slot(&mut w);
-            assert_ne!(s, pinned, "ring candidate with standing reader selected");
+            assert_ne!(s, pinned, "cached candidate with standing reader selected");
             r.publish(&mut w, s);
         }
         r.reader_leave(rd);
@@ -2017,30 +1640,17 @@ mod tests {
     }
 
     #[test]
-    fn ring_is_bounded_by_slot_count() {
-        let mut ring = FreeRing::new(3);
-        for s in 0..10u32 {
-            ring.push(s, false);
-        }
-        // Pushes beyond capacity are dropped, not wrapped over live entries.
-        assert_eq!(ring.pop(), Some((0, false)));
-        assert_eq!(ring.pop(), Some((1, false)));
-        assert_eq!(ring.pop(), Some((2, false)));
-        assert_eq!(ring.pop(), None);
-    }
-
-    #[test]
-    fn ring_fifo_wraps_correctly() {
-        let mut ring = FreeRing::new(2);
-        ring.push(7, true);
-        assert_eq!(ring.pop(), Some((7, true)));
-        ring.push(8, false);
-        ring.push(9, true);
-        assert_eq!(ring.pop(), Some((8, false)));
-        ring.push(10, false);
-        assert_eq!(ring.pop(), Some((9, true)));
-        assert_eq!(ring.pop(), Some((10, false)));
-        assert_eq!(ring.pop(), None);
+    fn candidate_cache_is_a_two_deep_fifo() {
+        let mut m = WriterMem::new(0, 4);
+        assert_eq!(m.pop_candidate(), None);
+        m.push_candidate(1, false);
+        m.push_candidate(2, true);
+        m.push_candidate(3, false); // dropped: the cache is two deep
+        assert_eq!(m.pop_candidate(), Some((1, false)));
+        m.push_candidate(4, false);
+        assert_eq!(m.pop_candidate(), Some((2, true)));
+        assert_eq!(m.pop_candidate(), Some((4, false)));
+        assert_eq!(m.pop_candidate(), None);
     }
 
     #[test]
@@ -2067,8 +1677,8 @@ mod tests {
 
     #[test]
     fn version_survives_writer_reclaim() {
-        // The recycled-writer hazard from PR 3, for versions: a re-claimed
-        // writer must continue the version sequence, never restart it.
+        // The recycled-writer hazard, for versions: a re-claimed writer
+        // must continue the version sequence, never restart it.
         let r = raw(2);
         let mut w = r.writer_claim().unwrap();
         for _ in 0..7 {
@@ -2089,7 +1699,7 @@ mod tests {
         let mut w = r.writer_claim().unwrap();
         let s = r.select_slot(&mut w);
         r.publish(&mut w, s);
-        assert_eq!(r.wait_for_version(0), 1);
+        assert_eq!(wait_for_version_on(&r.c(), 0), 1);
         r.writer_release(w);
     }
 
@@ -2097,7 +1707,7 @@ mod tests {
     fn wait_for_version_timeout_elapses_quietly() {
         let r = raw(1);
         assert_eq!(
-            r.wait_for_version_timeout(0, std::time::Duration::from_millis(5)),
+            wait_for_version_timeout_on(&r.c(), 0, std::time::Duration::from_millis(5)),
             None,
             "no publication, so the wait must time out"
         );
@@ -2105,11 +1715,10 @@ mod tests {
 
     #[test]
     fn waiter_is_woken_by_publish() {
-        use std::sync::Arc;
-        let r = Arc::new(raw(2));
+        let r = raw(2);
         let waiter = {
-            let r = Arc::clone(&r);
-            std::thread::spawn(move || r.wait_for_version(0))
+            let g = Arc::clone(&r.0);
+            std::thread::spawn(move || wait_for_version_on(&g.cells(0), 0))
         };
         std::thread::sleep(std::time::Duration::from_millis(10));
         let mut w = r.writer_claim().unwrap();

@@ -9,157 +9,96 @@
 //! `&mut self`, so the returned [`Snapshot`] must be dropped before the
 //! next read).
 //!
-//! # Safety architecture
+//! # One register, one slab
 //!
-//! Slot payloads live in `UnsafeCell`s; all synchronization is carried by
-//! the [`RawArc`] protocol:
-//!
-//! * the writer mutates a slot only between `select_slot` (which proved
-//!   `r_start == r_end` with an `Acquire` load ordering all previous
-//!   readers' loads before the writer's stores) and `publish`;
-//! * a reader dereferences a slot only while holding an unreleased presence
-//!   unit on it, and its loads happen-after the writer's stores via the
-//!   `SeqCst` swap/fetch_add pair on `current`.
+//! An [`ArcRegister`] is a thin view over a one-register [`ArcGroup`]: the
+//! group is embedded by value, so a handle reaches the slab through the
+//! same single pointer as a [`crate::GroupReader`], and every operation
+//! runs the group's read and write paths with `k = 0`. The safety
+//! architecture is the slab's (see [`crate::group`]): the writer mutates a
+//! slot only between W1 and W2, and a reader dereferences a slot only
+//! while holding an unreleased presence unit on it.
 //!
 //! # Payload placement: inline vs arena
 //!
-//! Values of at most [`INLINE_CAP`] bytes are stored **inside the slot
-//! header's own cache line** (the `SlotBuf` below: 8 bytes of length +
-//! 48 inline bytes = 56 ≤ 64), so the R2 fast path touches exactly one
-//! payload line with no pointer chase. Larger values go to a single shared
-//! **byte arena** (`n_slots × capacity`, one region per slot). Placement
-//! is a pure function of the value length — `len <= INLINE_CAP` means
-//! inline — so readers never need a separately-synchronized tag: the `len`
-//! word they already load *is* the tag, written under the same protocol
-//! exclusivity as the bytes themselves.
+//! Values of at most [`INLINE_CAP`] bytes are stored **inside the slot's
+//! own cache line** (8 bytes of counters + 8 bytes of length + 48 inline
+//! bytes = 64), so the R2 fast path touches exactly one payload line with
+//! no pointer chase. Larger values go to the slab's byte arena (one
+//! `capacity`-byte region per slot). Placement is a pure function of the
+//! value length — `len <= INLINE_CAP` means inline — so readers never need
+//! a separately-synchronized tag: the `len` word they already load *is*
+//! the tag, written under the same protocol exclusivity as the bytes
+//! themselves.
 
-use std::cell::UnsafeCell;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
 #[cfg(feature = "metrics")]
 use register_common::metrics::MetricsSnapshot;
-use register_common::pad::CachePadded;
-use register_common::traits::{validate_spec, BuildError, RegisterSpec};
+use register_common::traits::BuildError;
 
-use crate::current::MAX_READERS;
 use crate::errors::{HandleError, WriteError};
-use crate::group::ArcGroup;
-use crate::raw::{
-    guard_created_on, guard_drop_on, PublishGuard, RawArc, RawOptions, RawReader, RawWriter,
-};
+use crate::group::{ArcGroup, GroupBuilder};
+use crate::raw::{RawReader, ReadOutcome, WriterMem};
 use crate::typed::Versioned;
 
-/// Largest payload (bytes) stored inline in the slot header cache line.
+/// Largest payload (bytes) stored inline in the slot cache line.
 ///
-/// 48 = 64-byte line − 8-byte length word − 8 bytes of alignment headroom;
-/// together with the length the whole record stays within one line.
+/// 48 = 64-byte line − 8 bytes of slot counters − 8-byte length word; the
+/// whole slot record stays within one line.
 pub const INLINE_CAP: usize = 48;
 
-/// One payload slot: the current value length plus the inline small-value
-/// buffer. Large values live in the register's byte arena instead.
-///
-/// All fields are protocol-protected (see module docs); they carry no
-/// synchronization of their own. Each `SlotBuf` is `CachePadded` by the
-/// register so slots never false-share.
-struct SlotBuf {
-    /// Value length; doubles as the placement tag (`<= INLINE_CAP` ⇒ the
-    /// bytes are in `inline`, otherwise in the arena region of this slot).
-    len: UnsafeCell<usize>,
-    inline: UnsafeCell<[u8; INLINE_CAP]>,
-}
-
-// SAFETY: SlotBuf is shared across threads, but every access is serialized
-// by the RawArc protocol: the writer has exclusive access between
-// select_slot and publish; readers have shared access while pinned, with
-// happens-before edges through `current` / `r_end` (module docs).
-unsafe impl Sync for SlotBuf {}
-// SAFETY: a slot buffer is plain bytes plus atomics; it has no
-// thread-affine state, so moving it between threads is sound.
-unsafe impl Send for SlotBuf {}
-
-/// The large-payload byte arena: one `capacity`-sized region per slot
-/// (per register × slot for slab groups).
-///
-/// Empty when every representable value fits inline.
-pub(crate) struct Arena(Box<[UnsafeCell<u8>]>);
-
-impl Arena {
-    /// A zero-filled arena of `len` bytes (one allocation).
-    pub(crate) fn zeroed(len: usize) -> Self {
-        Arena((0..len).map(|_| UnsafeCell::new(0u8)).collect())
-    }
-
-    /// Base pointer of the byte region.
-    #[inline]
-    pub(crate) fn base(&self) -> *const UnsafeCell<u8> {
-        self.0.as_ptr()
-    }
-
-    /// Arena length in bytes.
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.0.len()
-    }
-}
-
-// SAFETY: same protocol-serialization argument as SlotBuf — a region is
-// written only by the writer between select_slot and publish, and read only
-// under a standing presence unit.
-unsafe impl Sync for Arena {}
-// SAFETY: the arena owns a plain byte allocation with no thread-affine
-// state; transferring ownership between threads is sound.
-unsafe impl Send for Arena {}
-
 /// Builder for [`ArcRegister`].
+///
+/// The register is a one-register slab, so the slab's 31-bit slot index
+/// bounds what can be built: `max_readers + 2` (or the [`slots`] override)
+/// must stay below 2³¹, or [`build`] returns
+/// [`ConfigError::SlotIndexWidth`] before allocating anything. The
+/// `current` word's 2³² − 2 reader encoding is unchanged; it is the slot
+/// array that cannot grow that far.
+///
+/// [`slots`]: ArcBuilder::slots
+/// [`build`]: ArcBuilder::build
+/// [`ConfigError::SlotIndexWidth`]: crate::ConfigError::SlotIndexWidth
 #[derive(Debug, Clone)]
 pub struct ArcBuilder {
-    max_readers: u32,
-    capacity: usize,
-    n_slots: Option<usize>,
-    opts: RawOptions,
-    inline: bool,
-    initial: Vec<u8>,
+    inner: GroupBuilder,
 }
 
 impl ArcBuilder {
     /// Start building a register for up to `max_readers` concurrent readers
     /// holding values of up to `capacity` bytes.
     pub fn new(max_readers: u32, capacity: usize) -> Self {
-        Self {
-            max_readers,
-            capacity,
-            n_slots: None,
-            opts: RawOptions::default(),
-            inline: true,
-            initial: Vec::new(),
-        }
+        Self { inner: GroupBuilder::new(1, max_readers, capacity) }
     }
 
     /// Initial register value (Algorithm 1); empty by default.
     pub fn initial(mut self, value: &[u8]) -> Self {
-        self.initial = value.to_vec();
+        self.inner = self.inner.initial(value);
         self
     }
 
     /// Override the slot count (default `max_readers + 2`, the classical
     /// lower bound). Fewer slots forfeit writer wait-freedom — ablation use
-    /// only.
+    /// only; fewer than 3 is a [`ConfigError::TooFewSlots`] build error.
+    ///
+    /// [`ConfigError::TooFewSlots`]: crate::ConfigError::TooFewSlots
     pub fn slots(mut self, n_slots: usize) -> Self {
-        self.n_slots = Some(n_slots);
+        self.inner = self.inner.slots(n_slots);
         self
     }
 
     /// Enable/disable the §3.4 free-slot hint (default on).
     pub fn hint(mut self, on: bool) -> Self {
-        self.opts.hint = on;
+        self.inner = self.inner.hint(on);
         self
     }
 
     /// Enable/disable the R2 no-RMW read fast path (default on).
     pub fn fast_path(mut self, on: bool) -> Self {
-        self.opts.fast_path = on;
+        self.inner = self.inner.fast_path(on);
         self
     }
 
@@ -169,7 +108,7 @@ impl ArcBuilder {
     /// arena; this exists so the benches can isolate the cost of the extra
     /// cache line (EXPERIMENTS.md, `inline_vs_arena`).
     pub fn inline(mut self, on: bool) -> Self {
-        self.inline = on;
+        self.inner = self.inner.inline(on);
         self
     }
 
@@ -180,38 +119,18 @@ impl ArcBuilder {
     /// this off skips the relaxed bumps on the hot paths so the
     /// `ablations.metrics_toggle` bench can price the instrumentation.
     pub fn metrics(mut self, on: bool) -> Self {
-        self.opts.metrics = on;
+        self.inner = self.inner.metrics(on);
         self
     }
 
-    /// Build the register.
+    /// Build the register: a one-register heap slab.
+    ///
+    /// Geometry the protocol cannot run on is a typed error, never a
+    /// panic: [`BuildError::Config`] for too few slots or a slot count
+    /// beyond the 31-bit index, the spec errors of [`BuildError`]
+    /// otherwise.
     pub fn build(self) -> Result<Arc<ArcRegister>, BuildError> {
-        let spec = RegisterSpec::new(self.max_readers as usize, self.capacity);
-        validate_spec(spec, &self.initial, Some(MAX_READERS as usize))?;
-        let n_slots = self.n_slots.unwrap_or(self.max_readers as usize + 2);
-        let raw = RawArc::new(self.max_readers, n_slots, self.opts);
-        let slots: Box<[CachePadded<SlotBuf>]> = (0..n_slots)
-            .map(|_| {
-                CachePadded::new(SlotBuf {
-                    len: UnsafeCell::new(0),
-                    inline: UnsafeCell::new([0u8; INLINE_CAP]),
-                })
-            })
-            .collect();
-        // The arena only exists if some representable value needs it.
-        let arena_bytes =
-            if self.inline && self.capacity <= INLINE_CAP { 0 } else { n_slots * self.capacity };
-        let arena = Arena::zeroed(arena_bytes);
-        let reg = ArcRegister { raw, slots, arena, capacity: self.capacity, inline: self.inline };
-        // Algorithm 1: the initial value goes to slot 0, which RawArc::new
-        // already published. No reader or writer exists yet, so plain
-        // writes are race-free; the Arc construction below publishes them
-        // to other threads.
-        // SAFETY: exclusive access — the register is not shared yet.
-        unsafe {
-            reg.fill_slot(0, self.initial.len(), |buf| buf.copy_from_slice(&self.initial));
-        }
-        Ok(Arc::new(reg))
+        Ok(Arc::new(ArcRegister { group: self.inner.build_group()? }))
     }
 }
 
@@ -221,13 +140,8 @@ impl ArcBuilder {
 /// (via [`ArcRegister::writer`]) and up to N [`ArcReader`]s (via
 /// [`ArcRegister::reader`]).
 pub struct ArcRegister {
-    raw: RawArc,
-    slots: Box<[CachePadded<SlotBuf>]>,
-    /// Large-payload storage: region `slot * capacity ..` per slot.
-    arena: Arena,
-    capacity: usize,
-    /// Whether payloads ≤ [`INLINE_CAP`] are stored in the slot header.
-    inline: bool,
+    /// The one-register slab this register is a view of (register 0).
+    group: ArcGroup,
 }
 
 impl ArcRegister {
@@ -247,129 +161,73 @@ impl ArcRegister {
 
     /// Maximum payload size in bytes.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.group.capacity()
     }
 
     /// Whether payloads of at most [`INLINE_CAP`] bytes are stored inline
-    /// in the slot header line (default true; see [`ArcBuilder::inline`]).
+    /// in the slot line (default true; see [`ArcBuilder::inline`]).
     pub fn inline_enabled(&self) -> bool {
-        self.inline
+        self.group.inline_enabled()
     }
 
     /// Number of buffer slots (normally `N + 2`).
     pub fn n_slots(&self) -> usize {
-        self.raw.n_slots()
+        self.group.n_slots()
     }
 
     /// Configured reader cap `N`.
     pub fn max_readers(&self) -> u32 {
-        self.raw.max_readers()
+        self.group.max_readers()
     }
 
     /// Live reader handles.
     pub fn live_readers(&self) -> u32 {
-        self.raw.live_readers()
+        self.group.live_readers(0)
     }
 
     /// The published version: number of completed writes (0 = only the
     /// initial value). Monotone; safe to poll from any thread.
     #[inline]
     pub fn published_version(&self) -> u64 {
-        self.raw.published_version()
+        self.group.published_version(0)
     }
 
-    /// The protocol core (for the watch layer in [`crate::watch`]).
+    /// Outstanding presence units (diagnostic; racy under concurrency,
+    /// exact when quiescent — then it equals the number of reader handles
+    /// pinning a slot).
+    pub fn outstanding_units(&self) -> u64 {
+        self.group.outstanding_units(0)
+    }
+
+    /// The one-register group this register is a view of.
     #[inline]
-    pub(crate) fn raw_arc(&self) -> &RawArc {
-        &self.raw
+    pub(crate) fn group(&self) -> &ArcGroup {
+        &self.group
     }
 
     /// Claim the unique writer handle.
     pub fn writer(self: &Arc<Self>) -> Result<ArcWriter, HandleError> {
-        let wr = self.raw.writer_claim()?;
-        Ok(ArcWriter { reg: Arc::clone(self), wr: Some(wr) })
+        let mem = self.group.claim_writer(0)?;
+        Ok(ArcWriter { reg: Arc::clone(self), mem })
     }
 
     /// Register a reader handle (up to `max_readers` concurrently).
     pub fn reader(self: &Arc<Self>) -> Result<ArcReader, HandleError> {
-        let rd = self.raw.reader_join()?;
+        let rd = self.group.join_reader(0)?;
         Ok(ArcReader { reg: Arc::clone(self), rd: Some(rd) })
     }
 
     /// Operation metrics (E5/E6), available with the `metrics` feature.
     #[cfg(feature = "metrics")]
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.raw.metrics.snapshot()
-    }
-
-    /// Bytes of heap this register owns (struct + slot headers + slot
-    /// metadata + arena), the footprint the `group_scaling` bench compares
-    /// against the slab layout. Excludes allocator bookkeeping overhead,
-    /// so the real resident cost is strictly higher.
-    pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.raw.meta_heap_bytes()
-            + self.slots.len() * std::mem::size_of::<CachePadded<SlotBuf>>()
-            + self.arena.len()
-    }
-
-    /// Whether values of `len` bytes are stored inline in the slot header.
-    #[inline]
-    fn stored_inline(&self, len: usize) -> bool {
-        self.inline && len <= INLINE_CAP
-    }
-
-    /// Slice view of a slot's current value.
-    ///
-    /// # Safety
-    ///
-    /// Caller must hold read rights on `slot` per the protocol (a standing
-    /// presence unit, or writer exclusivity).
-    #[inline]
-    unsafe fn slot_bytes(&self, slot: usize) -> &[u8] {
-        // SAFETY: per the function contract the slot is stable; `len` was
-        // written before the publication that the caller's unit pins, and
-        // deterministically selects the same placement the writer used.
-        unsafe {
-            let len = *self.slots[slot].len.get();
-            if self.stored_inline(len) {
-                let inline: &[u8; INLINE_CAP] = &*self.slots[slot].inline.get();
-                &inline[..len]
-            } else {
-                let base = self.arena.base().add(slot * self.capacity);
-                std::slice::from_raw_parts(base.cast::<u8>(), len)
-            }
-        }
-    }
-
-    /// Write `len` bytes into `slot` via `fill`, then record the length.
-    ///
-    /// # Safety
-    ///
-    /// Caller must hold *exclusive* write rights on `slot` per the protocol
-    /// (between `select_slot` and `publish`, or sole access at build time).
-    #[inline]
-    unsafe fn fill_slot(&self, slot: usize, len: usize, fill: impl FnOnce(&mut [u8])) {
-        // SAFETY: exclusivity per the function contract; placement is the
-        // same pure function of `len` that readers use.
-        unsafe {
-            let dst: &mut [u8] = if self.stored_inline(len) {
-                let inline: &mut [u8; INLINE_CAP] = &mut *self.slots[slot].inline.get();
-                &mut inline[..len]
-            } else {
-                let base = self.arena.base().add(slot * self.capacity);
-                std::slice::from_raw_parts_mut(base.cast::<u8>().cast_mut(), len)
-            };
-            fill(dst);
-            *self.slots[slot].len.get() = len;
-        }
+        self.group.metrics()
     }
 }
 
 impl fmt::Debug for ArcRegister {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ArcRegister")
-            .field("capacity", &self.capacity)
+            .field("capacity", &self.capacity())
             .field("n_slots", &self.n_slots())
             .field("max_readers", &self.max_readers())
             .field("live_readers", &self.live_readers())
@@ -380,7 +238,7 @@ impl fmt::Debug for ArcRegister {
 /// The register's unique writer handle.
 pub struct ArcWriter {
     reg: Arc<ArcRegister>,
-    wr: Option<RawWriter>,
+    mem: WriterMem,
 }
 
 impl ArcWriter {
@@ -421,27 +279,13 @@ impl ArcWriter {
     /// guard (DESIGN.md §3.13): the selected slot is discarded, the
     /// journal retired, and this handle stays valid — the next write
     /// proceeds normally.
+    #[inline]
     pub fn try_write_with(
         &mut self,
         len: usize,
         fill: impl FnOnce(&mut [u8]),
     ) -> Result<(), WriteError> {
-        if len > self.reg.capacity {
-            return Err(WriteError::PayloadTooLarge { len, capacity: self.reg.capacity });
-        }
-        let wr = self.wr.as_mut().expect("writer state present until drop");
-        // W1: select a free slot; the guard repairs any unwind from here
-        // until publish returns.
-        let guard = PublishGuard::select(&self.reg.raw, wr);
-        let slot = guard.slot();
-        // SAFETY: select granted exclusive access to `slot` until publish;
-        // the Acquire edge on r_end ordered all prior readers' loads
-        // before these stores.
-        unsafe {
-            self.reg.fill_slot(slot, len, fill);
-        }
-        guard.publish(); // W2 + W3
-        Ok(())
+        self.reg.group.write_one(0, &mut self.mem, len, fill)
     }
 
     /// The register this writer belongs to.
@@ -451,7 +295,7 @@ impl ArcWriter {
 
     /// Slot index of the current publication.
     pub fn last_slot(&self) -> usize {
-        self.wr.as_ref().expect("writer state present until drop").last_slot()
+        self.mem.last_slot()
     }
 }
 
@@ -463,9 +307,7 @@ impl fmt::Debug for ArcWriter {
 
 impl Drop for ArcWriter {
     fn drop(&mut self) {
-        if let Some(wr) = self.wr.take() {
-            self.reg.raw.writer_release(wr);
-        }
+        self.reg.group.release_writer(0);
     }
 }
 
@@ -485,13 +327,7 @@ impl ArcReader {
     #[inline]
     pub fn read(&mut self) -> Snapshot<'_> {
         let rd = self.rd.as_mut().expect("reader state present until drop");
-        let out = self.reg.raw.read_acquire(rd);
-        // SAFETY: read_acquire pinned `out.slot` for this handle; the pin
-        // lasts until the next read_acquire/leave, which require &mut self
-        // and are therefore excluded while the Snapshot's borrow is live.
-        let bytes = unsafe { self.reg.slot_bytes(out.slot) };
-        let inline = self.reg.stored_inline(bytes.len());
-        Snapshot { bytes, slot: out.slot, fast: out.fast, inline, version: out.version }
+        self.reg.group.read_in(0, rd)
     }
 
     /// Read the most recent value as an **RAII guard** (Algorithm 2).
@@ -509,24 +345,7 @@ impl ArcReader {
     #[inline]
     pub fn read_ref(&mut self) -> ReadGuard<'_> {
         let rd = self.rd.as_mut().expect("reader state present until drop");
-        let reg: &ArcRegister = &self.reg;
-        let out = reg.raw.read_acquire(rd);
-        guard_created_on(&reg.raw);
-        // SAFETY: read_acquire pinned `out.slot` for this handle; the pin
-        // is held at least for the guard's lifetime (the drop probe only
-        // releases it, never re-acquires), and the handle is mutably
-        // borrowed for that lifetime, so no other acquire can intervene.
-        let bytes = unsafe { reg.slot_bytes(out.slot) };
-        let inline = reg.stored_inline(bytes.len());
-        ReadGuard {
-            bytes,
-            slot: out.slot,
-            fast: out.fast,
-            inline,
-            version: out.version,
-            rd,
-            backend: GuardBackend::Single(&reg.raw),
-        }
+        self.reg.group.read_ref_in(0, rd)
     }
 
     /// Read the most recent value together with its publication version —
@@ -573,7 +392,7 @@ impl fmt::Debug for ArcReader {
 impl Drop for ArcReader {
     fn drop(&mut self) {
         if let Some(rd) = self.rd.take() {
-            self.reg.raw.reader_leave(rd);
+            self.reg.group.leave_reader(0, rd);
         }
     }
 }
@@ -591,15 +410,9 @@ pub struct Snapshot<'a> {
 }
 
 impl<'a> Snapshot<'a> {
-    /// Assemble a snapshot (shared with the `group` handles, which pin
-    /// slots through the same protocol).
-    pub(crate) fn assemble(
-        bytes: &'a [u8],
-        slot: usize,
-        fast: bool,
-        inline: bool,
-        version: u64,
-    ) -> Self {
+    /// Assemble a snapshot (the group read path's constructor).
+    pub(crate) fn assemble(bytes: &'a [u8], out: ReadOutcome, inline: bool) -> Self {
+        let ReadOutcome { slot, fast, version } = out;
         Self { bytes, slot, fast, inline, version }
     }
 
@@ -654,14 +467,6 @@ impl fmt::Debug for Snapshot<'_> {
             .field("fast", &self.fast)
             .finish()
     }
-}
-
-/// Which layout's protocol words a [`ReadGuard`]'s drop must talk to.
-pub(crate) enum GuardBackend<'a> {
-    /// A standalone [`ArcRegister`].
-    Single(&'a RawArc),
-    /// Register `k` of a slab group.
-    Group { group: &'a ArcGroup, k: usize },
 }
 
 /// An RAII **zero-copy pinned view** of the register value, returned by
@@ -726,21 +531,24 @@ pub struct ReadGuard<'a> {
     /// probe can release/keep the pin — and so no concurrent read of the
     /// same handle can exist while the guard is alive.
     rd: &'a mut RawReader,
-    backend: GuardBackend<'a>,
+    /// The slab and register whose protocol words the drop probe uses.
+    group: &'a ArcGroup,
+    k: usize,
 }
 
 impl ReadGuard<'_> {
-    /// Assemble a guard (shared with the group read paths).
+    /// Assemble a guard over register `k` of `group` (the group read
+    /// paths' constructor).
     pub(crate) fn assemble<'a>(
         bytes: &'a [u8],
-        slot: usize,
-        fast: bool,
+        out: ReadOutcome,
         inline: bool,
-        version: u64,
         rd: &'a mut RawReader,
-        backend: GuardBackend<'a>,
+        group: &'a ArcGroup,
+        k: usize,
     ) -> ReadGuard<'a> {
-        ReadGuard { bytes, slot, fast, inline, version, rd, backend }
+        let ReadOutcome { slot, fast, version } = out;
+        ReadGuard { bytes, slot, fast, inline, version, rd, group, k }
     }
 
     /// The pinned bytes, tied to the guard's own borrow (they must not
@@ -784,10 +592,7 @@ impl Deref for ReadGuard<'_> {
 
 impl Drop for ReadGuard<'_> {
     fn drop(&mut self) {
-        match self.backend {
-            GuardBackend::Single(raw) => guard_drop_on(raw, self.rd),
-            GuardBackend::Group { group, k } => group.guard_drop(k, self.rd),
-        }
+        self.group.guard_drop(self.k, self.rd);
     }
 }
 
@@ -804,6 +609,8 @@ impl fmt::Debug for ReadGuard<'_> {
 
 #[cfg(test)]
 mod tests {
+    use register_common::errors::ConfigError;
+
     use super::*;
 
     fn small() -> Arc<ArcRegister> {
@@ -930,6 +737,25 @@ mod tests {
         assert!(ArcRegister::builder(0, 16).build().is_err());
         assert!(ArcRegister::builder(1, 0).build().is_err());
         assert!(ArcRegister::builder(1, 4).initial(&[0; 8]).build().is_err());
+    }
+
+    #[test]
+    fn too_few_slots_is_a_typed_build_error() {
+        assert_eq!(
+            ArcRegister::builder(1, 16).slots(2).build().unwrap_err(),
+            BuildError::Config(ConfigError::TooFewSlots { n_slots: 2 })
+        );
+    }
+
+    #[test]
+    fn slot_index_width_is_checked_before_allocating() {
+        // 2^31 readers need 2^31 + 2 slots: beyond the slab's 31-bit slot
+        // index. The geometry check must fail before any slab is sized.
+        let err = ArcRegister::builder(1 << 31, 1).build().unwrap_err();
+        assert!(
+            matches!(err, BuildError::Config(ConfigError::SlotIndexWidth { bits: 31, .. })),
+            "got {err:?}"
+        );
     }
 
     #[test]
@@ -1070,11 +896,11 @@ mod tests {
             let g = r.read_ref(); // pins the "old" slot
             w.write(b"new"); // supersedes it while the guard is held
             assert_eq!(&*g, b"old", "guard must keep its publication");
-            assert_eq!(reg.raw_arc().outstanding_units(), 1);
+            assert_eq!(reg.outstanding_units(), 1);
         }
         // Drop probe saw the register had moved on: unit released without
         // waiting for the handle's next read.
-        assert_eq!(reg.raw_arc().outstanding_units(), 0);
+        assert_eq!(reg.outstanding_units(), 0);
         assert_eq!(r.pinned_slot(), None);
         assert_eq!(&*r.read_ref(), b"new");
     }
@@ -1165,14 +991,21 @@ mod tests {
             let mut r = reg.reader().unwrap();
             let stop = Arc::clone(&stop);
             handles.push(std::thread::spawn(move || {
+                // One unconditional read before honoring `stop`: on a
+                // single-core box the writer can finish and set `stop`
+                // before this thread is first scheduled, and the
+                // total-reads assertion below must not race the scheduler.
                 let mut reads = 0u64;
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                loop {
                     let snap = r.read();
                     // All bytes of a snapshot must agree (writer writes
                     // constant-fill payloads).
                     let first = snap.first().copied().unwrap_or(0);
                     assert!(snap.iter().all(|&b| b == first), "torn read");
                     reads += 1;
+                    if stop.load(std::sync::atomic::Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 reads
             }));

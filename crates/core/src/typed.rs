@@ -13,9 +13,8 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 use crate::errors::HandleError;
-use crate::raw::{
-    guard_created_on, guard_drop_on, PublishGuard, RawArc, RawOptions, RawReader, RawWriter,
-};
+use crate::group::{ArcGroup, GroupBuilder};
+use crate::raw::{RawOptions, RawReader, WriterMem};
 
 /// A value paired with the publication version it was read at.
 ///
@@ -33,14 +32,24 @@ pub struct Versioned<V> {
     pub value: V,
 }
 
+/// Byte capacity of the group under a typed register. Its byte slots stay
+/// empty (the values live in the side array); the smallest legal capacity
+/// keeps every slot inline, so the slab has no arena.
+const PROTOCOL_ONLY: usize = 1;
+
 /// A wait-free atomic (1,N) register holding values of type `T`.
+///
+/// The protocol words are register 0 of a one-register [`ArcGroup`], so
+/// the typed register shares the byte register's layout, proof and
+/// ordering budget; the `T` values live in a side array indexed by the
+/// group's slot numbers.
 pub struct TypedArc<T> {
-    raw: RawArc,
-    slots: Box<[UnsafeCell<Option<T>>]>,
+    group: ArcGroup,
+    values: Box<[UnsafeCell<Option<T>>]>,
 }
 
-// SAFETY: slot access is serialized by the RawArc protocol (exclusive for
-// the writer between select_slot/publish, shared for pinned readers, with
+// SAFETY: value access is serialized by the ARC protocol (exclusive for
+// the writer between W1 and publish, shared for pinned readers, with
 // happens-before edges through `current`/`r_end`). `T: Send` because values
 // move from the writer thread and drop on it later; `T: Sync` because
 // readers share `&T` across threads.
@@ -52,62 +61,90 @@ unsafe impl<T: Send + Sync> Send for TypedArc<T> {}
 impl<T: Send + Sync> TypedArc<T> {
     /// Create a register for up to `max_readers` readers, initialized to
     /// `initial`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_readers` is 0, or if `max_readers + 2` slots exceed
+    /// the slab's 31-bit slot index.
     pub fn new(max_readers: u32, initial: T) -> Arc<Self> {
         Self::with_options(max_readers, initial, RawOptions::default())
     }
 
     /// Create with explicit protocol options (ablation switches).
+    ///
+    /// # Panics
+    ///
+    /// As [`TypedArc::new`].
     pub fn with_options(max_readers: u32, initial: T, opts: RawOptions) -> Arc<Self> {
-        let n_slots = max_readers as usize + 2;
-        let raw = RawArc::new(max_readers, n_slots, opts);
-        let mut slots: Vec<UnsafeCell<Option<T>>> =
-            (0..n_slots).map(|_| UnsafeCell::new(None)).collect();
+        let group = GroupBuilder::new(1, max_readers, PROTOCOL_ONLY)
+            .hint(opts.hint)
+            .fast_path(opts.fast_path)
+            .metrics(opts.metrics)
+            .build_group()
+            .unwrap_or_else(|e| panic!("{e}"));
+        let mut values: Vec<UnsafeCell<Option<T>>> =
+            (0..group.n_slots()).map(|_| UnsafeCell::new(None)).collect();
         // Algorithm 1: publish the initial value in slot 0 (not shared yet).
-        *slots[0].get_mut() = Some(initial);
-        Arc::new(Self { raw, slots: slots.into_boxed_slice() })
+        *values[0].get_mut() = Some(initial);
+        Arc::new(Self { group, values: values.into_boxed_slice() })
     }
 
     /// Claim the unique writer handle.
     pub fn writer(self: &Arc<Self>) -> Result<TypedWriter<T>, HandleError> {
-        let wr = self.raw.writer_claim()?;
-        Ok(TypedWriter { reg: Arc::clone(self), wr: Some(wr) })
+        let mem = self.group.claim_writer(0)?;
+        Ok(TypedWriter { reg: Arc::clone(self), mem })
     }
 
     /// Register a reader handle.
     pub fn reader(self: &Arc<Self>) -> Result<TypedReader<T>, HandleError> {
-        let rd = self.raw.reader_join()?;
+        let rd = self.group.join_reader(0)?;
         Ok(TypedReader { reg: Arc::clone(self), rd: Some(rd) })
     }
 
     /// Reader cap `N`.
     pub fn max_readers(&self) -> u32 {
-        self.raw.max_readers()
+        self.group.max_readers()
     }
 
     /// The published version: number of completed writes (0 = only the
     /// initial value). Monotone; safe to poll from any thread.
     #[inline]
     pub fn published_version(&self) -> u64 {
-        self.raw.published_version()
+        self.group.published_version(0)
     }
 
-    /// The protocol core (for the watch layer in [`crate::watch`]).
+    /// The one-register group holding the protocol words.
     #[inline]
-    pub(crate) fn raw_arc(&self) -> &RawArc {
-        &self.raw
+    pub(crate) fn group(&self) -> &ArcGroup {
+        &self.group
+    }
+
+    /// The value in `slot`.
+    ///
+    /// # Safety
+    ///
+    /// The caller holds read rights on `slot`: a presence unit that
+    /// [`ArcGroup::acquire`] pinned and that stays unreleased for the
+    /// returned borrow.
+    #[inline]
+    unsafe fn value(&self, slot: usize) -> &T {
+        // SAFETY: per the contract the slot is pinned, so the writer leaves
+        // it alone; it holds Some because every published slot was filled
+        // by the writer (or at construction, for slot 0).
+        unsafe { (*self.values[slot].get()).as_ref().expect("published slot always holds a value") }
     }
 }
 
 impl<T> fmt::Debug for TypedArc<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TypedArc").field("n_slots", &self.slots.len()).finish()
+        f.debug_struct("TypedArc").field("n_slots", &self.values.len()).finish()
     }
 }
 
 /// The unique writer for a [`TypedArc`].
 pub struct TypedWriter<T: Send + Sync> {
     reg: Arc<TypedArc<T>>,
-    wr: Option<RawWriter>,
+    mem: WriterMem,
 }
 
 impl<T: Send + Sync> TypedWriter<T> {
@@ -117,23 +154,19 @@ impl<T: Send + Sync> TypedWriter<T> {
     /// old, already-superseded snapshot) if one was stored there — callers
     /// can recycle expensive allocations this way.
     pub fn write(&mut self, value: T) -> Option<T> {
-        let wr = self.wr.as_mut().expect("writer state present until drop");
-        // The publication guard repairs any unwind between W1 and the end
+        let reg: &TypedArc<T> = &self.reg;
+        // publish_with's guard repairs any unwind between W1 and the end
         // of publish (injected protocol-point panics; DESIGN.md §3.13).
-        let guard = PublishGuard::select(&self.reg.raw, wr);
-        let slot = guard.slot();
-        // SAFETY: exclusive slot access between select and publish.
-        let displaced = unsafe { (*self.reg.slots[slot].get()).replace(value) };
-        guard.publish();
-        displaced
+        reg.group.publish_with(0, &mut self.mem, |slot| {
+            // SAFETY: exclusive slot access between W1 and publish.
+            unsafe { (*reg.values[slot].get()).replace(value) }
+        })
     }
 }
 
 impl<T: Send + Sync> Drop for TypedWriter<T> {
     fn drop(&mut self) {
-        if let Some(wr) = self.wr.take() {
-            self.reg.raw.writer_release(wr);
-        }
+        self.reg.group.release_writer(0);
     }
 }
 
@@ -148,15 +181,7 @@ impl<T: Send + Sync> TypedReader<T> {
     /// handle's next `read` (or drop).
     #[inline]
     pub fn read(&mut self) -> &T {
-        let rd = self.rd.as_mut().expect("reader state present until drop");
-        let out = self.reg.raw.read_acquire(rd);
-        // SAFETY: the slot is pinned for this handle until the next
-        // read_acquire/leave, both requiring &mut self; the slot holds Some
-        // because every published slot was filled by the writer (or by
-        // construction for slot 0).
-        unsafe {
-            (*self.reg.slots[out.slot].get()).as_ref().expect("published slot always holds a value")
-        }
+        self.read_versioned().value
     }
 
     /// Read the most recent value together with its publication version.
@@ -164,12 +189,11 @@ impl<T: Send + Sync> TypedReader<T> {
     #[inline]
     pub fn read_versioned(&mut self) -> Versioned<&T> {
         let rd = self.rd.as_mut().expect("reader state present until drop");
-        let out = self.reg.raw.read_acquire(rd);
-        // SAFETY: identical to `read` — the slot is pinned until the next
-        // read_acquire/leave, both requiring &mut self.
-        let value = unsafe {
-            (*self.reg.slots[out.slot].get()).as_ref().expect("published slot always holds a value")
-        };
+        let out = self.reg.group.acquire(0, rd);
+        // SAFETY: the slot is pinned for this handle until the next acquire
+        // or leave, both requiring &mut self, which the returned borrow
+        // holds.
+        let value = unsafe { self.reg.value(out.slot) };
         Versioned { version: out.version, value }
     }
 
@@ -185,15 +209,13 @@ impl<T: Send + Sync> TypedReader<T> {
     pub fn read_ref(&mut self) -> TypedReadGuard<'_, T> {
         let rd = self.rd.as_mut().expect("reader state present until drop");
         let reg: &TypedArc<T> = &self.reg;
-        let out = reg.raw.read_acquire(rd);
-        guard_created_on(&reg.raw);
-        // SAFETY: as in `read` — the slot is pinned at least for the
-        // guard's lifetime (the drop probe only releases, never
+        let out = reg.group.acquire(0, rd);
+        reg.group.guard_created(0);
+        // SAFETY: as in `read_versioned` — the slot is pinned at least for
+        // the guard's lifetime (the drop probe only releases, never
         // re-acquires), and `rd` stays mutably borrowed throughout.
-        let value = unsafe {
-            (*reg.slots[out.slot].get()).as_ref().expect("published slot always holds a value")
-        };
-        TypedReadGuard { value, version: out.version, fast: out.fast, rd, raw: &reg.raw }
+        let value = unsafe { reg.value(out.slot) };
+        TypedReadGuard { value, version: out.version, fast: out.fast, rd, group: &reg.group }
     }
 
     /// Clone the current value out.
@@ -213,7 +235,7 @@ impl<T: Send + Sync> TypedReader<T> {
 impl<T: Send + Sync> Drop for TypedReader<T> {
     fn drop(&mut self) {
         if let Some(rd) = self.rd.take() {
-            self.reg.raw.reader_leave(rd);
+            self.reg.group.leave_reader(0, rd);
         }
     }
 }
@@ -231,7 +253,7 @@ pub struct TypedReadGuard<'a, T: Send + Sync> {
     /// Mutably borrowed so drop can release/keep the pin and no other
     /// read of the same handle can start while the guard lives.
     rd: &'a mut RawReader,
-    raw: &'a RawArc,
+    group: &'a ArcGroup,
 }
 
 impl<T: Send + Sync> TypedReadGuard<'_, T> {
@@ -257,7 +279,7 @@ impl<T: Send + Sync> Deref for TypedReadGuard<'_, T> {
 
 impl<T: Send + Sync> Drop for TypedReadGuard<'_, T> {
     fn drop(&mut self) {
-        guard_drop_on(self.raw, self.rd);
+        self.group.guard_drop(0, self.rd);
     }
 }
 
@@ -374,7 +396,7 @@ mod tests {
         }
         // The stale pin was released at drop; the displaced "old" slot is
         // reclaimable without another read from this handle.
-        assert_eq!(reg.raw.outstanding_units(), 0);
+        assert_eq!(reg.group().outstanding_units(0), 0);
         let g = r.read_ref();
         assert_eq!(&*g, "new");
         assert_eq!(g.version(), 1);

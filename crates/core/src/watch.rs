@@ -82,7 +82,7 @@ impl WatchReader {
     /// announces, so the post-wake read can never deliver the old value.
     /// Typical loop: `last = watch.wait_for_update(last).version()`.
     pub fn wait_for_update(&mut self, last: u64) -> Snapshot<'_> {
-        self.inner.register().raw_arc().wait_for_version(last);
+        self.inner.register().group().wait_for_update(0, last);
         self.read()
     }
 
@@ -93,7 +93,7 @@ impl WatchReader {
         last: u64,
         timeout: Duration,
     ) -> Option<Snapshot<'_>> {
-        self.inner.register().raw_arc().wait_for_version_timeout(last, timeout)?;
+        self.inner.register().group().wait_for_update_timeout(0, last, timeout)?;
         Some(self.read())
     }
 
@@ -155,7 +155,7 @@ impl<T: Send + Sync> TypedWatchReader<T> {
     /// returned version is at least `last + 1` (see
     /// [`WatchReader::wait_for_update`]).
     pub fn wait_for_update(&mut self, last: u64) -> Versioned<&T> {
-        self.inner.register().raw_arc().wait_for_version(last);
+        self.inner.register().group().wait_for_update(0, last);
         self.read_versioned()
     }
 
@@ -166,7 +166,7 @@ impl<T: Send + Sync> TypedWatchReader<T> {
         last: u64,
         timeout: Duration,
     ) -> Option<Versioned<&T>> {
-        self.inner.register().raw_arc().wait_for_version_timeout(last, timeout)?;
+        self.inner.register().group().wait_for_update_timeout(0, last, timeout)?;
         Some(self.read_versioned())
     }
 }
@@ -193,27 +193,28 @@ mod stream {
     use std::sync::Arc;
     use std::task::{Context, Poll};
 
-    use crate::raw::RawArc;
+    use crate::group::ArcGroup;
     use crate::register::ArcRegister;
     use crate::typed::TypedArc;
 
     /// Sources a [`VersionStream`] can watch (sealed: [`ArcRegister`] and
     /// [`TypedArc`]).
     pub trait WatchSource: Send + Sync + 'static {
-        /// The protocol core carrying the version word and wait set.
+        /// The one-register group carrying the version word (register 0)
+        /// and the wait set.
         #[doc(hidden)]
-        fn raw(&self) -> &RawArc;
+        fn group(&self) -> &ArcGroup;
     }
 
     impl WatchSource for ArcRegister {
-        fn raw(&self) -> &RawArc {
-            self.raw_arc()
+        fn group(&self) -> &ArcGroup {
+            ArcRegister::group(self)
         }
     }
 
     impl<T: Send + Sync + 'static> WatchSource for TypedArc<T> {
-        fn raw(&self) -> &RawArc {
-            self.raw_arc()
+        fn group(&self) -> &ArcGroup {
+            TypedArc::group(self)
         }
     }
 
@@ -238,8 +239,8 @@ mod stream {
         /// register's wait set on `Pending`; the writer's post-publish
         /// notify wakes it.
         pub fn poll_next(&mut self, cx: &mut Context<'_>) -> Poll<u64> {
-            let raw = self.src.raw();
-            let v = raw.published_version();
+            let group = self.src.group();
+            let v = group.published_version(0);
             if v > self.last {
                 self.last = v;
                 return Poll::Ready(v);
@@ -247,8 +248,8 @@ mod stream {
             // Register-then-recheck: the waker is in the wait set before
             // the second look, so a publish between the two cannot be
             // lost (same Dekker discipline as the blocking edge).
-            raw.watch_set().register_waker(cx.waker());
-            let v = raw.published_version();
+            group.watch_set().register_waker(cx.waker());
+            let v = group.published_version(0);
             if v > self.last {
                 self.last = v;
                 return Poll::Ready(v);
@@ -350,38 +351,47 @@ mod tests {
         // least the publication that woke it.
         let reg = ArcRegister::builder(4, 16).build().unwrap();
         let stop = Arc::new(AtomicBool::new(false));
+        // Watchers and writer start together, so no watcher can miss the
+        // whole run because the scheduler ran the writer first.
+        let start = Arc::new(std::sync::Barrier::new(3));
         let mut watchers = Vec::new();
         for _ in 0..2 {
             let mut watch = reg.watch_reader().unwrap();
             let stop = Arc::clone(&stop);
+            let start = Arc::clone(&start);
             watchers.push(std::thread::spawn(move || {
                 let mut last = 0;
                 let mut wakes = 0u64;
-                while !stop.load(Ordering::SeqCst) {
-                    match watch.wait_for_update_timeout(last, Duration::from_millis(50)) {
-                        Some(snap) => {
-                            assert!(
-                                snap.version() > last,
-                                "wake at watermark {last} delivered version {}",
-                                snap.version()
-                            );
-                            last = snap.version();
-                            wakes += 1;
-                        }
-                        None => continue,
+                start.wait();
+                // `stop` is honoured only after a checked wake: the writer
+                // publishes after setting it, so every watcher wakes at
+                // least once, however late it is scheduled.
+                while wakes == 0 || !stop.load(Ordering::SeqCst) {
+                    if let Some(snap) =
+                        watch.wait_for_update_timeout(last, Duration::from_millis(50))
+                    {
+                        assert!(
+                            snap.version() > last,
+                            "wake at watermark {last} delivered version {}",
+                            snap.version()
+                        );
+                        last = snap.version();
+                        wakes += 1;
                     }
                 }
                 wakes
             }));
         }
         let mut w = reg.writer().unwrap();
+        start.wait();
         for i in 0..2000u64 {
             w.write(&i.to_le_bytes());
         }
         stop.store(true, Ordering::SeqCst);
-        w.write(b"final"); // release any last parked watcher
-        let wakes: u64 = watchers.into_iter().map(|h| h.join().unwrap()).sum();
-        assert!(wakes > 0, "watchers must have observed updates");
+        w.write(b"final"); // wakes any watcher still parked
+        for h in watchers {
+            assert!(h.join().unwrap() > 0, "every watcher must check at least one wake");
+        }
     }
 
     #[test]

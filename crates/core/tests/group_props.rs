@@ -8,7 +8,7 @@
 //! inline/arena placement flip and the K = 1 degenerate case.
 
 use arc_register::group::layout;
-use arc_register::{ArcGroup, ArcRegister, INLINE_CAP};
+use arc_register::{ArcGroup, INLINE_CAP};
 use proptest::prelude::*;
 
 proptest! {
@@ -83,8 +83,9 @@ proptest! {
         slot in 0..66usize,
     ) {
         prop_assume!(slot < n_slots);
-        // With one register the slab map is the identity the standalone
-        // register uses: slot s at index s, arena region s*capacity.
+        // With one register (the layout under ArcRegister and TypedArc)
+        // the slab map is the identity: slot s at index s, arena region
+        // s*capacity.
         prop_assert_eq!(layout::slot_index(0, n_slots, slot), slot);
         prop_assert_eq!(layout::arena_offset(0, n_slots, capacity, slot), slot * capacity);
         prop_assert_eq!(layout::slot_range(0, n_slots), 0..n_slots);
@@ -132,18 +133,4 @@ proptest! {
             prop_assert_eq!(&*readers.read(k), v.as_slice(), "register {} corrupted", k);
         }
     }
-}
-
-#[test]
-fn group_heap_is_at_least_4x_denser_at_scale() {
-    // The acceptance shape of the bench, checked with exact accounting:
-    // 10k small registers in a slab vs the same registers standalone.
-    let k = 10_000;
-    let group = ArcGroup::builder(k, 1, 48).build().unwrap();
-    let per_reg_group = group.heap_bytes() / k;
-    let single = ArcRegister::builder(1, 48).build().unwrap().heap_bytes();
-    assert!(
-        single >= 4 * per_reg_group,
-        "standalone register {single} B must be ≥ 4x the slab's {per_reg_group} B/register"
-    );
 }

@@ -97,10 +97,7 @@ proptest! {
                 .iter()
                 .filter(|h| h.as_ref().is_some_and(|r| r.pinned_slot().is_some()))
                 .count() as u64;
-            // outstanding_units is on RawArc; go through a fresh probe:
-            // the register doesn't expose it directly, so recompute via
-            // live handle state only.
-            let _ = pinned; // accounting asserted indirectly by liveness below
+            prop_assert_eq!(reg.outstanding_units(), pinned, "presence-unit accounting drifted");
         }
 
         // 4. Liveness: after the sequence, the writer can still perform

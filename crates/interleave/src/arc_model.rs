@@ -25,15 +25,16 @@
 //! the writer consumes the hint word and *re-validates* the proposed slot
 //! through the normal probe — the property that keeps stale hints safe.
 //!
-//! The **writer free-slot ring** (the implementation's W1 optimization;
-//! `arc_register::raw` module docs) is modeled with
-//! [`ArcModel::with_ring`]: the writer keeps a local FIFO of candidate
-//! slots fed by (a) the drained hint word and (b) lazy reclamation at the
-//! freeze step (the superseded slot is queued when its frozen count is
-//! already matched by releases — the r_end read is folded into the freeze
-//! step exactly as in the implementation). Ring pops are writer-local
-//! (zero shared accesses); each popped candidate is re-validated through
-//! one probe step before use. The safety property the exhaustive runs
+//! The **writer candidate cache** (the implementation's W1 optimization;
+//! the "writer candidate cache" section of the `arc_register::raw` module
+//! docs) is modeled with [`ArcModel::with_ring`]: the writer keeps a local
+//! FIFO of candidate slots, two entries deep like the shipped cache, fed
+//! by (a) the drained hint word and (b) lazy reclamation at the freeze
+//! step (the superseded slot is queued when its frozen count is already
+//! matched by releases — the r_end read is folded into the freeze step
+//! exactly as in the implementation). Ring pops are writer-local (zero
+//! shared accesses); each popped candidate is re-validated through one
+//! probe step before use. The safety property the exhaustive runs
 //! prove: **no slot with a standing reader is ever recycled**, because a
 //! ring entry is only a *candidate* — hints can be stale across slot
 //! generations (a delayed reader hint-check can match a *newer* freeze of
@@ -69,6 +70,10 @@
 
 use crate::explorer::Model;
 use crate::spec::{ModelConfig, ObsChecker, ReadObs};
+
+/// Depth of the writer's candidate FIFO: the two entries of the shipped
+/// writer memory (`arc_register::raw`'s writer candidate cache).
+const RING_DEPTH: usize = 2;
 
 /// Which protocol variant to model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -242,7 +247,7 @@ impl ArcModel {
         Self::with_ring(cfg, defect, hint_enabled, false)
     }
 
-    /// Full options: the §3.4 hint and the writer-local free-slot ring
+    /// Full options: the §3.4 hint and the writer-local candidate cache
     /// (module docs). Ring mode folds lazy reclamation into the freeze
     /// step and re-validates every popped candidate — unless the
     /// [`Defect::RingNoRevalidate`] bug is injected.
@@ -296,11 +301,12 @@ impl ArcModel {
         }
     }
 
-    /// Push a candidate into the writer-local ring (bounded by slot count;
-    /// overflow drops the candidate — losing a candidate never loses a
-    /// slot, the fallback scan still finds it).
+    /// Push a candidate into the writer-local ring (bounded at
+    /// [`RING_DEPTH`], the shipped cache's depth; overflow drops the
+    /// candidate — losing a candidate never loses a slot, the fallback
+    /// scan still finds it).
     fn ring_push(&mut self, slot: u8) {
-        if self.ring.len() < self.slots.len() {
+        if self.ring.len() < RING_DEPTH {
             self.ring.push(slot);
         }
     }

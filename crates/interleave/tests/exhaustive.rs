@@ -43,7 +43,7 @@ fn arc_two_readers_exhaustive() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
 fn arc_ring_two_readers_exhaustive() {
-    // The writer free-slot ring (hint drained into a local candidate FIFO,
+    // The writer candidate cache (hint drained into a local candidate FIFO,
     // lazy reclamation at freeze, re-validation at pop) with two readers:
     // every interleaving must preserve "no slot with a standing reader is
     // ever recycled" — witnessed directly by the model's slot-exclusion

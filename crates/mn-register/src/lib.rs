@@ -18,19 +18,14 @@
 //! # Storage: one slab, not M boxes
 //!
 //! Every (M,N) operation is an O(M) scan over the sub-registers — the
-//! read visits all `M`, the write collects from `M − 1`. With the
-//! sub-registers as M standalone [`ArcRegister`]s (the original
-//! composition, still available as [`MnLayout::Standalone`]) that scan
-//! chases M pointers across ~1.6 KB-apart heap allocations. The default
-//! layout ([`MnLayout::Slab`]) instead places all M sub-registers in one
-//! [`ArcGroup`] slab: sub-register `i` is group register `i`, so the
-//! timestamp scan walks M *adjacent* 64 B header lines in address order —
-//! sequential prefetch instead of pointer chasing, and a footprint of
-//! `64 + n_slots·64` bytes per sub-register instead of the padded
-//! standalone layout (≥ 4× denser at M = 8, enforced by the bench schema
-//! test via [`MnRegister::heap_bytes`]). The protocol is **identical**:
-//! the group runs the same wait-free state machine per register, so the
-//! construction's proof is unchanged — only the placement moved.
+//! read visits all `M`, the write collects from `M − 1`. All M
+//! sub-registers live in one [`ArcGroup`] slab: sub-register `i` is group
+//! register `i`, so the timestamp scan walks M *adjacent* 64 B header
+//! lines in address order — sequential prefetch instead of pointer
+//! chasing, at `64 + n_slots·64` bytes per sub-register
+//! ([`MnRegister::heap_bytes`]). The group runs the same wait-free state
+//! machine per register, so the construction's proof is the (1,N)
+//! register's.
 //!
 //! # Why this is atomic
 //!
@@ -42,8 +37,8 @@
 //! the max over all M is monotone along real time; if read r₁ returned
 //! `ts` and completed before r₂ began, every sub-register r₂ reads is at
 //! least as new as what r₁ saw. The `linearizer::mw` checker validates
-//! exactly these conditions on recorded executions of this implementation
-//! (both layouts), and `interleave::mn_slab_model` model-checks two
+//! exactly these conditions on recorded executions of this implementation,
+//! and `interleave::mn_slab_model` model-checks two
 //! writers of one cell sharing a slab exhaustively.
 //!
 //! # Progress and costs
@@ -80,9 +75,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use arc_register::{
-    ArcGroup, ArcReader, ArcRegister, ArcWriter, GroupReader, GroupWriter, HandleError, Snapshot,
-};
+use arc_register::{ArcGroup, GroupReader, GroupWriter, HandleError};
 use register_common::traits::{validate_spec, BuildError, RegisterSpec};
 
 pub mod group;
@@ -120,59 +113,6 @@ impl Timestamp {
     }
 }
 
-/// How the M sub-registers are stored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MnLayout {
-    /// All M sub-registers in one [`ArcGroup`] slab (default): the O(M)
-    /// timestamp scan is a sequential walk over adjacent cache lines.
-    Slab,
-    /// M standalone boxed [`ArcRegister`]s — the original composition,
-    /// kept as the density/locality baseline the `mn_scaling` bench
-    /// measures the slab against.
-    Standalone,
-}
-
-/// The sub-register storage (see [`MnLayout`]).
-enum SubStore {
-    Slab(Arc<ArcGroup>),
-    Standalone(Vec<Arc<ArcRegister>>),
-}
-
-/// The writer role of one sub-register, layout-polymorphic.
-enum SubWriter {
-    Slab(GroupWriter),
-    Standalone(ArcWriter),
-}
-
-impl SubWriter {
-    #[inline]
-    fn write_with(&mut self, len: usize, fill: impl FnOnce(&mut [u8])) {
-        match self {
-            SubWriter::Slab(w) => w.write_with(len, fill),
-            SubWriter::Standalone(w) => w.write_with(len, fill),
-        }
-    }
-}
-
-/// A reader handle on one sub-register, layout-polymorphic.
-///
-/// Both arms yield the same [`Snapshot`] type (the slab runs the identical
-/// protocol), so the scan code is layout-blind past this dispatch.
-enum SubReader {
-    Slab(GroupReader),
-    Standalone(ArcReader),
-}
-
-impl SubReader {
-    #[inline]
-    fn read(&mut self) -> Snapshot<'_> {
-        match self {
-            SubReader::Slab(r) => r.read(),
-            SubReader::Standalone(r) => r.read(),
-        }
-    }
-}
-
 /// Writer-role bookkeeping behind one lock (cold path: claims/drops).
 struct WriterRoles {
     /// Writer ids currently available to claim.
@@ -187,7 +127,8 @@ struct WriterRoles {
 
 /// The shared (M,N) register.
 pub struct MnRegister {
-    subs: SubStore,
+    /// The M sub-registers: group register `i` belongs to writer `i`.
+    subs: Arc<ArcGroup>,
     writers: usize,
     capacity: usize,
     n_readers: usize,
@@ -198,23 +139,12 @@ pub struct MnRegister {
 impl MnRegister {
     /// Build an (M,N) register holding values up to `capacity` bytes,
     /// initialized to `initial` (held by writer 0's sub-register with
-    /// timestamp `(1, 0)`), on the default slab layout.
+    /// timestamp `(1, 0)`).
     pub fn new(
         writers: usize,
         readers: usize,
         capacity: usize,
         initial: &[u8],
-    ) -> Result<Arc<Self>, BuildError> {
-        Self::with_layout(writers, readers, capacity, initial, MnLayout::Slab)
-    }
-
-    /// Build with an explicit sub-register [`MnLayout`].
-    pub fn with_layout(
-        writers: usize,
-        readers: usize,
-        capacity: usize,
-        initial: &[u8],
-        layout: MnLayout,
     ) -> Result<Arc<Self>, BuildError> {
         if writers == 0 {
             return Err(BuildError::ZeroRegisters);
@@ -223,42 +153,19 @@ impl MnRegister {
         // Each sub-register serves the N real readers plus the other M−1
         // writers' collect reads.
         let sub_readers = (readers + writers - 1).max(1) as u32;
-        let subs = match layout {
-            MnLayout::Slab => {
-                let group = ArcGroup::builder(writers, sub_readers, HEADER + capacity).build()?;
-                // Algorithm-1 initialization per sub-register: no handle
-                // exists yet, so claim each writer role, publish the
-                // placeholder (or the initial value for writer 0), and
-                // release it again.
-                for id in 0..writers {
-                    let mut w = group.writer(id).expect("fresh group has all writer roles");
-                    let body = if id == 0 { initial } else { &[][..] };
-                    let ts = Timestamp { counter: u64::from(id == 0), writer: id as u64 };
-                    w.write_with(HEADER + body.len(), |buf| {
-                        ts.encode(buf);
-                        buf[HEADER..].copy_from_slice(body);
-                    });
-                }
-                SubStore::Slab(group)
-            }
-            MnLayout::Standalone => {
-                let mut regs = Vec::with_capacity(writers);
-                for id in 0..writers {
-                    let mut init = vec![0u8; HEADER + if id == 0 { initial.len() } else { 0 }];
-                    let ts = Timestamp { counter: u64::from(id == 0), writer: id as u64 };
-                    ts.encode(&mut init);
-                    if id == 0 {
-                        init[HEADER..].copy_from_slice(initial);
-                    }
-                    regs.push(
-                        ArcRegister::builder(sub_readers, HEADER + capacity)
-                            .initial(&init)
-                            .build()?,
-                    );
-                }
-                SubStore::Standalone(regs)
-            }
-        };
+        let subs = ArcGroup::builder(writers, sub_readers, HEADER + capacity).build()?;
+        // Algorithm-1 initialization per sub-register: no handle exists
+        // yet, so claim each writer role, publish the placeholder (or the
+        // initial value for writer 0), and release it again.
+        for id in 0..writers {
+            let mut w = subs.writer(id).expect("fresh group has all writer roles");
+            let body = if id == 0 { initial } else { &[][..] };
+            let ts = Timestamp { counter: u64::from(id == 0), writer: id as u64 };
+            w.write_with(HEADER + body.len(), |buf| {
+                ts.encode(buf);
+                buf[HEADER..].copy_from_slice(body);
+            });
+        }
         Ok(Arc::new(Self {
             subs,
             writers,
@@ -287,49 +194,22 @@ impl MnRegister {
         self.capacity
     }
 
-    /// Which sub-register layout this register was built on.
-    pub fn layout(&self) -> MnLayout {
-        match self.subs {
-            SubStore::Slab(_) => MnLayout::Slab,
-            SubStore::Standalone(_) => MnLayout::Standalone,
-        }
-    }
-
-    /// Bytes of heap this register owns across all M sub-registers
-    /// (coordination state + slots + arenas + handles' shared storage).
-    ///
-    /// The slab layout answers with one group accounting; the standalone
-    /// layout sums the M boxed registers plus their `Arc` indirections —
-    /// the density comparison the `mn_scaling` bench reports and the
-    /// schema test floors at 4× for M = 8.
+    /// Bytes of heap this register owns across all M sub-registers: the
+    /// one slab plus this struct.
     pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + match &self.subs {
-                SubStore::Slab(group) => group.heap_bytes(),
-                SubStore::Standalone(regs) => regs
-                    .iter()
-                    .map(|r| r.heap_bytes() + std::mem::size_of::<Arc<ArcRegister>>())
-                    .sum(),
-            }
+        std::mem::size_of::<Self>() + self.subs.heap_bytes()
     }
 
     /// A reader handle on sub-register `k` (used for writer collects and
     /// reader scans; counts against the sub-register's `N + M − 1` cap).
-    fn sub_reader(&self, k: usize) -> SubReader {
-        match &self.subs {
-            SubStore::Slab(group) => {
-                SubReader::Slab(group.reader(k).expect("sub-register sized for N + M - 1 readers"))
-            }
-            SubStore::Standalone(regs) => SubReader::Standalone(
-                regs[k].reader().expect("sub-register sized for N + M - 1 readers"),
-            ),
-        }
+    fn sub_reader(&self, k: usize) -> GroupReader {
+        self.subs.reader(k).expect("sub-register sized for N + M - 1 readers")
     }
 
     /// Claim one of the `M` writer handles (each may be claimed once;
     /// dropping returns it). Fails with
     /// [`HandleError::WriterAlreadyClaimed`] when all M are out — the same
-    /// error contract as [`ArcRegister::writer`].
+    /// error contract as [`ArcRegister::writer`](arc_register::ArcRegister::writer).
     pub fn writer(self: &Arc<Self>) -> Result<MnWriter, HandleError> {
         let last_counter;
         let id;
@@ -345,20 +225,13 @@ impl MnRegister {
         }
         // The writer reads every *other* sub-register during collects.
         let peers = (0..self.writers).filter(|&j| j != id).map(|j| self.sub_reader(j)).collect();
-        let own = match &self.subs {
-            SubStore::Slab(group) => {
-                SubWriter::Slab(group.writer(id).expect("sub-writer claimed once per id"))
-            }
-            SubStore::Standalone(regs) => {
-                SubWriter::Standalone(regs[id].writer().expect("sub-writer claimed once per id"))
-            }
-        };
+        let own = self.subs.writer(id).expect("sub-writer claimed once per id");
         Ok(MnWriter { reg: Arc::clone(self), id, own, peers, last_counter })
     }
 
     /// Register one of the `N` reader handles. Fails with
     /// [`HandleError::ReadersExhausted`] at the cap — the same error
-    /// contract as [`ArcRegister::reader`].
+    /// contract as [`ArcRegister::reader`](arc_register::ArcRegister::reader).
     pub fn reader(self: &Arc<Self>) -> Result<MnReader, HandleError> {
         let live = self.live_readers.fetch_add(1, Ordering::SeqCst);
         if live >= self.n_readers {
@@ -376,7 +249,6 @@ impl fmt::Debug for MnRegister {
             .field("writers", &self.writers())
             .field("max_readers", &self.n_readers)
             .field("capacity", &self.capacity)
-            .field("layout", &self.layout())
             .finish()
     }
 }
@@ -385,8 +257,8 @@ impl fmt::Debug for MnRegister {
 pub struct MnWriter {
     reg: Arc<MnRegister>,
     id: usize,
-    own: SubWriter,
-    peers: Vec<SubReader>,
+    own: GroupWriter,
+    peers: Vec<GroupReader>,
     last_counter: u64,
 }
 
@@ -407,8 +279,8 @@ impl MnWriter {
             self.reg.capacity
         );
         // Collect: the largest counter visible anywhere (fast-path reads
-        // when peers are quiet). On the slab layout the peers are adjacent
-        // group registers, so this walk is sequential in the slab.
+        // when peers are quiet). The peers are adjacent group registers,
+        // so this walk is sequential in the slab.
         let mut max_counter = self.last_counter;
         for peer in self.peers.iter_mut() {
             let snap = peer.read();
@@ -452,7 +324,7 @@ impl Drop for MnWriter {
 /// One of the `N` reader handles.
 pub struct MnReader {
     reg: Arc<MnRegister>,
-    subs: Vec<SubReader>,
+    subs: Vec<GroupReader>,
 }
 
 impl MnReader {
@@ -461,8 +333,8 @@ impl MnReader {
     ///
     /// All `M` snapshots are pinned simultaneously while `f` runs, so the
     /// winner is stable; the pins persist (per sub-register) until this
-    /// handle's next read. On the slab layout the scan visits the M
-    /// sub-registers in ascending slab order — adjacent cache lines.
+    /// handle's next read. The scan visits the M sub-registers in
+    /// ascending slab order — adjacent cache lines.
     pub fn read_with<R>(&mut self, f: impl FnOnce(&[u8], Timestamp) -> R) -> R {
         debug_assert!(!self.subs.is_empty());
         let mut best_ts = Timestamp { counter: 0, writer: 0 };
@@ -517,89 +389,65 @@ impl Drop for MnReader {
 mod tests {
     use super::*;
 
-    const LAYOUTS: [MnLayout; 2] = [MnLayout::Slab, MnLayout::Standalone];
-
-    fn on(
-        layout: MnLayout,
-        writers: usize,
-        readers: usize,
-        capacity: usize,
-        initial: &[u8],
-    ) -> Arc<MnRegister> {
-        MnRegister::with_layout(writers, readers, capacity, initial, layout).unwrap()
-    }
-
-    #[test]
-    fn default_layout_is_slab() {
-        let reg = MnRegister::new(2, 1, 16, b"").unwrap();
-        assert_eq!(reg.layout(), MnLayout::Slab);
+    fn on(writers: usize, readers: usize, capacity: usize, initial: &[u8]) -> Arc<MnRegister> {
+        MnRegister::new(writers, readers, capacity, initial).unwrap()
     }
 
     #[test]
     fn initial_value_wins_placeholders() {
-        for layout in LAYOUTS {
-            let reg = on(layout, 3, 2, 64, b"genesis");
-            let mut r = reg.reader().unwrap();
-            let (v, ts) = r.read_owned();
-            assert_eq!(v, b"genesis", "{layout:?}");
-            assert_eq!(ts, Timestamp { counter: 1, writer: 0 }, "{layout:?}");
-        }
+        let reg = on(3, 2, 64, b"genesis");
+        let mut r = reg.reader().unwrap();
+        let (v, ts) = r.read_owned();
+        assert_eq!(v, b"genesis");
+        assert_eq!(ts, Timestamp { counter: 1, writer: 0 });
     }
 
     #[test]
     fn empty_initial_value() {
-        for layout in LAYOUTS {
-            let reg = on(layout, 2, 1, 16, b"");
-            let mut r = reg.reader().unwrap();
-            assert_eq!(r.read_owned().0, b"", "{layout:?}");
-        }
+        let reg = on(2, 1, 16, b"");
+        let mut r = reg.reader().unwrap();
+        assert_eq!(r.read_owned().0, b"");
     }
 
     #[test]
     fn last_writer_wins_sequentially() {
-        for layout in LAYOUTS {
-            let reg = on(layout, 2, 2, 64, b"init");
-            let mut w0 = reg.writer().unwrap();
-            let mut w1 = reg.writer().unwrap();
-            let mut r = reg.reader().unwrap();
+        let reg = on(2, 2, 64, b"init");
+        let mut w0 = reg.writer().unwrap();
+        let mut w1 = reg.writer().unwrap();
+        let mut r = reg.reader().unwrap();
 
-            let t0 = w0.write(b"zero");
-            assert_eq!(r.read_owned().0, b"zero");
-            let t1 = w1.write(b"one");
-            assert!(t1 > t0, "later write must carry a larger timestamp");
-            assert_eq!(r.read_owned().0, b"one");
-            let t0b = w0.write(b"zero again");
-            assert!(t0b > t1);
-            assert_eq!(r.read_owned().0, b"zero again");
-        }
+        let t0 = w0.write(b"zero");
+        assert_eq!(r.read_owned().0, b"zero");
+        let t1 = w1.write(b"one");
+        assert!(t1 > t0, "later write must carry a larger timestamp");
+        assert_eq!(r.read_owned().0, b"one");
+        let t0b = w0.write(b"zero again");
+        assert!(t0b > t1);
+        assert_eq!(r.read_owned().0, b"zero again");
     }
 
     #[test]
     fn writer_handles_are_finite_and_recycled() {
-        for layout in LAYOUTS {
-            let reg = on(layout, 2, 1, 16, b"");
-            let a = reg.writer().unwrap();
-            let _b = reg.writer().unwrap();
-            assert!(
-                matches!(reg.writer(), Err(HandleError::WriterAlreadyClaimed)),
-                "only M writer handles"
-            );
-            let id = a.id();
-            drop(a);
-            assert_eq!(reg.writer().unwrap().id(), id, "id recycled");
-        }
+        let reg = on(2, 1, 16, b"");
+        let a = reg.writer().unwrap();
+        let _b = reg.writer().unwrap();
+        assert!(
+            matches!(reg.writer(), Err(HandleError::WriterAlreadyClaimed)),
+            "only M writer handles"
+        );
+        let id = a.id();
+        drop(a);
+        assert_eq!(reg.writer().unwrap().id(), id, "id recycled");
     }
 
     #[test]
     fn reader_cap_enforced() {
-        for layout in LAYOUTS {
-            let reg = on(layout, 1, 2, 16, b"");
-            let _a = reg.reader().unwrap();
-            let b = reg.reader().unwrap();
-            assert!(matches!(reg.reader(), Err(HandleError::ReadersExhausted { max_readers: 2 })));
-            drop(b);
-            assert!(reg.reader().is_ok());
-        }
+        let reg = on(1, 2, 16, b"");
+        let _a = reg.reader().unwrap();
+        let b = reg.reader().unwrap();
+        assert!(matches!(reg.reader(), Err(HandleError::ReadersExhausted { max_readers: 2 })));
+        drop(b);
+        assert!(reg.reader().is_ok());
     }
 
     #[test]
@@ -608,51 +456,45 @@ mod tests {
         // re-claimed writer id must remember what it already published:
         // restarting its counter would publish a timestamp *below* its
         // own sub-register's — readers would see time run backwards.
-        for layout in LAYOUTS {
-            let reg = on(layout, 2, 1, 16, b"");
-            let mut w = reg.writer().unwrap();
-            let id = w.id();
-            let mut last = Timestamp { counter: 0, writer: 0 };
-            for i in 0..50u64 {
-                last = w.write(&i.to_le_bytes());
-            }
-            drop(w);
-            let mut w2 = reg.writer().unwrap();
-            assert_eq!(w2.id(), id, "same role re-claimed");
-            let ts = w2.write(b"later");
-            assert!(ts > last, "{layout:?}: recycled writer went backwards: {last:?} -> {ts:?}");
-            let mut r = reg.reader().unwrap();
-            assert_eq!(r.read_owned().0, b"later", "newest write must win the scan");
+        let reg = on(2, 1, 16, b"");
+        let mut w = reg.writer().unwrap();
+        let id = w.id();
+        let mut last = Timestamp { counter: 0, writer: 0 };
+        for i in 0..50u64 {
+            last = w.write(&i.to_le_bytes());
         }
+        drop(w);
+        let mut w2 = reg.writer().unwrap();
+        assert_eq!(w2.id(), id, "same role re-claimed");
+        let ts = w2.write(b"later");
+        assert!(ts > last, "recycled writer went backwards: {last:?} -> {ts:?}");
+        let mut r = reg.reader().unwrap();
+        assert_eq!(r.read_owned().0, b"later", "newest write must win the scan");
     }
 
     #[test]
     fn timestamps_are_strictly_increasing_per_interleaving() {
-        for layout in LAYOUTS {
-            let reg = on(layout, 3, 1, 32, b"");
-            let mut ws: Vec<_> = (0..3).map(|_| reg.writer().unwrap()).collect();
-            let mut last = Timestamp { counter: 0, writer: 0 };
-            for round in 0..50u64 {
-                for w in ws.iter_mut() {
-                    let ts = w.write(&round.to_le_bytes());
-                    assert!(ts > last, "ts must grow: {last:?} -> {ts:?}");
-                    last = ts;
-                }
+        let reg = on(3, 1, 32, b"");
+        let mut ws: Vec<_> = (0..3).map(|_| reg.writer().unwrap()).collect();
+        let mut last = Timestamp { counter: 0, writer: 0 };
+        for round in 0..50u64 {
+            for w in ws.iter_mut() {
+                let ts = w.write(&round.to_le_bytes());
+                assert!(ts > last, "ts must grow: {last:?} -> {ts:?}");
+                last = ts;
             }
         }
     }
 
     #[test]
     fn variable_sizes() {
-        for layout in LAYOUTS {
-            let reg = on(layout, 2, 1, 128, b"");
-            let mut w = reg.writer().unwrap();
-            let mut r = reg.reader().unwrap();
-            for len in [0usize, 1, 17, 128] {
-                let v = vec![5u8; len];
-                w.write(&v);
-                assert_eq!(r.read_owned().0, v);
-            }
+        let reg = on(2, 1, 128, b"");
+        let mut w = reg.writer().unwrap();
+        let mut r = reg.reader().unwrap();
+        for len in [0usize, 1, 17, 128] {
+            let v = vec![5u8; len];
+            w.write(&v);
+            assert_eq!(r.read_owned().0, v);
         }
     }
 
@@ -665,27 +507,10 @@ mod tests {
 
     #[test]
     fn rejects_degenerate_specs() {
-        for layout in LAYOUTS {
-            assert_eq!(
-                MnRegister::with_layout(0, 1, 16, b"", layout).unwrap_err(),
-                BuildError::ZeroRegisters
-            );
-            assert!(MnRegister::with_layout(1, 0, 16, b"", layout).is_err());
-            assert!(MnRegister::with_layout(1, 1, 0, b"", layout).is_err());
-            assert!(MnRegister::with_layout(1, 1, 4, b"too long", layout).is_err());
-        }
-    }
-
-    #[test]
-    fn slab_is_at_least_4x_denser_than_standalone_at_m8() {
-        // The acceptance floor of the MN-on-slab refactor, checked at the
-        // source: small payloads (sub-register capacity within the inline
-        // line) at M = 8, N = 4 — the `mn_density` bench section and its
-        // schema test assert the same ratio end to end.
-        let slab = MnRegister::with_layout(8, 4, 32, b"x", MnLayout::Slab).unwrap();
-        let standalone = MnRegister::with_layout(8, 4, 32, b"x", MnLayout::Standalone).unwrap();
-        let (s, b) = (slab.heap_bytes(), standalone.heap_bytes());
-        assert!(s * 4 <= b, "slab {s} B vs standalone {b} B: expected ≥ 4x density win");
+        assert_eq!(MnRegister::new(0, 1, 16, b"").unwrap_err(), BuildError::ZeroRegisters);
+        assert!(MnRegister::new(1, 0, 16, b"").is_err());
+        assert!(MnRegister::new(1, 1, 0, b"").is_err());
+        assert!(MnRegister::new(1, 1, 4, b"too long").is_err());
     }
 
     #[test]
@@ -723,41 +548,39 @@ mod tests {
     #[test]
     fn concurrent_writers_and_readers_smoke() {
         use std::sync::atomic::AtomicBool;
-        for layout in LAYOUTS {
-            let reg = on(layout, 3, 4, 64, &[0; 16]);
-            let stop = Arc::new(AtomicBool::new(false));
-            let mut handles = Vec::new();
-            for _ in 0..3 {
-                let mut w = reg.writer().unwrap();
-                let stop = Arc::clone(&stop);
-                handles.push(std::thread::spawn(move || {
-                    let mut i = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        i += 1;
-                        w.write(&[(i % 251) as u8; 16]);
-                    }
-                }));
-            }
-            for _ in 0..4 {
-                let mut r = reg.reader().unwrap();
-                let stop = Arc::clone(&stop);
-                handles.push(std::thread::spawn(move || {
-                    let mut last = Timestamp { counter: 0, writer: 0 };
-                    while !stop.load(Ordering::Relaxed) {
-                        r.read_with(|v, ts| {
-                            let first = v.first().copied().unwrap_or(0);
-                            assert!(v.iter().all(|&b| b == first), "torn MN read");
-                            assert!(ts >= last, "per-reader timestamp regression");
-                            last = ts;
-                        });
-                    }
-                }));
-            }
-            std::thread::sleep(std::time::Duration::from_millis(150));
-            stop.store(true, Ordering::Relaxed);
-            for h in handles {
-                h.join().unwrap();
-            }
+        let reg = on(3, 4, 64, &[0; 16]);
+        let stop = Arc::new(AtomicBool::new(false));
+        let mut handles = Vec::new();
+        for _ in 0..3 {
+            let mut w = reg.writer().unwrap();
+            let stop = Arc::clone(&stop);
+            handles.push(std::thread::spawn(move || {
+                let mut i = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    i += 1;
+                    w.write(&[(i % 251) as u8; 16]);
+                }
+            }));
+        }
+        for _ in 0..4 {
+            let mut r = reg.reader().unwrap();
+            let stop = Arc::clone(&stop);
+            handles.push(std::thread::spawn(move || {
+                let mut last = Timestamp { counter: 0, writer: 0 };
+                while !stop.load(Ordering::Relaxed) {
+                    r.read_with(|v, ts| {
+                        let first = v.first().copied().unwrap_or(0);
+                        assert!(v.iter().all(|&b| b == first), "torn MN read");
+                        assert!(ts >= last, "per-reader timestamp regression");
+                        last = ts;
+                    });
+                }
+            }));
+        }
+        std::thread::sleep(std::time::Duration::from_millis(150));
+        stop.store(true, Ordering::Relaxed);
+        for h in handles {
+            h.join().unwrap();
         }
     }
 }

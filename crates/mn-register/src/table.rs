@@ -7,9 +7,9 @@
 //!   uniform/Zipf).
 //! * [`MnTableFamily`] as a single-writer [`TableFamily`] — the M = 1
 //!   degeneration, so the existing single-writer table driver and the
-//!   cross-layout conformance suite exercise the MN composition (header
+//!   table conformance suite exercise the MN composition (header
 //!   stamping, timestamp scan, slab placement) through exactly the same
-//!   interface as `GroupTableFamily`/`IndependentTableFamily`.
+//!   interface as `GroupTableFamily`.
 
 use register_common::traits::{
     BuildError, MwTableFamily, RegisterSpec, TableFamily, TableReadHandle, TableWriteHandle,

@@ -2,9 +2,8 @@
 //! hammering K registers through a [`TableFamily`] layout.
 //!
 //! This is the measurement substrate behind the `group_scaling` bench: the
-//! same mixed workload runs against the slab-backed group and against K
-//! independent boxed registers, so the density/locality win of the slab is
-//! isolated from the protocol (identical per register in both layouts).
+//! same mixed workload runs against any table layout (the slab-backed
+//! group, the sharded table, the MN table) through one driver.
 //!
 //! * The **writer thread** applies batches of `(key, value)` writes drawn
 //!   from the key distribution ([`TableWriteHandle::write_batch`]).

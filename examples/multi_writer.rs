@@ -32,11 +32,10 @@ fn main() {
         MnRegister::new(AGENTS, DASHBOARDS, STATUS_SIZE, &initial).expect("valid configuration");
     println!(
         "status board: {} agents (writers), {} dashboards (readers), {} B statuses \
-         ({:?} layout, {} B heap)",
+         ({} B heap)",
         board.writers(),
         board.max_readers(),
         board.capacity(),
-        board.layout(),
         board.heap_bytes()
     );
 

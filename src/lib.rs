@@ -47,7 +47,7 @@ pub use arc_register::{
     WatchReader, INLINE_CAP, MAX_READERS,
 };
 pub use baseline_registers::{LockRegister, PetersonRegister, RfRegister, SeqlockRegister};
-pub use mn_register::{MnGroup, MnLayout, MnRegister, MnTableFamily};
+pub use mn_register::{MnGroup, MnRegister, MnTableFamily};
 pub use register_common::{
     MwTableFamily, ReadHandle, RegisterFamily, RegisterSpec, TableFamily, WriteHandle,
 };

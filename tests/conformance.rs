@@ -2,9 +2,7 @@
 //! the same sequential specification and basic concurrent sanity, so the
 //! figure benches compare like with like.
 
-use arc_register::{
-    ArcFamily, GroupTableFamily, IndependentTableFamily, LocalPlan, ShardedTableFamily, SplitPlan,
-};
+use arc_register::{ArcFamily, GroupTableFamily, LocalPlan, ShardedTableFamily, SplitPlan};
 use baseline_registers::{LockFamily, PetersonFamily, RfFamily, SeqlockFamily};
 use mn_register::{MnFamily1, MnTableFamily};
 use register_common::payload::{stamp, verify, MIN_PAYLOAD_LEN};
@@ -292,7 +290,6 @@ macro_rules! table_conformance {
 }
 
 table_conformance!(table_group, GroupTableFamily);
-table_conformance!(table_independent, IndependentTableFamily);
 table_conformance!(table_mn, MnTableFamily);
 // The NUMA-sharded table through the identical battery: LocalPlan is the
 // production topology-driven sharding (one shard on single-node CI),

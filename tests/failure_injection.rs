@@ -14,8 +14,8 @@
 //!    without ever mistaking it (or a slow-but-progressing writer) for
 //!    death.
 //!
-//! Each regime runs against the standalone register families *and* (the
-//! regimes that stress pinning) against the shared-slab [`ArcGroup`]
+//! Each regime runs against the single-register families *and* (the
+//! regimes that stress pinning) against a many-register [`ArcGroup`]
 //! plane, where all registers' ledgers live in one relocatable mapping —
 //! the layout the crash-recovery harness shares across processes.
 

@@ -10,14 +10,14 @@ use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
 use linearizer::{check_atomic_mw, MwRead, MwWrite};
-use mn_register::{MnGroup, MnLayout, MnRegister, Timestamp};
+use mn_register::{MnGroup, MnRegister, Timestamp};
 use register_common::payload::{stamp, verify, MIN_PAYLOAD_LEN};
 use register_common::HistoryClock;
 
-fn run_mn(writers: usize, readers: usize, size: usize, window: Duration, layout: MnLayout) {
+fn run_mn(writers: usize, readers: usize, size: usize, window: Duration) {
     let mut initial = vec![0u8; size];
     stamp(&mut initial, 0);
-    let reg = MnRegister::with_layout(writers, readers, size, &initial, layout).unwrap();
+    let reg = MnRegister::new(writers, readers, size, &initial).unwrap();
     let clock = Arc::new(HistoryClock::new());
     let stop = Arc::new(AtomicBool::new(false));
     let barrier = Arc::new(Barrier::new(writers + readers + 1));
@@ -119,11 +119,9 @@ fn run_mn(writers: usize, readers: usize, size: usize, window: Duration, layout:
     let n_writes = writes.len();
     let n_reads = reads.len();
     if let Err(v) = check_atomic_mw(&writes, &reads) {
-        panic!("MN register atomicity violation ({layout:?}): {v}");
+        panic!("MN register atomicity violation: {v}");
     }
-    println!(
-        "MN {writers}x{readers} ({layout:?}): atomic over {n_writes} writes / {n_reads} reads"
-    );
+    println!("MN {writers}x{readers}: atomic over {n_writes} writes / {n_reads} reads");
     assert!(n_writes > 1 && n_reads > 0);
 }
 
@@ -248,27 +246,22 @@ const WINDOW: Duration = Duration::from_millis(250);
 
 #[test]
 fn two_writers_four_readers() {
-    run_mn(2, 4, 256, WINDOW, MnLayout::Slab);
-}
-
-#[test]
-fn two_writers_four_readers_standalone() {
-    run_mn(2, 4, 256, WINDOW, MnLayout::Standalone);
+    run_mn(2, 4, 256, WINDOW);
 }
 
 #[test]
 fn four_writers_four_readers() {
-    run_mn(4, 4, 256, WINDOW, MnLayout::Slab);
+    run_mn(4, 4, 256, WINDOW);
 }
 
 #[test]
 fn many_writers_large_values() {
-    run_mn(6, 2, 8 << 10, WINDOW, MnLayout::Slab);
+    run_mn(6, 2, 8 << 10, WINDOW);
 }
 
 #[test]
 fn single_writer_degenerates_to_1n() {
-    run_mn(1, 4, MIN_PAYLOAD_LEN, WINDOW, MnLayout::Slab);
+    run_mn(1, 4, MIN_PAYLOAD_LEN, WINDOW);
 }
 
 #[test]
