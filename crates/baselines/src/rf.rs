@@ -44,8 +44,7 @@ use register_common::pad::CachePadded;
 use register_common::traits::{
     validate_spec, BuildError, ReadHandle, RegisterFamily, RegisterSpec, WriteHandle,
 };
-#[cfg(feature = "metrics")]
-use register_common::{metrics::MetricsSnapshot, OpMetrics};
+use register_common::OpMetrics;
 
 /// Maximum readers RF admits: 64 word bits − 6 index bits.
 pub const RF_MAX_READERS: usize = 58;
@@ -84,9 +83,6 @@ pub struct RfRegister {
     trace: Box<[AtomicU8]>,
     /// Writer-handle claim flag.
     writer_claimed: AtomicU64,
-    /// Operation counters for experiment E5.
-    #[cfg(feature = "metrics")]
-    pub metrics: OpMetrics,
 }
 
 impl RfRegister {
@@ -123,8 +119,6 @@ impl RfRegister {
             // buffer 0 (they start there before their first fetch_or).
             trace: (0..max_readers).map(|_| AtomicU8::new(0)).collect(),
             writer_claimed: AtomicU64::new(0),
-            #[cfg(feature = "metrics")]
-            metrics: OpMetrics::new(),
         }))
     }
 
@@ -136,13 +130,14 @@ impl RfRegister {
         Some(RfWriter {
             reg: Arc::clone(self),
             last_written: (self.word.load(Ordering::SeqCst) >> INDEX_SHIFT) as usize,
+            metrics: OpMetrics::default(),
         })
     }
 
     /// Register a reader (≤ `max_readers` live at once).
     pub fn reader(self: &Arc<Self>) -> Option<RfReader> {
         let id = self.free_ids.lock().expect("id allocator poisoned").pop()?;
-        Some(RfReader { reg: Arc::clone(self), id })
+        Some(RfReader { reg: Arc::clone(self), id, metrics: OpMetrics::default() })
     }
 
     /// Payload capacity in bytes.
@@ -158,12 +153,6 @@ impl RfRegister {
     /// Buffer count (`N + 2`).
     pub fn n_buffers(&self) -> usize {
         self.buffers.len()
-    }
-
-    /// Operation metrics (E5), with the `metrics` feature.
-    #[cfg(feature = "metrics")]
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
     }
 
     /// # Safety
@@ -195,6 +184,7 @@ impl fmt::Debug for RfRegister {
 pub struct RfWriter {
     reg: Arc<RfRegister>,
     last_written: usize,
+    metrics: OpMetrics,
 }
 
 impl RfWriter {
@@ -210,8 +200,7 @@ impl RfWriter {
             value.len(),
             self.reg.capacity
         );
-        #[cfg(feature = "metrics")]
-        OpMetrics::bump(&self.reg.metrics.writes, 1);
+        self.metrics.writes += 1;
 
         // Select a buffer that is neither current nor traced (always exists:
         // ≤ N traced + 1 current among N + 2 buffers).
@@ -234,8 +223,7 @@ impl RfWriter {
         // Publish: new index, cleared mask. SeqCst swap = release for the
         // payload stores, acquire for the mask we fold into the traces.
         let old = self.reg.word.swap((target as u64) << INDEX_SHIFT, Ordering::SeqCst);
-        #[cfg(feature = "metrics")]
-        OpMetrics::bump(&self.reg.metrics.write_rmws, 1);
+        self.metrics.write_rmws += 1;
 
         let old_index = (old >> INDEX_SHIFT) as u8;
         let mut mask = old & MASK_BITS;
@@ -250,6 +238,11 @@ impl RfWriter {
     /// The buffer holding the current publication.
     pub fn last_written(&self) -> usize {
         self.last_written
+    }
+
+    /// This handle's operation counts (writes and their RMWs).
+    pub fn metrics(&self) -> OpMetrics {
+        self.metrics
     }
 }
 
@@ -269,6 +262,7 @@ impl Drop for RfWriter {
 pub struct RfReader {
     reg: Arc<RfRegister>,
     id: u8,
+    metrics: OpMetrics,
 }
 
 impl RfReader {
@@ -279,11 +273,9 @@ impl RfReader {
     /// pins it), mirroring ARC's guard semantics.
     #[inline]
     pub fn read(&mut self) -> &[u8] {
-        #[cfg(feature = "metrics")]
-        {
-            OpMetrics::bump(&self.reg.metrics.reads, 1);
-            OpMetrics::bump(&self.reg.metrics.read_rmws, 1);
-        }
+        // RF has no fast path: every read is a slow read with one RMW.
+        self.metrics.slow_reads += 1;
+        self.metrics.read_rmws += 1;
         let raw = self.reg.word.fetch_or(1u64 << self.id, Ordering::SeqCst);
         let index = (raw >> INDEX_SHIFT) as usize;
         // SAFETY: our bit is set on the word naming `index`: either the
@@ -297,6 +289,11 @@ impl RfReader {
     /// This reader's bit position.
     pub fn id(&self) -> u8 {
         self.id
+    }
+
+    /// This handle's operation counts (every read is a slow read).
+    pub fn metrics(&self) -> OpMetrics {
+        self.metrics
     }
 }
 

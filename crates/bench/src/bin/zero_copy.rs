@@ -1,6 +1,5 @@
 //! **Zero-copy guards**: guard (`read_ref`) vs copying (`read_into`)
-//! read throughput at the fig1 payload sizes, plus the metrics-toggle
-//! ablation (E12 / DESIGN.md §3.8).
+//! read throughput at the fig1 payload sizes (E12 / DESIGN.md §3.8).
 //!
 //! ```text
 //! ARC_BENCH_PROFILE=quick|standard|full cargo run -p arc-bench --release --bin zero_copy
@@ -12,9 +11,7 @@
 //! (the schema-enforced acceptance floor). The seqlock rows are the
 //! honest fallback: its "guards" copy-validate, so guard ≈ copy there.
 
-use arc_bench::{
-    figure_sizes, json_dir, merge_section, metrics_ablation, zero_copy_run, BenchProfile, Json,
-};
+use arc_bench::{figure_sizes, json_dir, merge_section, zero_copy_run, BenchProfile, Json};
 
 fn main() {
     let profile = BenchProfile::from_env();
@@ -54,19 +51,6 @@ fn main() {
         );
     }
 
-    println!("\n## metrics toggle (hot 48 B fast-path reads)");
-    let ablation = metrics_ablation(profile);
-    let on = ablation.get("metrics_on_mops").and_then(Json::as_f64).unwrap_or(0.0);
-    let off = ablation.get("metrics_off_mops").and_then(Json::as_f64).unwrap_or(0.0);
-    println!(
-        "  metrics on {on:>8.2} Mops/s   off {off:>8.2} Mops/s   off/on {:.3}x   (feature compiled: {})",
-        off / on,
-        cfg!(feature = "metrics")
-    );
-
-    let mut ablations = Json::obj();
-    ablations.set("metrics_toggle", ablation);
-
     let json_path = json_dir().join("BENCH_ops.json");
     merge_section(
         &json_path,
@@ -84,7 +68,5 @@ fn main() {
         ),
     )
     .expect("write BENCH_ops.json");
-    merge_section(&json_path, "arc-bench/ops/v1", "ablations", ablations)
-        .expect("write BENCH_ops.json");
-    println!("\nmerged zero_copy + ablations into {}", json_path.display());
+    println!("\nmerged zero_copy into {}", json_path.display());
 }

@@ -11,13 +11,14 @@
 //! avoided, and the inline variant's throughput advantage is the
 //! cache-line budget made visible.
 //!
-//! With the `metrics` feature enabled the probe also reports the measured
-//! fast-path hit rate (it is ~1 by construction: nothing writes during the
-//! read loop, so only each handle's first read pays an RMW).
+//! The probe also reports the fast-path hit rate, read from the timed
+//! handles' own counts (it is ~1 by construction: nothing writes during
+//! the read loop, so only each handle's first read pays an RMW).
 
 use std::time::Instant;
 
 use arc_register::{ArcReader, ArcRegister, INLINE_CAP};
+use register_common::OpMetrics;
 
 use crate::json::Json;
 use crate::profile::BenchProfile;
@@ -33,9 +34,9 @@ pub struct InlineCmp {
     pub inline_mops: f64,
     /// Reads per second, arena placement, in Mops/s (best of runs).
     pub arena_mops: f64,
-    /// Fraction of reads served by the R2 no-RMW fast path (None without
-    /// the `metrics` feature).
-    pub fast_path_hit_rate: Option<f64>,
+    /// Fraction of the timed reads (both placements, warm-up included)
+    /// served by the R2 no-RMW fast path.
+    pub fast_path_hit_rate: f64,
 }
 
 impl InlineCmp {
@@ -54,7 +55,7 @@ impl InlineCmp {
         j.set("inline_mops", Json::num(self.inline_mops));
         j.set("arena_mops", Json::num(self.arena_mops));
         j.set("speedup", Json::num(self.speedup()));
-        j.set("fast_path_hit_rate", self.fast_path_hit_rate.map_or(Json::Null, Json::num));
+        j.set("fast_path_hit_rate", Json::num(self.fast_path_hit_rate));
         j
     }
 }
@@ -96,8 +97,15 @@ fn timed_pass(readers: &mut [ArcReader], target_reads: u64) -> (u64, f64) {
     (done, started.elapsed().as_secs_f64())
 }
 
-/// Measured Mops/s for one placement mode (best of `runs`, after warm-up).
-fn measure(size: usize, registers: usize, inline: bool, reads: u64, runs: usize) -> f64 {
+/// Measured Mops/s for one placement mode (best of `runs`, after warm-up),
+/// with the summed counts of the measured handles.
+fn measure(
+    size: usize,
+    registers: usize,
+    inline: bool,
+    reads: u64,
+    runs: usize,
+) -> (f64, OpMetrics) {
     let mut readers = build_set(size, registers, inline);
     // Warm-up: pay every handle's first-read RMW and fault the memory in.
     let _ = timed_pass(&mut readers, registers as u64);
@@ -106,35 +114,7 @@ fn measure(size: usize, registers: usize, inline: bool, reads: u64, runs: usize)
         let (done, secs) = timed_pass(&mut readers, reads);
         best = best.max(done as f64 / secs / 1e6);
     }
-    best
-}
-
-/// Fast-path hit rate over the measured handles (metrics builds only).
-#[cfg(feature = "metrics")]
-fn hit_rate(size: usize, registers: usize, reads: u64) -> Option<f64> {
-    let value: Vec<u8> = (0..size).map(|i| i as u8).collect();
-    let regs: Vec<_> = (0..registers.min(64))
-        .map(|_| ArcRegister::builder(1, size).initial(&value).build().unwrap())
-        .collect();
-    let mut readers: Vec<_> = regs.iter().map(|r| r.reader().unwrap()).collect();
-    let per_handle = (reads / readers.len() as u64).max(1);
-    for r in readers.iter_mut() {
-        for _ in 0..per_handle {
-            std::hint::black_box(r.read().len());
-        }
-    }
-    let (mut fast, mut total) = (0u64, 0u64);
-    for reg in &regs {
-        let m = reg.metrics();
-        fast += m.fast_reads;
-        total += m.reads;
-    }
-    (total > 0).then(|| fast as f64 / total as f64)
-}
-
-#[cfg(not(feature = "metrics"))]
-fn hit_rate(_size: usize, _registers: usize, _reads: u64) -> Option<f64> {
-    None
+    (best, readers.iter().map(ArcReader::metrics).sum())
 }
 
 /// Run the inline-vs-arena probe at the boundary size ([`INLINE_CAP`]).
@@ -148,14 +128,15 @@ pub fn compare(profile: BenchProfile) -> InlineCmp {
         BenchProfile::Standard => (2_000_000, 5),
         BenchProfile::Full => (8_000_000, 10),
     };
-    let inline_mops = measure(size, registers, true, reads, runs);
-    let arena_mops = measure(size, registers, false, reads, runs);
+    let (inline_mops, mut counts) = measure(size, registers, true, reads, runs);
+    let (arena_mops, arena_counts) = measure(size, registers, false, reads, runs);
+    counts += arena_counts;
     InlineCmp {
         size,
         registers,
         inline_mops,
         arena_mops,
-        fast_path_hit_rate: hit_rate(size, registers, reads.min(500_000)),
+        fast_path_hit_rate: counts.fast_read_fraction(),
     }
 }
 
@@ -165,18 +146,24 @@ mod tests {
 
     #[test]
     fn probe_produces_sane_numbers() {
+        let (inline_mops, counts) = measure(48, 16, true, 50_000, 1);
+        // One first-read RMW per handle; every other read is an R2 hit.
+        assert_eq!(counts.reads(), 16 + 50_000);
+        assert_eq!(counts.slow_reads, 16);
         let cmp = InlineCmp {
             size: 48,
             registers: 16,
-            inline_mops: measure(48, 16, true, 50_000, 1),
-            arena_mops: measure(48, 16, false, 50_000, 1),
-            fast_path_hit_rate: None,
+            inline_mops,
+            arena_mops: measure(48, 16, false, 50_000, 1).0,
+            fast_path_hit_rate: counts.fast_read_fraction(),
         };
         assert!(cmp.inline_mops > 0.0);
         assert!(cmp.arena_mops > 0.0);
         let j = cmp.to_json();
         assert!(j.get("speedup").is_some());
         assert!(j.get("inline_ops_per_sec").and_then(Json::as_f64).unwrap() > 0.0);
+        let rate = j.get("fast_path_hit_rate").and_then(Json::as_f64).unwrap();
+        assert!(rate > 0.99 && rate < 1.0, "hit rate {rate}");
     }
 
     #[test]

@@ -18,10 +18,9 @@
 //! which is the point: borrow-vs-copy is an *algorithm property*, not a
 //! bench trick.
 //!
-//! The same binary also prices the per-op metric counters (the
-//! `Options::metrics` runtime toggle): hot fast-path reads on a 48-byte
-//! inline register with the counters on vs off — the
-//! `ablations.metrics_toggle` section.
+//! The arc rows run the shipped register as it is, per-handle operation
+//! counts included: the counts are always on, so there is no cheaper
+//! configuration to price against.
 
 use std::time::Instant;
 
@@ -168,15 +167,7 @@ pub fn run(profile: BenchProfile, sizes: &[usize]) -> Vec<ZeroCopyPoint> {
     for &size in sizes {
         let value: Vec<u8> = (0..size).map(|i| (i * 13 + 1) as u8).collect();
 
-        // metrics(false): even in `--features metrics` builds (the CI
-        // smoke run), these rows price the undisturbed algorithm — the
-        // per-read counter bumps cost ~5x on the fast path, which is the
-        // `metrics_toggle` ablation's own finding, not this section's.
-        let reg = ArcRegister::builder(1, size)
-            .initial(&value)
-            .metrics(false)
-            .build()
-            .expect("arc register");
+        let reg = ArcRegister::builder(1, size).initial(&value).build().expect("arc register");
         let mut reader = reg.reader().expect("fresh register has a reader slot");
         points.push(measure_point("arc", size, true, &mut reader, profile));
 
@@ -186,56 +177,6 @@ pub fn run(profile: BenchProfile, sizes: &[usize]) -> Vec<ZeroCopyPoint> {
         points.push(measure_point("seqlock", size, false, &mut reader, profile));
     }
     points
-}
-
-/// Timed plain-read loop (`read_with`): the ordinary consumption path,
-/// used by the metrics ablation so it prices exactly the instrumentation
-/// an ordinary fast-path read pays (2 counter bumps — not the 4 a guard
-/// read pays, which would overstate the cost).
-fn timed_plain<R: ReadHandle>(r: &mut R, target: u64) -> f64 {
-    let started = Instant::now();
-    let mut sum = 0u64;
-    for _ in 0..target {
-        sum = sum.wrapping_add(r.read_with(|v| {
-            u64::from(v.first().copied().unwrap_or(0))
-                .wrapping_add(u64::from(v.last().copied().unwrap_or(0)))
-        }));
-    }
-    let secs = started.elapsed().as_secs_f64();
-    std::hint::black_box(sum);
-    target as f64 / secs / 1e6
-}
-
-/// The metrics-toggle ablation: hot fast-path **plain** reads (48 B
-/// inline — the worst case for a per-read counter bump; `read_with`, so
-/// the measured overhead is the ordinary read's 2 bumps) with the per-op
-/// counters enabled vs disabled at runtime. Without the `metrics` cargo
-/// feature both variants run the identical code and the ratio is noise
-/// around 1.0 — the `metrics_feature` flag records which case was
-/// measured.
-pub fn metrics_ablation(profile: BenchProfile) -> Json {
-    let size = 48usize;
-    let value = [7u8; 48];
-    let reads = reads_for(profile, size);
-    let runs = runs_for(profile);
-    let mut mops = [0.0f64; 2]; // [on, off]
-    for (i, on) in [true, false].into_iter().enumerate() {
-        let reg =
-            ArcRegister::builder(1, size).initial(&value).metrics(on).build().expect("register");
-        let mut reader = reg.reader().expect("reader");
-        let _ = timed_plain(&mut reader, 16);
-        for _ in 0..runs {
-            mops[i] = mops[i].max(timed_plain(&mut reader, reads));
-        }
-    }
-    let mut j = Json::obj();
-    j.set("size_bytes", Json::int(size as u64));
-    j.set("metrics_on_mops", Json::num(mops[0]));
-    j.set("metrics_off_mops", Json::num(mops[1]));
-    j.set("speedup_off_over_on", Json::num(mops[1] / mops[0]));
-    j.set("metrics_feature", Json::Bool(cfg!(feature = "metrics")));
-    j.set("runs", Json::int(runs as u64));
-    j
 }
 
 #[cfg(test)]
@@ -268,13 +209,5 @@ mod tests {
         let mops = timed_guard(&mut reader, 10_000);
         assert!(mops > 0.0);
         assert!(!<baseline_registers::SeqlockReader as RefReadHandle>::zero_copy());
-    }
-
-    #[test]
-    fn metrics_ablation_reports_both_variants() {
-        let j = metrics_ablation(BenchProfile::Quick);
-        assert!(j.get("metrics_on_mops").and_then(Json::as_f64).unwrap() > 0.0);
-        assert!(j.get("metrics_off_mops").and_then(Json::as_f64).unwrap() > 0.0);
-        assert!(j.get("metrics_feature").is_some());
     }
 }

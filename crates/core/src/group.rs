@@ -86,10 +86,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-#[cfg(feature = "metrics")]
-use register_common::metrics::MetricsSnapshot;
 use register_common::traits::{validate_spec, BuildError, RegisterSpec};
-#[cfg(feature = "metrics")]
 use register_common::OpMetrics;
 use sync_primitives::WaitSet;
 
@@ -98,11 +95,11 @@ use register_common::errors::ConfigError;
 use crate::current::{index_of, Current, MAX_READERS};
 use crate::errors::{HandleError, WriteError};
 use crate::raw::{
-    guard_created_on, guard_drop_on, outstanding_units_on, quarantine_on, read_acquire_on,
-    reader_join_on, reader_leave_on, wait_for_version_on, wait_for_version_timeout_on, wip_slot,
-    wip_stage, writer_claim_on, writer_release_on, ArcCells, PublishGuard, RawOptions, RawReader,
-    ReadOutcome, WriterMem, HEALTH_BAD_CURRENT, HEALTH_BAD_JOURNAL, HEALTH_BAD_LEN, HEALTH_OK,
-    NO_HINT, SLOT_INDEX_BITS, STAGE_IDLE, STAGE_PUB_RAW,
+    guard_drop_on, outstanding_units_on, quarantine_on, read_acquire_on, reader_join_on,
+    reader_leave_on, wait_for_version_on, wait_for_version_timeout_on, wip_slot, wip_stage,
+    writer_claim_on, writer_release_on, ArcCells, PublishGuard, RawOptions, RawReader, ReadOutcome,
+    WriterMem, HEALTH_BAD_CURRENT, HEALTH_BAD_JOURNAL, HEALTH_BAD_LEN, HEALTH_OK, NO_HINT,
+    SLOT_INDEX_BITS, STAGE_IDLE, STAGE_PUB_RAW,
 };
 use crate::recovery::{self, RecoveryReport};
 use crate::register::{ReadGuard, Snapshot, INLINE_CAP};
@@ -473,11 +470,6 @@ impl ArcCells for GroupCells<'_> {
     fn opts(&self) -> RawOptions {
         self.g.opts
     }
-    #[cfg(feature = "metrics")]
-    #[inline]
-    fn metrics(&self) -> &OpMetrics {
-        &self.g.metrics
-    }
 }
 
 /// How long a [`ArcGroup::recover`] call that lost the cross-process
@@ -589,14 +581,6 @@ impl GroupBuilder {
         self
     }
 
-    /// Enable/disable the per-op metric counters at runtime (default on;
-    /// see [`crate::ArcBuilder::metrics`] — only observable in builds with
-    /// the `metrics` cargo feature).
-    pub fn metrics(mut self, on: bool) -> Self {
-        self.opts.metrics = on;
-        self
-    }
-
     /// Build the group (one slab allocation regardless of K).
     pub fn build(self) -> Result<Arc<ArcGroup>, BuildError> {
         self.build_group().map(Arc::new)
@@ -673,8 +657,6 @@ impl GroupBuilder {
             opts: self.opts,
             inline: self.inline,
             backend: self.backend,
-            #[cfg(feature = "metrics")]
-            metrics: OpMetrics::new(),
         };
         // Algorithm 1 per register: the initial value goes to slot 0,
         // which every header already publishes. No handle exists yet, so
@@ -724,10 +706,6 @@ pub struct ArcGroup {
     opts: RawOptions,
     inline: bool,
     backend: SlabBackend,
-    /// Group-wide operation counters (E5/E6), `metrics` feature only.
-    /// Process-local, like `watch`.
-    #[cfg(feature = "metrics")]
-    metrics: OpMetrics,
 }
 
 impl ArcGroup {
@@ -807,11 +785,8 @@ impl ArcGroup {
         let slab = Slab::attach(fd)?;
         let layout = slab.superblock().validate(slab.len())?;
         let g = layout.geometry;
-        let opts = RawOptions {
-            hint: g.flags & FLAG_HINT != 0,
-            fast_path: g.flags & FLAG_FAST_PATH != 0,
-            metrics: true,
-        };
+        let opts =
+            RawOptions { hint: g.flags & FLAG_HINT != 0, fast_path: g.flags & FLAG_FAST_PATH != 0 };
         Ok(Arc::new(ArcGroup {
             slab,
             layout,
@@ -823,8 +798,6 @@ impl ArcGroup {
             opts,
             inline: g.flags & FLAG_INLINE != 0,
             backend: SlabBackend::Shm,
-            #[cfg(feature = "metrics")]
-            metrics: OpMetrics::new(),
         }))
     }
 
@@ -1168,7 +1141,7 @@ impl ArcGroup {
     pub fn writer(self: &Arc<Self>, k: usize) -> Result<GroupWriter, HandleError> {
         self.check_index(k);
         let mem = self.claim_writer(k)?;
-        Ok(GroupWriter { group: Arc::clone(self), k, mem })
+        Ok(GroupWriter { group: Arc::clone(self), k, mem, metrics: OpMetrics::default() })
     }
 
     /// Register a reader handle on register `k` (up to `max_readers`
@@ -1176,7 +1149,7 @@ impl ArcGroup {
     pub fn reader(self: &Arc<Self>, k: usize) -> Result<GroupReader, HandleError> {
         self.check_index(k);
         let rd = self.join_reader(k)?;
-        Ok(GroupReader { group: Arc::clone(self), k, rd: Some(rd) })
+        Ok(GroupReader { group: Arc::clone(self), k, rd: Some(rd), metrics: OpMetrics::default() })
     }
 
     /// Claim the writer role of **every** register, for batched writes.
@@ -1201,7 +1174,7 @@ impl ArcGroup {
                 }
             }
         }
-        Ok(GroupWriterSet { group: Arc::clone(self), mems })
+        Ok(GroupWriterSet { group: Arc::clone(self), mems, metrics: OpMetrics::default() })
     }
 
     /// Join **every** register as one reader, for batched reads.
@@ -1221,7 +1194,12 @@ impl ArcGroup {
                 }
             }
         }
-        Ok(GroupReaderSet { group: Arc::clone(self), rds, scratch: Vec::new() })
+        Ok(GroupReaderSet {
+            group: Arc::clone(self),
+            rds,
+            scratch: Vec::new(),
+            metrics: OpMetrics::default(),
+        })
     }
 
     /// Claim register `k`'s writer role (`k < registers`), refusing
@@ -1253,12 +1231,6 @@ impl ArcGroup {
     /// Leave register `k`, releasing the reader's outstanding unit.
     pub(crate) fn leave_reader(&self, k: usize, rd: RawReader) {
         reader_leave_on(&self.cells(k), rd);
-    }
-
-    /// Group-wide operation metrics, available with the `metrics` feature.
-    #[cfg(feature = "metrics")]
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
     }
 
     #[inline]
@@ -1408,11 +1380,12 @@ impl ArcGroup {
     }
 
     /// The read hook of Algorithm 2: acquire register `k` with reader
-    /// state `rd` (R1–R5) and return the slot to read. The typed register
-    /// dereferences its side array through it.
+    /// state `rd` (R1–R5), count the read in the handle's `m`, and return
+    /// the slot to read. The typed register dereferences its side array
+    /// through it.
     #[inline]
-    pub(crate) fn acquire(&self, k: usize, rd: &mut RawReader) -> ReadOutcome {
-        read_acquire_on(&self.cells(k), rd)
+    pub(crate) fn acquire(&self, k: usize, rd: &mut RawReader, m: &mut OpMetrics) -> ReadOutcome {
+        read_acquire_on(&self.cells(k), rd, m)
     }
 
     /// Read register `k` with reader state `rd`: the one snapshot read path
@@ -1421,9 +1394,14 @@ impl ArcGroup {
     /// The snapshot borrows `rd` mutably for its whole life, so the pin it
     /// rests on cannot be released or moved while the bytes are visible.
     #[inline]
-    pub(crate) fn read_in<'a>(&'a self, k: usize, rd: &'a mut RawReader) -> Snapshot<'a> {
+    pub(crate) fn read_in<'a>(
+        &'a self,
+        k: usize,
+        rd: &'a mut RawReader,
+        m: &mut OpMetrics,
+    ) -> Snapshot<'a> {
         let cells = self.cells(k);
-        let out = read_acquire_on(&cells, rd);
+        let out = read_acquire_on(&cells, rd, m);
         // SAFETY: read_acquire pinned `(k, out.slot)` for this reader
         // state; the pin lasts until its next acquire or leave, and `rd`
         // stays mutably borrowed for the snapshot's lifetime.
@@ -1436,39 +1414,37 @@ impl ArcGroup {
     /// shared by every guard-returning read path.
     ///
     /// Splitting the borrows (`&self` for the slab, `&mut` for the reader
-    /// state) is what lets the guard hold both for its whole life.
+    /// state and the handle's counts) is what lets the guard hold all of
+    /// them for its whole life.
     #[inline]
-    pub(crate) fn read_ref_in<'a>(&'a self, k: usize, rd: &'a mut RawReader) -> ReadGuard<'a> {
+    pub(crate) fn read_ref_in<'a>(
+        &'a self,
+        k: usize,
+        rd: &'a mut RawReader,
+        m: &'a mut OpMetrics,
+    ) -> ReadGuard<'a> {
         let cells = self.cells(k);
-        let out = read_acquire_on(&cells, rd);
-        guard_created_on(&cells);
+        let out = read_acquire_on(&cells, rd, m);
         // SAFETY: read_acquire pinned `(k, out.slot)` for this reader
         // state; the pin is held at least as long as the guard (the drop
         // probe only releases, never re-acquires), and `rd` is mutably
         // borrowed for that lifetime, so no other acquire can intervene.
         let bytes = unsafe { self.slot_bytes_in(cells.slot(out.slot), k, out.slot) };
         let inline = self.stored_inline(bytes.len());
-        ReadGuard::assemble(bytes, out, inline, rd, self, k)
+        ReadGuard::assemble(bytes, out, inline, rd, m, self, k)
     }
 
     /// Guard-drop hook (the eager stale-pin release of
     /// `crate::raw::guard_drop_on`) for guards over register `k`, typed or
     /// byte.
     #[inline]
-    pub(crate) fn guard_drop(&self, k: usize, rd: &mut RawReader) {
-        guard_drop_on(&self.cells(k), rd);
-    }
-
-    /// Metric hook: a guard over register `k` was created outside
-    /// [`ArcGroup::read_ref_in`] (the typed register's guards).
-    #[inline]
-    pub(crate) fn guard_created(&self, k: usize) {
-        guard_created_on(&self.cells(k));
+    pub(crate) fn guard_drop(&self, k: usize, rd: &mut RawReader, m: &mut OpMetrics) {
+        guard_drop_on(&self.cells(k), rd, m);
     }
 
     /// The write hook of Algorithm 3: W1 on register `k` with writer
-    /// memory `mem`, then `fill(slot)`, then W2 + W3. Every writer handle,
-    /// typed or byte, goes through here.
+    /// memory `mem`, then `fill(slot)`, then W2 + W3, counted in the
+    /// handle's `m`. Every writer handle, typed or byte, goes through here.
     ///
     /// `fill` has exclusive access to the storage of `(k, slot)` until it
     /// returns: W1 proved the slot free, and the Acquire edge on its
@@ -1483,10 +1459,11 @@ impl ArcGroup {
         &self,
         k: usize,
         mem: &mut WriterMem,
+        m: &mut OpMetrics,
         fill: impl FnOnce(usize) -> R,
     ) -> R {
         let cells = self.cells(k);
-        let guard = PublishGuard::select(&cells, mem);
+        let guard = PublishGuard::select(&cells, mem, m);
         let out = fill(guard.slot());
         guard.publish();
         out
@@ -1499,13 +1476,14 @@ impl ArcGroup {
         &self,
         k: usize,
         mem: &mut WriterMem,
+        m: &mut OpMetrics,
         len: usize,
         fill: impl FnOnce(&mut [u8]),
     ) -> Result<(), WriteError> {
         if len > self.capacity {
             return Err(WriteError::PayloadTooLarge { len, capacity: self.capacity });
         }
-        self.publish_with(k, mem, |slot| {
+        self.publish_with(k, mem, m, |slot| {
             // SAFETY: publish_with hands over the slot W1 selected, which
             // is exclusively the writer's until the publish that follows.
             unsafe { self.fill_slot(k, slot, len, fill) }
@@ -1532,6 +1510,7 @@ pub struct GroupWriter {
     group: Arc<ArcGroup>,
     k: usize,
     mem: WriterMem,
+    metrics: OpMetrics,
 }
 
 impl GroupWriter {
@@ -1571,12 +1550,17 @@ impl GroupWriter {
         len: usize,
         fill: impl FnOnce(&mut [u8]),
     ) -> Result<(), WriteError> {
-        self.group.write_one(self.k, &mut self.mem, len, fill)
+        self.group.write_one(self.k, &mut self.mem, &mut self.metrics, len, fill)
     }
 
     /// Index of the register this writer owns.
     pub fn index(&self) -> usize {
         self.k
+    }
+
+    /// This handle's operation counts.
+    pub fn metrics(&self) -> OpMetrics {
+        self.metrics
     }
 
     /// The group this writer belongs to.
@@ -1602,6 +1586,7 @@ pub struct GroupReader {
     group: Arc<ArcGroup>,
     k: usize,
     rd: Option<RawReader>,
+    metrics: OpMetrics,
 }
 
 impl GroupReader {
@@ -1611,7 +1596,7 @@ impl GroupReader {
     #[inline]
     pub fn read(&mut self) -> Snapshot<'_> {
         let rd = self.rd.as_mut().expect("reader state present until drop");
-        self.group.read_in(self.k, rd)
+        self.group.read_in(self.k, rd, &mut self.metrics)
     }
 
     /// Read the most recent value of this register as an RAII zero-copy
@@ -1621,7 +1606,7 @@ impl GroupReader {
     #[inline]
     pub fn read_ref(&mut self) -> ReadGuard<'_> {
         let rd = self.rd.as_mut().expect("reader state present until drop");
-        self.group.read_ref_in(self.k, rd)
+        self.group.read_ref_in(self.k, rd, &mut self.metrics)
     }
 
     /// Block until this register publishes past `last`, then read it.
@@ -1634,6 +1619,11 @@ impl GroupReader {
     /// Index of the register this reader observes.
     pub fn index(&self) -> usize {
         self.k
+    }
+
+    /// This handle's operation counts.
+    pub fn metrics(&self) -> OpMetrics {
+        self.metrics
     }
 
     /// The group this reader belongs to.
@@ -1660,10 +1650,12 @@ impl Drop for GroupReader {
 ///
 /// Holds 16 bytes of packed writer memory per register; the per-register
 /// candidate caches persist across batches, so steady-state slot selection
-/// stays O(1) without any per-register heap state.
+/// stays O(1) without any per-register heap state. One set of operation
+/// counts covers the whole set.
 pub struct GroupWriterSet {
     group: Arc<ArcGroup>,
     mems: Vec<WriterMem>,
+    metrics: OpMetrics,
 }
 
 impl GroupWriterSet {
@@ -1707,7 +1699,7 @@ impl GroupWriterSet {
         fill: impl FnOnce(&mut [u8]),
     ) -> Result<(), WriteError> {
         self.group.check_index(k);
-        self.group.write_one(k, &mut self.mems[k], len, fill)
+        self.group.write_one(k, &mut self.mems[k], &mut self.metrics, len, fill)
     }
 
     /// Apply a batch of `(register, value)` writes in one pass.
@@ -1744,6 +1736,11 @@ impl GroupWriterSet {
     pub fn group(&self) -> &Arc<ArcGroup> {
         &self.group
     }
+
+    /// This set's operation counts, over every register it wrote.
+    pub fn metrics(&self) -> OpMetrics {
+        self.metrics
+    }
 }
 
 impl fmt::Debug for GroupWriterSet {
@@ -1766,6 +1763,8 @@ pub struct GroupReaderSet {
     rds: Vec<RawReader>,
     /// Reusable key buffer for [`GroupReaderSet::read_many`].
     scratch: Vec<u32>,
+    /// One set of operation counts for the whole set, not per register.
+    metrics: OpMetrics,
 }
 
 impl GroupReaderSet {
@@ -1777,7 +1776,7 @@ impl GroupReaderSet {
     #[inline]
     pub fn read(&mut self, k: usize) -> Snapshot<'_> {
         self.group.check_index(k);
-        self.group.read_in(k, &mut self.rds[k])
+        self.group.read_in(k, &mut self.rds[k], &mut self.metrics)
     }
 
     /// Read the most recent value of register `k` as an RAII zero-copy
@@ -1790,7 +1789,7 @@ impl GroupReaderSet {
     #[inline]
     pub fn read_ref(&mut self, k: usize) -> ReadGuard<'_> {
         self.group.check_index(k);
-        self.group.read_ref_in(k, &mut self.rds[k])
+        self.group.read_ref_in(k, &mut self.rds[k], &mut self.metrics)
     }
 
     /// Read many registers in one pass, invoking `f(k, guard)` with a
@@ -1829,7 +1828,7 @@ impl GroupReaderSet {
             let k = k32 as usize;
             // Pin discipline: a duplicate key's later acquire only runs
             // after the earlier guard dropped (the callback returned).
-            let guard = self.group.read_ref_in(k, &mut self.rds[k]);
+            let guard = self.group.read_ref_in(k, &mut self.rds[k], &mut self.metrics);
             f(k, &guard);
         }
         self.scratch = scratch;
@@ -1864,6 +1863,11 @@ impl GroupReaderSet {
     /// The group this reader set belongs to.
     pub fn group(&self) -> &Arc<ArcGroup> {
         &self.group
+    }
+
+    /// This set's operation counts, over every register it read.
+    pub fn metrics(&self) -> OpMetrics {
+        self.metrics
     }
 }
 

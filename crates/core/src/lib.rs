@@ -135,7 +135,6 @@ pub use group::{
     ArcGroup, GroupBuilder, GroupReader, GroupReaderSet, GroupWriter, GroupWriterSet, HealthReport,
     QuarantineReason, QuarantinedRegister, RegisterHealth, ScrubReport, WriterProbe,
 };
-pub use raw::RawOptions;
 pub use recovery::RecoveryReport;
 pub use register::{
     ArcBuilder, ArcReader, ArcRegister, ArcWriter, ReadGuard, Snapshot, INLINE_CAP,

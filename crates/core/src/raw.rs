@@ -129,9 +129,17 @@
 //! drops the candidate, which is sound — losing a *candidate* never loses a
 //! *slot*.
 //!
-//! Both cache feeds are gated by [`RawOptions::hint`]: the §3.4 ablation
-//! switch disables the whole candidate machinery at once, restoring the
-//! pure rotating scan the E6 experiment compares against.
+//! Both cache feeds are gated by the `hint` protocol option: the §3.4
+//! ablation switch disables the whole candidate machinery at once,
+//! restoring the pure rotating scan the E6 experiment compares against.
+//!
+//! # Operation counts
+//!
+//! Every handle owns an [`OpMetrics`] and passes it by `&mut` into the
+//! functions below, which count reads, writes, RMWs and slot probes with
+//! plain adds. The counts are never shared, so they cost no atomic and
+//! need no entry in the ordering budget; the R2 fast path pays exactly
+//! one increment.
 //!
 //! # Accounting invariant (Lemma 4.1 survives lazy registration)
 //!
@@ -144,7 +152,6 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
-#[cfg(feature = "metrics")]
 use register_common::OpMetrics;
 use sync_primitives::WaitSet;
 
@@ -282,45 +289,27 @@ fn pin_record<C: ArcCells>(c: &C, rd: &RawReader, slot: Option<usize>) {
     }
 }
 
-/// Runtime-tunable protocol options (ablation switches for the E6 bench).
+/// Protocol ablation switches (E6), set through the group and register
+/// builders.
 #[derive(Debug, Clone, Copy)]
-pub struct RawOptions {
+pub(crate) struct RawOptions {
     /// Enable the §3.4 reader-posted free-slot hint.
-    pub hint: bool,
+    pub(crate) hint: bool,
     /// Enable the R1/R2 no-RMW fast path. Disabling it makes every read pay
     /// the RF-style RMW — the ablation that isolates the paper's central
     /// optimization.
-    pub fast_path: bool,
-    /// Enable the per-op counters (default on). Only meaningful in builds
-    /// with the `metrics` cargo feature — without it every bump is compiled
-    /// out regardless; with it, turning this off skips the relaxed
-    /// `fetch_add`s on the hot paths, so one binary can measure the cost of
-    /// its own instrumentation (the `ablations.metrics_toggle` section of
-    /// BENCH_ops.json).
-    pub metrics: bool,
+    pub(crate) fast_path: bool,
 }
 
 impl Default for RawOptions {
     fn default() -> Self {
-        Self { hint: true, fast_path: true, metrics: true }
+        Self { hint: true, fast_path: true }
     }
 }
 
 // ---------------------------------------------------------------------
 // The storage-generic protocol core
 // ---------------------------------------------------------------------
-
-/// Bump a per-op counter iff metrics are compiled in (`metrics` cargo
-/// feature) **and** enabled at runtime ([`RawOptions::metrics`]). The
-/// runtime branch is what the `ablations.metrics_toggle` bench measures.
-macro_rules! bump {
-    ($c:expr, $field:ident, $n:expr) => {
-        #[cfg(feature = "metrics")]
-        if $c.opts().metrics {
-            OpMetrics::bump(&$c.metrics().$field, $n);
-        }
-    };
-}
 
 /// Storage view the protocol state machine runs over: which atomics hold
 /// the protocol words of *one* register.
@@ -386,9 +375,6 @@ pub(crate) trait ArcCells {
     fn max_readers(&self) -> u32;
     /// Protocol ablation switches.
     fn opts(&self) -> RawOptions;
-    /// Operation counters (shared by all registers of a slab group).
-    #[cfg(feature = "metrics")]
-    fn metrics(&self) -> &OpMetrics;
 }
 
 /// Width of a slot index: bit 31 of a cached candidate tags its hint
@@ -498,14 +484,16 @@ pub(crate) fn reader_join_on<C: ArcCells>(c: &C) -> Result<RawReader, HandleErro
 }
 
 /// Perform the coordination part of a read (Algorithm 2), returning the
-/// slot the caller may read.
+/// slot the caller may read, and count it in the handle's `m`.
 ///
 /// The returned slot remains valid (never rewritten) until the next
 /// `read_acquire_on`/`reader_leave_on` with the same handle.
 #[inline]
-pub(crate) fn read_acquire_on<C: ArcCells>(c: &C, rd: &mut RawReader) -> ReadOutcome {
-    bump!(c, reads, 1);
-
+pub(crate) fn read_acquire_on<C: ArcCells>(
+    c: &C,
+    rd: &mut RawReader,
+    m: &mut OpMetrics,
+) -> ReadOutcome {
     if c.opts().fast_path {
         // R1: SeqCst is part of the `current` budget (table above). On
         // x86 this is a plain `mov`; the *correctness* of the hit
@@ -519,22 +507,23 @@ pub(crate) fn read_acquire_on<C: ArcCells>(c: &C, rd: &mut RawReader) -> ReadOut
             // R2: the pinned slot is still the most recent publication —
             // the same publication as last time (linchpin argument), so
             // the cached version is exact and the fast path stays free.
-            bump!(c, fast_reads, 1);
+            m.fast_reads += 1;
             return ReadOutcome { slot: index as usize, fast: true, version: rd.last_version };
         }
     }
     // Slow path: release the previously pinned slot (R3) ...
+    m.slow_reads += 1;
     if let Some(old) = rd.last_index {
         // Un-register the pin *before* releasing the unit it describes,
         // so a crash-sweep never double-releases (registry comment above).
         pin_record(c, rd, None);
         release_unit_on(c, old as usize);
-        bump!(c, read_rmws, 1);
+        m.read_rmws += 1;
     }
     // ... then atomically fetch the up-to-date index while registering
     // an anonymous presence unit on it (R4/R5).
     let raw = c.current_word().fetch_add(1, Ordering::SeqCst);
-    bump!(c, read_rmws, 1);
+    m.read_rmws += 1;
     let index = index_of(raw);
     if index as usize >= c.n_slots() {
         // `current` no longer names a real slot: the word was scribbled
@@ -582,14 +571,6 @@ pub(crate) fn release_unit_on<C: ArcCells>(c: &C, slot: usize) {
     }
 }
 
-/// Metric hook: a zero-copy read guard was created over this register
-/// (the acquire itself is a plain [`read_acquire_on`]).
-#[cfg_attr(not(feature = "metrics"), allow(unused_variables))]
-#[inline]
-pub(crate) fn guard_created_on<C: ArcCells>(c: &C) {
-    bump!(c, guard_reads, 1);
-}
-
 /// Drop edge of a zero-copy read guard: release the pin **eagerly iff
 /// the pinned publication is already superseded**.
 ///
@@ -611,8 +592,7 @@ pub(crate) fn guard_created_on<C: ArcCells>(c: &C) {
 /// condition beyond holding the unit), so both branches of the racy
 /// compare are sound — a write racing past the load merely defers the
 /// release to the next read, today's behavior.
-pub(crate) fn guard_drop_on<C: ArcCells>(c: &C, rd: &mut RawReader) {
-    bump!(c, guard_drops, 1);
+pub(crate) fn guard_drop_on<C: ArcCells>(c: &C, rd: &mut RawReader, m: &mut OpMetrics) {
     if let Some(last) = rd.last_index {
         let raw = c.current_word().load(Ordering::SeqCst);
         if index_of(raw) != last {
@@ -621,7 +601,7 @@ pub(crate) fn guard_drop_on<C: ArcCells>(c: &C, rd: &mut RawReader) {
             // The eager release is an R3 RMW exactly like the one in
             // read_acquire_on's slow path — count it, or the E5 per-read
             // RMW figure under-reports guard workloads.
-            bump!(c, read_rmws, 1);
+            m.read_rmws += 1;
             rd.last_index = None;
             rd.last_version = 0;
         }
@@ -717,8 +697,8 @@ pub(crate) fn heartbeat_tick_on<C: ArcCells>(c: &C) {
 /// live_readers + 2` a single sweep always finds a slot (Lemma 4.1),
 /// preserving writer wait-freedom. Below that bound (ablation only) the
 /// scan retries with backoff, which is where wait-freedom is lost.
-pub(crate) fn select_slot_on<C: ArcCells>(c: &C, wr: &mut WriterMem) -> usize {
-    bump!(c, writes, 1);
+pub(crate) fn select_slot_on<C: ArcCells>(c: &C, wr: &mut WriterMem, m: &mut OpMetrics) -> usize {
+    m.writes += 1;
     // The watchdog's stall classifier keys on "journal mid-publication,
     // heartbeat not moving": tick once as the operation starts so a
     // writer that wedges *while filling* reads as stalled, not idle.
@@ -730,29 +710,25 @@ pub(crate) fn select_slot_on<C: ArcCells>(c: &C, wr: &mut WriterMem) -> usize {
         // Release, though the real data edge is re-established by the
         // slot_free validation below.
         let h = c.hint_word().swap(NO_HINT, Ordering::Acquire);
-        bump!(c, write_rmws, 1);
+        m.write_rmws += 1;
         if h != NO_HINT {
             wr.push_candidate(h as u32, true);
         }
         // Pop candidates until one validates. Each pop is plain local
         // memory; only the validation (slot_free) is a shared probe —
         // candidates discarded by the local last_slot check cost none.
-        #[cfg_attr(not(feature = "metrics"), allow(unused_variables))]
         while let Some((cand, from_hint)) = wr.pop_candidate() {
             let cand = cand as usize;
             if cand == wr.last_slot() || cand >= c.n_slots() {
                 continue;
             }
-            bump!(c, slot_probes, 1);
+            m.slot_probes += 1;
             if slot_free_on(c, cand) {
-                #[cfg(feature = "metrics")]
-                if c.opts().metrics {
-                    OpMetrics::bump(&c.metrics().ring_hits, 1);
-                    // Attribute §3.4-origin candidates to the hint
-                    // metric no matter how many calls they waited.
-                    if from_hint {
-                        OpMetrics::bump(&c.metrics().hint_hits, 1);
-                    }
+                m.ring_hits += 1;
+                // Attribute §3.4-origin candidates to the hint count no
+                // matter how many calls they waited.
+                if from_hint {
+                    m.hint_hits += 1;
                 }
                 // Journal W1: the slot is about to be filled. A crash
                 // between here and publish classifies as pre-W2 discard.
@@ -769,7 +745,7 @@ pub(crate) fn select_slot_on<C: ArcCells>(c: &C, wr: &mut WriterMem) -> usize {
             if s == wr.last_slot() {
                 continue;
             }
-            bump!(c, slot_probes, 1);
+            m.slot_probes += 1;
             if slot_free_on(c, s) {
                 wr.search_pos = ((s + 1) % n) as u32;
                 // Journal W1 (fallback-scan path) — same as above.
@@ -792,9 +768,9 @@ pub(crate) fn select_slot_on<C: ArcCells>(c: &C, wr: &mut WriterMem) -> usize {
 /// `slot` must come from [`select_slot_on`] with the same writer memory,
 /// and the caller must have completed all payload stores to it.
 #[cfg(test)]
-pub(crate) fn publish_on<C: ArcCells>(c: &C, wr: &mut WriterMem, slot: usize) {
+pub(crate) fn publish_on<C: ArcCells>(c: &C, wr: &mut WriterMem, slot: usize, m: &mut OpMetrics) {
     let mut displaced = NOT_SWAPPED;
-    publish_core(c, wr, slot, &mut displaced);
+    publish_core(c, wr, slot, &mut displaced, m);
 }
 
 /// [`publish_on`] with the displaced-word mirror the panic-safe
@@ -803,7 +779,13 @@ pub(crate) fn publish_on<C: ArcCells>(c: &C, wr: &mut WriterMem, slot: usize) {
 /// `displaced`, a place in the *caller's* frame. An in-process unwind
 /// preserves outer frames, so the guard can always finish W3 exactly;
 /// the lossy at-W2 census repair is for cross-process crashes only.
-fn publish_core<C: ArcCells>(c: &C, wr: &mut WriterMem, slot: usize, displaced: &mut u64) {
+fn publish_core<C: ArcCells>(
+    c: &C,
+    wr: &mut WriterMem,
+    slot: usize,
+    displaced: &mut u64,
+    m: &mut OpMetrics,
+) {
     debug_assert_ne!(slot, wr.last_slot(), "W1 forbids reusing the current slot");
     debug_assert!(slot_free_on(c, slot), "publishing a slot with standing readers");
     // Journal the publication intent (§3.9): capture the previous slot,
@@ -836,7 +818,7 @@ fn publish_core<C: ArcCells>(c: &C, wr: &mut WriterMem, slot: usize, displaced: 
     // W2: publish atomically with a zeroed presence counter.
     let old = c.current_word().swap(Current::fresh(slot as u32), Ordering::SeqCst);
     *displaced = old;
-    bump!(c, write_rmws, 1);
+    m.write_rmws += 1;
     maybe_crash(CrashPoint::AtW2);
     // Capture the displaced word, then advance the journal stage. The
     // Release on the stage store orders it after the capture, so recovery
@@ -1062,6 +1044,8 @@ pub(crate) fn roll_forward_version_on<C: ArcCells>(c: &C, slot: usize) {
 pub(crate) struct PublishGuard<'g, C: ArcCells> {
     c: &'g C,
     wr: &'g mut WriterMem,
+    /// The writer handle's counts (W1's RMWs and probes, then W2's swap).
+    m: &'g mut OpMetrics,
     slot: usize,
     /// The word the W2 swap displaced ([`NOT_SWAPPED`] until it runs).
     displaced: u64,
@@ -1070,9 +1054,9 @@ pub(crate) struct PublishGuard<'g, C: ArcCells> {
 
 impl<'g, C: ArcCells> PublishGuard<'g, C> {
     /// W1: select a free slot and arm the unwind repair.
-    pub(crate) fn select(c: &'g C, wr: &'g mut WriterMem) -> Self {
-        let slot = select_slot_on(c, wr);
-        PublishGuard { c, wr, slot, displaced: NOT_SWAPPED, armed: true }
+    pub(crate) fn select(c: &'g C, wr: &'g mut WriterMem, m: &'g mut OpMetrics) -> Self {
+        let slot = select_slot_on(c, wr, m);
+        PublishGuard { c, wr, m, slot, displaced: NOT_SWAPPED, armed: true }
     }
 
     /// The selected slot the caller may fill until [`publish`].
@@ -1085,7 +1069,7 @@ impl<'g, C: ArcCells> PublishGuard<'g, C> {
     /// W2 + W3: publish the filled slot and disarm.
     pub(crate) fn publish(mut self) {
         let slot = self.slot;
-        publish_core(self.c, &mut *self.wr, slot, &mut self.displaced);
+        publish_core(self.c, &mut *self.wr, slot, &mut self.displaced, &mut *self.m);
         self.armed = false;
     }
 }
@@ -1275,7 +1259,7 @@ mod tests {
         }
 
         fn read_acquire(&self, rd: &mut RawReader) -> ReadOutcome {
-            read_acquire_on(&self.c(), rd)
+            read_acquire_on(&self.c(), rd, &mut OpMetrics::default())
         }
 
         fn reader_leave(&self, rd: RawReader) {
@@ -1292,11 +1276,11 @@ mod tests {
         }
 
         fn select_slot(&self, wr: &mut WriterMem) -> usize {
-            select_slot_on(&self.c(), wr)
+            select_slot_on(&self.c(), wr, &mut OpMetrics::default())
         }
 
         fn publish(&self, wr: &mut WriterMem, slot: usize) {
-            publish_on(&self.c(), wr, slot)
+            publish_on(&self.c(), wr, slot, &mut OpMetrics::default())
         }
 
         fn current_index(&self) -> usize {

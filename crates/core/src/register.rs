@@ -35,9 +35,8 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
-#[cfg(feature = "metrics")]
-use register_common::metrics::MetricsSnapshot;
 use register_common::traits::BuildError;
+use register_common::OpMetrics;
 
 use crate::errors::{HandleError, WriteError};
 use crate::group::{ArcGroup, GroupBuilder};
@@ -109,17 +108,6 @@ impl ArcBuilder {
     /// cache line (EXPERIMENTS.md, `inline_vs_arena`).
     pub fn inline(mut self, on: bool) -> Self {
         self.inner = self.inner.inline(on);
-        self
-    }
-
-    /// Enable/disable the per-op metric counters at runtime (default on).
-    ///
-    /// Only observable in builds with the `metrics` cargo feature (without
-    /// it the counters are compiled out entirely); with the feature, turning
-    /// this off skips the relaxed bumps on the hot paths so the
-    /// `ablations.metrics_toggle` bench can price the instrumentation.
-    pub fn metrics(mut self, on: bool) -> Self {
-        self.inner = self.inner.metrics(on);
         self
     }
 
@@ -208,19 +196,13 @@ impl ArcRegister {
     /// Claim the unique writer handle.
     pub fn writer(self: &Arc<Self>) -> Result<ArcWriter, HandleError> {
         let mem = self.group.claim_writer(0)?;
-        Ok(ArcWriter { reg: Arc::clone(self), mem })
+        Ok(ArcWriter { reg: Arc::clone(self), mem, metrics: OpMetrics::default() })
     }
 
     /// Register a reader handle (up to `max_readers` concurrently).
     pub fn reader(self: &Arc<Self>) -> Result<ArcReader, HandleError> {
         let rd = self.group.join_reader(0)?;
-        Ok(ArcReader { reg: Arc::clone(self), rd: Some(rd) })
-    }
-
-    /// Operation metrics (E5/E6), available with the `metrics` feature.
-    #[cfg(feature = "metrics")]
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.group.metrics()
+        Ok(ArcReader { reg: Arc::clone(self), rd: Some(rd), metrics: OpMetrics::default() })
     }
 }
 
@@ -239,6 +221,7 @@ impl fmt::Debug for ArcRegister {
 pub struct ArcWriter {
     reg: Arc<ArcRegister>,
     mem: WriterMem,
+    metrics: OpMetrics,
 }
 
 impl ArcWriter {
@@ -285,7 +268,7 @@ impl ArcWriter {
         len: usize,
         fill: impl FnOnce(&mut [u8]),
     ) -> Result<(), WriteError> {
-        self.reg.group.write_one(0, &mut self.mem, len, fill)
+        self.reg.group.write_one(0, &mut self.mem, &mut self.metrics, len, fill)
     }
 
     /// The register this writer belongs to.
@@ -296,6 +279,11 @@ impl ArcWriter {
     /// Slot index of the current publication.
     pub fn last_slot(&self) -> usize {
         self.mem.last_slot()
+    }
+
+    /// This handle's operation counts (writes, their RMWs and slot probes).
+    pub fn metrics(&self) -> OpMetrics {
+        self.metrics
     }
 }
 
@@ -315,6 +303,7 @@ impl Drop for ArcWriter {
 pub struct ArcReader {
     reg: Arc<ArcRegister>,
     rd: Option<RawReader>,
+    metrics: OpMetrics,
 }
 
 impl ArcReader {
@@ -327,7 +316,7 @@ impl ArcReader {
     #[inline]
     pub fn read(&mut self) -> Snapshot<'_> {
         let rd = self.rd.as_mut().expect("reader state present until drop");
-        self.reg.group.read_in(0, rd)
+        self.reg.group.read_in(0, rd, &mut self.metrics)
     }
 
     /// Read the most recent value as an **RAII guard** (Algorithm 2).
@@ -345,7 +334,7 @@ impl ArcReader {
     #[inline]
     pub fn read_ref(&mut self) -> ReadGuard<'_> {
         let rd = self.rd.as_mut().expect("reader state present until drop");
-        self.reg.group.read_ref_in(0, rd)
+        self.reg.group.read_ref_in(0, rd, &mut self.metrics)
     }
 
     /// Read the most recent value together with its publication version —
@@ -380,6 +369,11 @@ impl ArcReader {
     /// Slot currently pinned by this handle, if it has read at least once.
     pub fn pinned_slot(&self) -> Option<usize> {
         self.rd.as_ref().and_then(|r| r.pinned_slot())
+    }
+
+    /// This handle's operation counts (fast and slow reads, their RMWs).
+    pub fn metrics(&self) -> OpMetrics {
+        self.metrics
     }
 }
 
@@ -531,6 +525,8 @@ pub struct ReadGuard<'a> {
     /// probe can release/keep the pin — and so no concurrent read of the
     /// same handle can exist while the guard is alive.
     rd: &'a mut RawReader,
+    /// The owning handle's counts: an eager release at drop is a read RMW.
+    metrics: &'a mut OpMetrics,
     /// The slab and register whose protocol words the drop probe uses.
     group: &'a ArcGroup,
     k: usize,
@@ -544,11 +540,12 @@ impl ReadGuard<'_> {
         out: ReadOutcome,
         inline: bool,
         rd: &'a mut RawReader,
+        metrics: &'a mut OpMetrics,
         group: &'a ArcGroup,
         k: usize,
     ) -> ReadGuard<'a> {
         let ReadOutcome { slot, fast, version } = out;
-        ReadGuard { bytes, slot, fast, inline, version, rd, group, k }
+        ReadGuard { bytes, slot, fast, inline, version, rd, metrics, group, k }
     }
 
     /// The pinned bytes, tied to the guard's own borrow (they must not
@@ -592,7 +589,7 @@ impl Deref for ReadGuard<'_> {
 
 impl Drop for ReadGuard<'_> {
     fn drop(&mut self) {
-        self.group.guard_drop(self.k, self.rd);
+        self.group.guard_drop(self.k, self.rd, self.metrics);
     }
 }
 
@@ -949,36 +946,6 @@ mod tests {
         assert_eq!(out, b"tiny");
         assert_eq!(out.capacity(), cap, "read_to_vec must never shrink the buffer");
         assert_eq!(out.as_ptr(), ptr, "steady-state read_to_vec must not reallocate");
-    }
-
-    #[cfg(feature = "metrics")]
-    #[test]
-    fn guard_metrics_track_held_guards() {
-        let reg = small();
-        let mut r = reg.reader().unwrap();
-        assert_eq!(reg.metrics().guards_held(), 0);
-        let g = r.read_ref();
-        assert_eq!(reg.metrics().guards_held(), 1);
-        drop(g);
-        let m = reg.metrics();
-        assert_eq!(m.guards_held(), 0);
-        assert_eq!(m.guard_reads, 1);
-        assert_eq!(m.guard_drops, 1);
-    }
-
-    #[cfg(feature = "metrics")]
-    #[test]
-    fn metrics_toggle_disables_counters() {
-        let reg = ArcRegister::builder(2, 64).metrics(false).build().unwrap();
-        let mut w = reg.writer().unwrap();
-        let mut r = reg.reader().unwrap();
-        w.write(b"x");
-        let _ = r.read();
-        drop(r.read_ref());
-        let m = reg.metrics();
-        assert_eq!(m.reads, 0, "metrics(false) must skip every bump");
-        assert_eq!(m.writes, 0);
-        assert_eq!(m.guard_reads, 0);
     }
 
     #[test]

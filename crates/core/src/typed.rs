@@ -12,9 +12,11 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
+use register_common::OpMetrics;
+
 use crate::errors::HandleError;
 use crate::group::{ArcGroup, GroupBuilder};
-use crate::raw::{RawOptions, RawReader, WriterMem};
+use crate::raw::{RawReader, WriterMem};
 
 /// A value paired with the publication version it was read at.
 ///
@@ -67,19 +69,7 @@ impl<T: Send + Sync> TypedArc<T> {
     /// Panics if `max_readers` is 0, or if `max_readers + 2` slots exceed
     /// the slab's 31-bit slot index.
     pub fn new(max_readers: u32, initial: T) -> Arc<Self> {
-        Self::with_options(max_readers, initial, RawOptions::default())
-    }
-
-    /// Create with explicit protocol options (ablation switches).
-    ///
-    /// # Panics
-    ///
-    /// As [`TypedArc::new`].
-    pub fn with_options(max_readers: u32, initial: T, opts: RawOptions) -> Arc<Self> {
         let group = GroupBuilder::new(1, max_readers, PROTOCOL_ONLY)
-            .hint(opts.hint)
-            .fast_path(opts.fast_path)
-            .metrics(opts.metrics)
             .build_group()
             .unwrap_or_else(|e| panic!("{e}"));
         let mut values: Vec<UnsafeCell<Option<T>>> =
@@ -92,13 +82,13 @@ impl<T: Send + Sync> TypedArc<T> {
     /// Claim the unique writer handle.
     pub fn writer(self: &Arc<Self>) -> Result<TypedWriter<T>, HandleError> {
         let mem = self.group.claim_writer(0)?;
-        Ok(TypedWriter { reg: Arc::clone(self), mem })
+        Ok(TypedWriter { reg: Arc::clone(self), mem, metrics: OpMetrics::default() })
     }
 
     /// Register a reader handle.
     pub fn reader(self: &Arc<Self>) -> Result<TypedReader<T>, HandleError> {
         let rd = self.group.join_reader(0)?;
-        Ok(TypedReader { reg: Arc::clone(self), rd: Some(rd) })
+        Ok(TypedReader { reg: Arc::clone(self), rd: Some(rd), metrics: OpMetrics::default() })
     }
 
     /// Reader cap `N`.
@@ -145,6 +135,7 @@ impl<T> fmt::Debug for TypedArc<T> {
 pub struct TypedWriter<T: Send + Sync> {
     reg: Arc<TypedArc<T>>,
     mem: WriterMem,
+    metrics: OpMetrics,
 }
 
 impl<T: Send + Sync> TypedWriter<T> {
@@ -157,10 +148,15 @@ impl<T: Send + Sync> TypedWriter<T> {
         let reg: &TypedArc<T> = &self.reg;
         // publish_with's guard repairs any unwind between W1 and the end
         // of publish (injected protocol-point panics; DESIGN.md §3.13).
-        reg.group.publish_with(0, &mut self.mem, |slot| {
+        reg.group.publish_with(0, &mut self.mem, &mut self.metrics, |slot| {
             // SAFETY: exclusive slot access between W1 and publish.
             unsafe { (*reg.values[slot].get()).replace(value) }
         })
+    }
+
+    /// This handle's operation counts (writes, their RMWs and slot probes).
+    pub fn metrics(&self) -> OpMetrics {
+        self.metrics
     }
 }
 
@@ -174,6 +170,7 @@ impl<T: Send + Sync> Drop for TypedWriter<T> {
 pub struct TypedReader<T: Send + Sync> {
     reg: Arc<TypedArc<T>>,
     rd: Option<RawReader>,
+    metrics: OpMetrics,
 }
 
 impl<T: Send + Sync> TypedReader<T> {
@@ -189,7 +186,7 @@ impl<T: Send + Sync> TypedReader<T> {
     #[inline]
     pub fn read_versioned(&mut self) -> Versioned<&T> {
         let rd = self.rd.as_mut().expect("reader state present until drop");
-        let out = self.reg.group.acquire(0, rd);
+        let out = self.reg.group.acquire(0, rd, &mut self.metrics);
         // SAFETY: the slot is pinned for this handle until the next acquire
         // or leave, both requiring &mut self, which the returned borrow
         // holds.
@@ -209,13 +206,20 @@ impl<T: Send + Sync> TypedReader<T> {
     pub fn read_ref(&mut self) -> TypedReadGuard<'_, T> {
         let rd = self.rd.as_mut().expect("reader state present until drop");
         let reg: &TypedArc<T> = &self.reg;
-        let out = reg.group.acquire(0, rd);
-        reg.group.guard_created(0);
+        let metrics = &mut self.metrics;
+        let out = reg.group.acquire(0, rd, metrics);
         // SAFETY: as in `read_versioned` — the slot is pinned at least for
         // the guard's lifetime (the drop probe only releases, never
         // re-acquires), and `rd` stays mutably borrowed throughout.
         let value = unsafe { reg.value(out.slot) };
-        TypedReadGuard { value, version: out.version, fast: out.fast, rd, group: &reg.group }
+        TypedReadGuard {
+            value,
+            version: out.version,
+            fast: out.fast,
+            rd,
+            metrics,
+            group: &reg.group,
+        }
     }
 
     /// Clone the current value out.
@@ -229,6 +233,11 @@ impl<T: Send + Sync> TypedReader<T> {
     /// The register this reader belongs to.
     pub fn register(&self) -> &Arc<TypedArc<T>> {
         &self.reg
+    }
+
+    /// This handle's operation counts (fast and slow reads, their RMWs).
+    pub fn metrics(&self) -> OpMetrics {
+        self.metrics
     }
 }
 
@@ -253,6 +262,8 @@ pub struct TypedReadGuard<'a, T: Send + Sync> {
     /// Mutably borrowed so drop can release/keep the pin and no other
     /// read of the same handle can start while the guard lives.
     rd: &'a mut RawReader,
+    /// The handle's counts: an eager release at drop is a read RMW.
+    metrics: &'a mut OpMetrics,
     group: &'a ArcGroup,
 }
 
@@ -279,7 +290,7 @@ impl<T: Send + Sync> Deref for TypedReadGuard<'_, T> {
 
 impl<T: Send + Sync> Drop for TypedReadGuard<'_, T> {
     fn drop(&mut self) {
-        self.group.guard_drop(0, self.rd);
+        self.group.guard_drop(0, self.rd, self.metrics);
     }
 }
 
