@@ -55,10 +55,11 @@
 //! ever touches header `k`, slots `k*n_slots .. (k+1)*n_slots` and arena
 //! bytes `k*n_slots*capacity .. (k+1)*n_slots*capacity` — the disjointness
 //! of those ranges (module [`layout`], property-tested in
-//! `tests/group_props.rs`, model-checked in `interleave::group_model`) is
-//! what makes the single-register safety argument compose: no register's
-//! writer can recycle a slot pinned by another register's reader, because
-//! it cannot even *name* another register's slots.
+//! `tests/group_props.rs`, model-checked on the real slab by the test-only
+//! `model_check` module) is what makes the single-register safety argument
+//! compose: no register's writer can recycle a slot pinned by another
+//! register's reader, because it cannot even *name* another register's
+//! slots.
 //!
 //! The packing pads nothing inside a register: its slot *counters* share
 //! their slot's payload line (a reader releasing slot A may ping a line
@@ -95,9 +96,9 @@ use register_common::errors::ConfigError;
 use crate::current::{index_of, Current, MAX_READERS};
 use crate::errors::{HandleError, WriteError};
 use crate::raw::{
-    guard_drop_on, outstanding_units_on, quarantine_on, read_acquire_on, reader_join_on,
-    reader_leave_on, wait_for_version_on, wait_for_version_timeout_on, wip_slot, wip_stage,
-    writer_claim_on, writer_release_on, ArcCells, PublishGuard, RawOptions, RawReader, ReadOutcome,
+    guard_drop_on, outstanding_units_on, publish_with_on, quarantine_on, read_acquire_on,
+    reader_join_on, reader_leave_on, wait_for_version_on, wait_for_version_timeout_on, wip_slot,
+    wip_stage, writer_claim_on, writer_release_on, ArcCells, RawOptions, RawReader, ReadOutcome,
     WriterMem, HEALTH_BAD_CURRENT, HEALTH_BAD_JOURNAL, HEALTH_BAD_LEN, HEALTH_OK, NO_HINT,
     SLOT_INDEX_BITS, STAGE_IDLE, STAGE_PUB_RAW,
 };
@@ -1442,18 +1443,9 @@ impl ArcGroup {
         guard_drop_on(&self.cells(k), rd, m);
     }
 
-    /// The write hook of Algorithm 3: W1 on register `k` with writer
-    /// memory `mem`, then `fill(slot)`, then W2 + W3, counted in the
+    /// The write hook of Algorithm 3 on register `k` (`raw::publish_with_on`:
+    /// W1, `fill(slot)`, W2 + W3 under a `PublishGuard`), counted in the
     /// handle's `m`. Every writer handle, typed or byte, goes through here.
-    ///
-    /// `fill` has exclusive access to the storage of `(k, slot)` until it
-    /// returns: W1 proved the slot free, and the Acquire edge on its
-    /// `r_end` ordered all prior readers' loads before the fill's stores.
-    ///
-    /// The window runs under a [`PublishGuard`]: if `fill` (or an injected
-    /// crash point in panic mode) unwinds, the guard classifies the journal
-    /// and completes or discards the publication, so a panicking fill
-    /// leaves the register consistent and the handle writable again.
     #[inline]
     pub(crate) fn publish_with<R>(
         &self,
@@ -1462,11 +1454,7 @@ impl ArcGroup {
         m: &mut OpMetrics,
         fill: impl FnOnce(usize) -> R,
     ) -> R {
-        let cells = self.cells(k);
-        let guard = PublishGuard::select(&cells, mem, m);
-        let out = fill(guard.slot());
-        guard.publish();
-        out
+        publish_with_on(&self.cells(k), mem, m, fill)
     }
 
     /// One byte write against register `k` (capacity check + W1 + copy +
@@ -1933,7 +1921,7 @@ mod tests {
     fn neighboring_registers_do_not_interfere() {
         // A pinned snapshot on register 0 must survive arbitrarily many
         // writes to every other register (the slab non-interference the
-        // interleave group model proves exhaustively).
+        // model checker's two-register runs prove exhaustively).
         let g = small(3);
         let mut w1 = g.writer(1).unwrap();
         let mut w2 = g.writer(2).unwrap();

@@ -115,6 +115,8 @@ pub mod errors;
 pub mod family;
 pub mod faults;
 pub mod group;
+#[cfg(test)]
+mod model_check;
 pub mod raw;
 pub mod recovery;
 pub mod register;

@@ -1,0 +1,906 @@
+//! Model checking of the code that ships: [`interleave::explore`] runs the
+//! real protocol functions of [`crate::raw`] over the real slab layout of
+//! [`crate::group`], through every sequentially consistent interleaving of
+//! a small workload — the mechanical counterpart of the paper's §4 proof.
+//!
+//! # How the real code is stepped
+//!
+//! Each operation is a shipped function. A read is `read_acquire_on`
+//! followed by two payload loads, a guard drop is `guard_drop_on`, and a
+//! write is `publish_with_on` (W1, fill, then W2 + W3 under
+//! `PublishGuard`) whose fill stores two payload words. The functions run
+//! over [`Stepped`], an [`ArcCells`] implementation that forwards every
+//! accessor call (`current_word()`, `r_end(s)`, …) to the real
+//! `GroupCells` of a live heap [`ArcGroup`]. Accessor calls are the step
+//! boundaries, and model memory is keyed by the address the real accessor
+//! returns, so the layout arithmetic of `ArcGroup::cells` is under test
+//! too.
+//!
+//! The explorer clones, compares and hashes states, so a thread cannot be
+//! parked inside a shipped function. Instead one step *replays* the
+//! thread's current operation from its start, setting the real word to
+//! the value logged for each replayed access before the accessor returns.
+//! The step then makes one new access to a word another thread can touch;
+//! at the next accessor call for such a word it unwinds with a private
+//! payload (`resume_unwind`, which skips the panic hook). A `PublishGuard`
+//! dropped by that unwind is handed scratch words.
+//!
+//! Words only the writer touches — its journal, lease, birth, heartbeat,
+//! version and churn-budget words — never end a step: no other thread can
+//! observe when they change, so the step goes on past them. A reader
+//! touching one makes the checker panic.
+//!
+//! # What is checked
+//!
+//! * One [`ObsChecker`] per register, at each read's response: torn reads,
+//!   regularity, new-old inversion and values from the future (the
+//!   atomicity criteria of `interleave::spec`).
+//! * Slot exclusion, at every payload store. A reader holds its handle's
+//!   pinned slot until the R3 release of its current operation, and any
+//!   slot it pins by R4 in that operation.
+//! * Wait-freedom: no operation takes more than [`Setup::bound`] accesses.
+//!   A starved writer fails the run, or with `prune_starved` stops being
+//!   scheduled so the search goes on past it.
+//!
+//! Like any interleaving explorer this covers sequentially consistent
+//! executions only; the C11 orderings stay with TSan and `ORDERINGS.toml`.
+
+use std::cell::{Cell, RefCell};
+use std::hash::{Hash, Hasher};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+
+use interleave::spec::ReadObs;
+use interleave::{explore, random_walks, ExploreLimits, Model, ObsChecker, Outcome};
+use register_common::OpMetrics;
+use sync_primitives::WaitSet;
+
+use crate::current::index_of;
+use crate::group::{ArcGroup, GroupCells};
+use crate::raw::{
+    guard_drop_on, publish_with_on, read_acquire_on, reader_join_on, writer_claim_on, ArcCells,
+    RawOptions, RawReader, WriterMem,
+};
+
+/// A workload: one batch writer (thread 0) writing the registers in turn,
+/// and `readers` reader threads per register.
+#[derive(Debug, Clone, Copy)]
+struct Config {
+    /// Registers of the group (K).
+    registers: usize,
+    /// Reader threads per register; the group is built for exactly that
+    /// many, so each register has `readers + 2` slots.
+    readers: usize,
+    /// Writes per register.
+    writes: u8,
+    /// Reads per reader.
+    reads: u8,
+    /// The §3.4 hint and the writer candidate cache (one switch).
+    hint: bool,
+    /// Every read ends in a guard drop.
+    guard_drop: bool,
+    /// Stop scheduling a starved writer instead of failing the run.
+    prune_starved: bool,
+}
+
+impl Config {
+    /// One register, `readers`/`writes`/`reads`, hint off.
+    const fn k1(readers: usize, writes: u8, reads: u8) -> Self {
+        Self {
+            registers: 1,
+            readers,
+            writes,
+            reads,
+            hint: false,
+            guard_drop: false,
+            prune_starved: false,
+        }
+    }
+
+    /// Two registers with one reader each, hint off.
+    const fn k2(writes: u8, reads: u8) -> Self {
+        Self { registers: 2, ..Self::k1(1, writes, reads) }
+    }
+
+    const fn hint(self) -> Self {
+        Self { hint: true, ..self }
+    }
+
+    const fn guard_drop(self) -> Self {
+        Self { guard_drop: true, ..self }
+    }
+
+    const fn prune_starved(self) -> Self {
+        Self { prune_starved: true, ..self }
+    }
+}
+
+/// One operation of a thread.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Publish `seq` to register `k`.
+    Write { k: usize, seq: u8 },
+    /// Read register `k` with reader handle `r`.
+    Read { k: usize, r: usize },
+    /// Drop the guard of reader `r`'s last read of register `k`.
+    Drop { k: usize, r: usize },
+}
+
+/// What a thread needs to know about the slab, fixed for one exploration.
+struct Setup {
+    cfg: Config,
+    group: Arc<ArcGroup>,
+    /// Model-memory keys in ascending order: `(address, 0)` for a protocol
+    /// word, `(slot address, 1 + i)` for payload word `i` of a slot.
+    keys: Vec<(usize, u8)>,
+    /// Per key: only the writer touches it.
+    private: Vec<bool>,
+    /// `slots[k][s]`: the address of slot `s` of register `k` (that of its
+    /// `r_start` word), which identifies the slot across registers.
+    slots: Vec<Vec<usize>>,
+    /// `r_end[k][s]`: the address of that slot's `r_end` word.
+    r_end: Vec<Vec<usize>>,
+    /// The address of register `k`'s `current` word.
+    current: Vec<usize>,
+    /// Accesses one operation may take. A write whose first W1 sweep over
+    /// `n` slots finds a slot (Lemma 4.1) takes fewer than `2 n + 30`; a
+    /// starved writer keeps sweeping and passes the bound.
+    bound: usize,
+}
+
+impl Setup {
+    fn key(&self, addr: usize, tag: u8) -> Option<usize> {
+        self.keys.binary_search(&(addr, tag)).ok()
+    }
+
+    fn ops(&self, tid: usize) -> u8 {
+        let c = &self.cfg;
+        match tid {
+            0 => c.writes * c.registers as u8,
+            _ => c.reads * if c.guard_drop { 2 } else { 1 },
+        }
+    }
+
+    fn op(&self, tid: usize, i: u8) -> Op {
+        let k_all = self.cfg.registers;
+        match tid {
+            0 => Op::Write { k: i as usize % k_all, seq: (i as usize / k_all) as u8 + 1 },
+            _ => {
+                let (r, k) = (tid - 1, (tid - 1) % k_all);
+                if self.cfg.guard_drop && i % 2 == 1 {
+                    Op::Drop { k, r }
+                } else {
+                    Op::Read { k, r }
+                }
+            }
+        }
+    }
+}
+
+/// The static part of a state: equal and hash-neutral across states.
+#[derive(Clone)]
+struct Shared(Arc<Setup>);
+
+impl PartialEq for Shared {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for Shared {}
+
+impl Hash for Shared {
+    fn hash<H: Hasher>(&self, _: &mut H) {}
+}
+
+/// One logged access of an operation (packed: logs are most of a state).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(C, packed)]
+struct Access {
+    key: u8,
+    /// The access changed the word (a store or an RMW).
+    wrote: bool,
+    /// The value the access saw.
+    seen: u64,
+}
+
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+struct Thread {
+    /// Operations completed.
+    done: u8,
+    /// The current operation's accesses so far (empty between operations).
+    log: Vec<Access>,
+    /// The current read's invocation snapshot.
+    obs: ReadObs,
+    /// Starved and no longer scheduled (`prune_starved`).
+    starved: bool,
+}
+
+/// A model state of the real code: model memory, each thread's handle
+/// state as of the start of its current operation, and its access log.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct RealCode {
+    setup: Shared,
+    /// Model memory, parallel to `Setup::keys`.
+    mem: Vec<u64>,
+    /// One atomicity checker per register.
+    obs: Vec<ObsChecker>,
+    /// The writer's memory of each register.
+    writer: Vec<WriterMem>,
+    /// Each reader's handle.
+    readers: Vec<RawReader>,
+    /// Thread 0 is the writer, thread `1 + r` is reader `r`.
+    threads: Vec<Thread>,
+}
+
+/// How an operation ended a step without completing.
+enum Stop {
+    /// The step made its access.
+    Step,
+    /// The operation passed the access bound.
+    Starved(String),
+    /// A safety check failed.
+    Violation(String),
+}
+
+/// What a completed operation hands back: the handle state to keep, and a
+/// read's two payload words.
+enum Done {
+    Writer(WriterMem),
+    Reader(RawReader, Option<(u8, u8)>),
+}
+
+impl RealCode {
+    fn new(cfg: Config) -> Self {
+        let group = ArcGroup::builder(cfg.registers, cfg.readers as u32, 8)
+            .hint(cfg.hint)
+            .build()
+            .expect("model group");
+        let n = group.n_slots();
+        let writer = (0..cfg.registers)
+            .map(|k| WriterMem::new(writer_claim_on(&group.cells(k)).expect("claim"), n))
+            .collect();
+        let readers = (0..cfg.registers * cfg.readers)
+            .map(|r| reader_join_on(&group.cells(r % cfg.registers)).expect("join"))
+            .collect();
+
+        // Every word of every register: (address, tag, value, private).
+        let mut words = Vec::new();
+        let (mut slots, mut r_end, mut current) = (Vec::new(), Vec::new(), Vec::new());
+        for k in 0..cfg.registers {
+            let c = group.cells(k);
+            slots.push((0..n).map(|s| addr(c.r_start(s))).collect::<Vec<_>>());
+            r_end.push((0..n).map(|s| addr(c.r_end(s))).collect());
+            current.push(addr(c.current_word()));
+            let shared: [&dyn Word; 6] = [
+                c.current_word(),
+                c.hint_word(),
+                c.live_readers_word(),
+                c.writer_claimed_word(),
+                c.health_word(),
+                c.last_good_word(),
+            ];
+            let private: [&dyn Word; 7] = [
+                c.gen_joins_word(),
+                c.version_word(),
+                c.wip_word(),
+                c.wip_old_word(),
+                c.lease_word(),
+                c.birth_word(),
+                c.heartbeat_word(),
+            ];
+            words.extend(shared.iter().map(|w| (addr(*w), 0, w.get(), false)));
+            words.extend(private.iter().map(|w| (addr(*w), 0, w.get(), true)));
+            for s in 0..n {
+                for w in [c.r_start(s) as &dyn Word, c.r_end(s), c.slot_version(s)] {
+                    words.push((addr(w), 0, w.get(), false));
+                }
+                words.push((addr(c.r_start(s)), 1, 0, false));
+                words.push((addr(c.r_start(s)), 2, 0, false));
+            }
+        }
+        // Overlapping registers would share slot words: keep one copy.
+        words.sort_by_key(|w| (w.0, w.1));
+        words.dedup_by_key(|w| (w.0, w.1));
+        assert!(words.len() <= 256, "access logs key words by a u8");
+        let setup = Setup {
+            cfg,
+            keys: words.iter().map(|w| (w.0, w.1)).collect(),
+            private: words.iter().map(|w| w.3).collect(),
+            slots,
+            r_end,
+            current,
+            bound: 4 * n + 32,
+            group,
+        };
+        let threads = 1 + cfg.registers * cfg.readers;
+        Self {
+            setup: Shared(Arc::new(setup)),
+            mem: words.iter().map(|w| w.2).collect(),
+            obs: vec![ObsChecker::default(); cfg.registers],
+            writer,
+            readers,
+            threads: vec![Thread::default(); threads],
+        }
+    }
+
+    fn runnable(&self, tid: usize) -> bool {
+        let t = &self.threads[tid];
+        !t.starved && t.done < self.setup.0.ops(tid)
+    }
+
+    /// Slots readers hold right now, as `(slot address, reader)`.
+    fn held(&self) -> Vec<(usize, usize)> {
+        let s = &self.setup.0;
+        let mut held = Vec::new();
+        for (r, rd) in self.readers.iter().enumerate() {
+            let k = r % s.cfg.registers;
+            let log = &self.threads[1 + r].log;
+            let touched = |a: &Access, addr: usize| s.keys[a.key as usize] == (addr, 0);
+            if let Some(p) = rd.pinned_slot() {
+                if !log.iter().any(|a| touched(a, s.r_end[k][p])) {
+                    held.push((s.slots[k][p], r));
+                }
+            }
+            for a in log.iter().filter(|a| touched(a, s.current[k]) && a.wrote) {
+                if let Some(&slot) = s.slots[k].get(index_of(a.seen) as usize) {
+                    held.push((slot, r));
+                }
+            }
+        }
+        held
+    }
+
+    fn complete(&mut self, tid: usize, op: Op, done: Done) -> Result<(), String> {
+        let t = &mut self.threads[tid];
+        t.done += 1;
+        t.log.clear();
+        let obs = std::mem::take(&mut t.obs);
+        match (op, done) {
+            (Op::Write { k, seq }, Done::Writer(wr)) => {
+                self.writer[k] = wr;
+                self.obs[k].on_write_complete(seq);
+            }
+            (Op::Read { k, r } | Op::Drop { k, r }, Done::Reader(rd, words)) => {
+                self.readers[r] = rd;
+                if let Some((w0, w1)) = words {
+                    self.obs[k].on_read_complete(obs, w0, w1)?;
+                }
+            }
+            _ => unreachable!("operation and result disagree"),
+        }
+        Ok(())
+    }
+}
+
+impl Model for RealCode {
+    fn enabled(&self) -> Vec<usize> {
+        (0..self.threads.len()).filter(|&t| self.runnable(t)).collect()
+    }
+
+    fn step(&mut self, tid: usize) -> Result<(), String> {
+        let setup = Arc::clone(&self.setup.0);
+        let op = setup.op(tid, self.threads[tid].done);
+        let (Op::Write { k, .. } | Op::Read { k, .. } | Op::Drop { k, .. }) = op;
+        if self.threads[tid].log.is_empty() {
+            // The operation's first step is its invocation.
+            match op {
+                Op::Write { k, seq } => self.obs[k].on_write_start(seq),
+                Op::Read { k, .. } => self.threads[tid].obs = self.obs[k].on_read_start(),
+                Op::Drop { .. } => {}
+            }
+        }
+        let cells = setup.group.cells(k);
+        let run = RefCell::new(Run {
+            tid,
+            log: std::mem::take(&mut self.threads[tid].log),
+            mem: std::mem::take(&mut self.mem),
+            held: if tid == 0 { self.held() } else { Vec::new() },
+            cursor: 0,
+            shared_done: false,
+            finished: false,
+        });
+        let cx = Stepped {
+            setup: &setup,
+            k,
+            cells: &cells,
+            run: &run,
+            pending: Cell::new(None),
+            scratch: Scratch::default(),
+        };
+        let mut m = OpMetrics::default();
+        let result = catch_unwind(AssertUnwindSafe(|| match op {
+            Op::Write { k, seq } => {
+                let mut wr = self.writer[k];
+                publish_with_on(&cx, &mut wr, &mut m, |slot| {
+                    cx.payload_store(slot, 0, seq);
+                    cx.payload_store(slot, 1, seq);
+                });
+                Done::Writer(wr)
+            }
+            Op::Read { r, .. } => {
+                let mut rd = self.readers[r].clone();
+                let slot = read_acquire_on(&cx, &mut rd, &mut m).slot;
+                let words = (cx.payload_load(slot, 0), cx.payload_load(slot, 1));
+                Done::Reader(rd, Some(words))
+            }
+            Op::Drop { r, .. } => {
+                let mut rd = self.readers[r].clone();
+                guard_drop_on(&cx, &mut rd, &mut m);
+                Done::Reader(rd, None)
+            }
+        }));
+        cx.settle();
+        let run = run.into_inner();
+        self.mem = run.mem;
+        self.threads[tid].log = run.log;
+        match result {
+            Ok(done) => self.complete(tid, op, done),
+            Err(payload) => match payload.downcast::<Stop>().map(|s| *s) {
+                Ok(Stop::Step) => Ok(()),
+                Ok(Stop::Starved(_)) if setup.cfg.prune_starved => {
+                    self.threads[tid].starved = true;
+                    Ok(())
+                }
+                Ok(Stop::Starved(msg) | Stop::Violation(msg)) => Err(msg),
+                Err(panic) => resume_unwind(panic),
+            },
+        }
+    }
+
+    fn is_done(&self) -> bool {
+        !(0..self.threads.len()).any(|t| self.runnable(t))
+    }
+}
+
+/// A real protocol word, read and set around each access.
+trait Word {
+    fn get(&self) -> u64;
+    fn set(&self, v: u64);
+}
+
+impl Word for AtomicU64 {
+    fn get(&self) -> u64 {
+        self.load(Ordering::Relaxed)
+    }
+    fn set(&self, v: u64) {
+        self.store(v, Ordering::Relaxed)
+    }
+}
+
+impl Word for AtomicU32 {
+    fn get(&self) -> u64 {
+        self.load(Ordering::Relaxed).into()
+    }
+    fn set(&self, v: u64) {
+        self.store(v as u32, Ordering::Relaxed)
+    }
+}
+
+impl Word for AtomicUsize {
+    fn get(&self) -> u64 {
+        self.load(Ordering::Relaxed) as u64
+    }
+    fn set(&self, v: u64) {
+        self.store(v as usize, Ordering::Relaxed)
+    }
+}
+
+impl Word for AtomicBool {
+    fn get(&self) -> u64 {
+        self.load(Ordering::Relaxed).into()
+    }
+    fn set(&self, v: u64) {
+        self.store(v != 0, Ordering::Relaxed)
+    }
+}
+
+fn addr<W: Word + ?Sized>(w: &W) -> usize {
+    w as *const W as *const () as usize
+}
+
+/// One step's execution state.
+struct Run {
+    tid: usize,
+    log: Vec<Access>,
+    mem: Vec<u64>,
+    /// Slots readers hold (writer steps only).
+    held: Vec<(usize, usize)>,
+    /// Accessor calls made so far.
+    cursor: usize,
+    /// The step has made its access to a shared word.
+    shared_done: bool,
+    /// Unwinding: accessors hand out scratch words.
+    finished: bool,
+}
+
+/// Words handed out while unwinding, so a dropped `PublishGuard` touches
+/// neither model memory nor the slab.
+#[derive(Default)]
+struct Scratch {
+    w64: AtomicU64,
+    w32: AtomicU32,
+    wsize: AtomicUsize,
+    wbool: AtomicBool,
+}
+
+/// The [`ArcCells`] the shipped functions run over during one step.
+struct Stepped<'c> {
+    setup: &'c Setup,
+    /// The register the operation targets.
+    k: usize,
+    cells: &'c GroupCells<'c>,
+    run: &'c RefCell<Run>,
+    /// The new access, read back at the next accessor call: key, value seen
+    /// and the real word.
+    pending: Cell<Option<(usize, u64, &'c dyn Word)>>,
+    scratch: Scratch,
+}
+
+impl<'c> Stepped<'c> {
+    /// Enter an access to `key`: settle the previous new access, end the
+    /// step if it already made its shared access, and return the value
+    /// this access sees and whether it is new. `None` while unwinding.
+    fn enter(&self, key: usize) -> Option<(u64, bool)> {
+        if self.run.borrow().finished {
+            return None;
+        }
+        self.settle();
+        let private = self.setup.private[key];
+        let mut run = self.run.borrow_mut();
+        if run.shared_done && !private {
+            drop(run);
+            self.stop(Stop::Step);
+        }
+        let i = run.cursor;
+        run.cursor += 1;
+        let logged = run.log.get(i).copied();
+        if let Some(Access { key: logged_key, seen, .. }) = logged {
+            if logged_key as usize != key {
+                drop(run);
+                self.fail(format!("replay diverged at access {i}"));
+            }
+            return Some((seen, false));
+        }
+        if private && run.tid != 0 {
+            let tid = run.tid;
+            drop(run);
+            self.fail(format!(
+                "thread {tid} touched writer-private word {:#x}",
+                self.setup.keys[key].0
+            ));
+        }
+        if run.log.len() >= self.setup.bound {
+            let tid = run.tid;
+            drop(run);
+            self.stop(Stop::Starved(format!(
+                "access bound exceeded: thread {tid} took {} accesses in one operation",
+                self.setup.bound
+            )));
+        }
+        run.shared_done |= !private;
+        Some((run.mem[key], true))
+    }
+
+    /// Log a new access that completed in place.
+    fn record(&self, key: usize, seen: u64, now: u64) {
+        let mut run = self.run.borrow_mut();
+        run.mem[key] = now;
+        run.log.push(Access { key: key as u8, wrote: now != seen, seen });
+    }
+
+    /// Read back the pending access, if any, and log it.
+    fn settle(&self) {
+        if let Some((key, seen, word)) = self.pending.take() {
+            self.record(key, seen, word.get());
+        }
+    }
+
+    fn stop(&self, why: Stop) -> ! {
+        self.run.borrow_mut().finished = true;
+        resume_unwind(Box::new(why))
+    }
+
+    fn fail(&self, msg: String) -> ! {
+        self.run.borrow_mut().finished = true;
+        panic!("model checker: {msg}")
+    }
+
+    fn in_range(&self, s: usize) -> usize {
+        if s >= self.cells.n_slots() {
+            self.fail(format!("slot {s} out of range"));
+        }
+        s
+    }
+
+    /// The accessor protocol: the real word, set to the value this access
+    /// sees; a scratch word while unwinding.
+    fn word<'s, W: Word + 'c>(&'s self, scratch: &'s W, real: impl FnOnce() -> &'c W) -> &'s W {
+        if self.run.borrow().finished {
+            return scratch;
+        }
+        let real = real();
+        let Some(key) = self.setup.key(addr(real), 0) else {
+            self.fail(format!("register {} reached a word outside the model", self.k));
+        };
+        match self.enter(key) {
+            None => scratch,
+            Some((seen, new)) => {
+                real.set(seen);
+                if new {
+                    self.pending.set(Some((key, seen, real)));
+                }
+                real
+            }
+        }
+    }
+
+    fn payload_key(&self, slot: usize, word: u8) -> usize {
+        let line = self.setup.slots[self.k][self.in_range(slot)];
+        self.setup.key(line, 1 + word).expect("payload word")
+    }
+
+    fn payload_load(&self, slot: usize, word: u8) -> u8 {
+        let key = self.payload_key(slot, word);
+        match self.enter(key) {
+            Some((seen, new)) => {
+                if new {
+                    self.record(key, seen, seen);
+                }
+                seen as u8
+            }
+            None => 0,
+        }
+    }
+
+    fn payload_store(&self, slot: usize, word: u8, seq: u8) {
+        let key = self.payload_key(slot, word);
+        if let Some((seen, true)) = self.enter(key) {
+            let line = self.setup.slots[self.k][slot];
+            let holder = self.run.borrow().held.iter().find(|h| h.0 == line).map(|h| h.1);
+            if let Some(r) = holder {
+                self.stop(Stop::Violation(format!(
+                    "slot exclusion violated: the writer stores into slot {slot} of register {} \
+                     while reader {r} holds it",
+                    self.k
+                )));
+            }
+            self.record(key, seen, seq.into());
+        }
+    }
+}
+
+impl ArcCells for Stepped<'_> {
+    fn n_slots(&self) -> usize {
+        self.cells.n_slots()
+    }
+    fn current_word(&self) -> &AtomicU64 {
+        self.word(&self.scratch.w64, || self.cells.current_word())
+    }
+    fn hint_word(&self) -> &AtomicUsize {
+        self.word(&self.scratch.wsize, || self.cells.hint_word())
+    }
+    fn r_start(&self, slot: usize) -> &AtomicU32 {
+        self.word(&self.scratch.w32, || self.cells.r_start(self.in_range(slot)))
+    }
+    fn r_end(&self, slot: usize) -> &AtomicU32 {
+        self.word(&self.scratch.w32, || self.cells.r_end(self.in_range(slot)))
+    }
+    fn live_readers_word(&self) -> &AtomicU32 {
+        self.word(&self.scratch.w32, || self.cells.live_readers_word())
+    }
+    fn gen_joins_word(&self) -> &AtomicU32 {
+        self.word(&self.scratch.w32, || self.cells.gen_joins_word())
+    }
+    fn writer_claimed_word(&self) -> &AtomicBool {
+        self.word(&self.scratch.wbool, || self.cells.writer_claimed_word())
+    }
+    fn version_word(&self) -> &AtomicU64 {
+        self.word(&self.scratch.w64, || self.cells.version_word())
+    }
+    fn slot_version(&self, slot: usize) -> &AtomicU64 {
+        self.word(&self.scratch.w64, || self.cells.slot_version(self.in_range(slot)))
+    }
+    fn watch(&self) -> &WaitSet {
+        self.cells.watch()
+    }
+    fn wip_word(&self) -> &AtomicU64 {
+        self.word(&self.scratch.w64, || self.cells.wip_word())
+    }
+    fn wip_old_word(&self) -> &AtomicU64 {
+        self.word(&self.scratch.w64, || self.cells.wip_old_word())
+    }
+    fn lease_word(&self) -> &AtomicU64 {
+        self.word(&self.scratch.w64, || self.cells.lease_word())
+    }
+    fn birth_word(&self) -> &AtomicU64 {
+        self.word(&self.scratch.w64, || self.cells.birth_word())
+    }
+    fn heartbeat_word(&self) -> &AtomicU64 {
+        self.word(&self.scratch.w64, || self.cells.heartbeat_word())
+    }
+    fn health_word(&self) -> &AtomicU64 {
+        self.word(&self.scratch.w64, || self.cells.health_word())
+    }
+    fn last_good_word(&self) -> &AtomicU64 {
+        self.word(&self.scratch.w64, || self.cells.last_good_word())
+    }
+    fn pin_entries(&self) -> u32 {
+        self.cells.pin_entries()
+    }
+    fn pin_entry(&self, i: u32) -> &AtomicU64 {
+        self.word(&self.scratch.w64, || self.cells.pin_entry(i))
+    }
+    fn max_readers(&self) -> u32 {
+        self.cells.max_readers()
+    }
+    fn opts(&self) -> RawOptions {
+        self.cells.opts()
+    }
+}
+
+// ---------------------------------------------------------------------
+// The configurations
+// ---------------------------------------------------------------------
+
+/// Exhaustive runs take turns, so two large state spaces never share the
+/// machine's memory.
+static EXHAUSTIVE: Mutex<()> = Mutex::new(());
+
+fn assert_ok(out: Outcome, cfg: Config) {
+    match out {
+        Outcome::Ok(r) => {
+            println!("{cfg:?}: {} states, {} transitions", r.states, r.transitions);
+            assert!(r.terminals > 0, "{cfg:?}: no terminal state reached");
+        }
+        Outcome::Violation { message, schedule, .. } => {
+            panic!("{cfg:?}: VIOLATION: {message}\nschedule: {schedule:?}")
+        }
+        other => panic!("{cfg:?}: exploration did not complete: {other:?}"),
+    }
+}
+
+/// Every interleaving of `cfg`.
+fn exhaustive(cfg: Config) {
+    let _turn = EXHAUSTIVE.lock().unwrap_or_else(|p| p.into_inner());
+    assert_ok(explore(RealCode::new(cfg), ExploreLimits::default()), cfg);
+}
+
+/// `walks` random schedules of `cfg`.
+fn walks(cfg: Config, walks: usize, seed: u64) {
+    assert_ok(random_walks(RealCode::new(cfg), walks, seed, ExploreLimits::default()), cfg);
+}
+
+// One register, hint off.
+
+#[test]
+fn k1_1r_1w_1x() {
+    exhaustive(Config::k1(1, 1, 1));
+}
+
+#[test]
+fn k1_1r_1w_2x() {
+    exhaustive(Config::k1(1, 1, 2));
+}
+
+#[test]
+fn k1_1r_3w_2x() {
+    exhaustive(Config::k1(1, 3, 2));
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
+fn k1_1r_4w_3x() {
+    exhaustive(Config::k1(1, 4, 3));
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
+fn k1_2r_2w_2x() {
+    exhaustive(Config::k1(2, 2, 2));
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
+fn k1_2r_3w_2x() {
+    exhaustive(Config::k1(2, 3, 2));
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
+fn k1_2r_4w_2x() {
+    exhaustive(Config::k1(2, 4, 2));
+}
+
+// One register, hint on.
+
+#[test]
+fn hint_1r_3w_2x() {
+    exhaustive(Config::k1(1, 3, 2).hint());
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
+fn hint_1r_5w_3x() {
+    exhaustive(Config::k1(1, 5, 3).hint());
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
+fn hint_2r_3w_2x() {
+    exhaustive(Config::k1(2, 3, 2).hint());
+}
+
+// Every read ends in a guard drop.
+
+#[test]
+fn guard_1r_3w_2x() {
+    exhaustive(Config::k1(1, 3, 2).hint().guard_drop());
+}
+
+#[test]
+fn guard_no_hint_1r_3w_2x() {
+    exhaustive(Config::k1(1, 3, 2).guard_drop());
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
+fn guard_2r_3w_1x() {
+    exhaustive(Config::k1(2, 3, 1).hint().guard_drop());
+}
+
+/// A guard held across more writes than the register has slots.
+#[test]
+fn guard_1r_4w_1x() {
+    exhaustive(Config::k1(1, 4, 1).hint().guard_drop());
+}
+
+// Two registers of one slab, one batch writer, one reader each.
+
+#[test]
+fn k2_1w_2x() {
+    exhaustive(Config::k2(1, 2));
+}
+
+#[test]
+fn k2_2w_2x() {
+    exhaustive(Config::k2(2, 2));
+}
+
+#[test]
+fn k2_3w_1x() {
+    exhaustive(Config::k2(3, 1));
+}
+
+/// A starved writer stops being scheduled, so the search reaches the
+/// safety face of a broken layout, not just its starvation.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
+fn k2_3w_2x_pruned() {
+    exhaustive(Config::k2(3, 2).prune_starved());
+}
+
+// Random schedules of configurations too large to exhaust.
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "randomized exploration: run with --release")]
+fn walks_hint_3r_6w_5x() {
+    walks(Config::k1(3, 6, 5).hint(), 20_000, 0xA5C3);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "randomized exploration: run with --release")]
+fn walks_1r_3w_2x() {
+    walks(Config::k1(1, 3, 2), 20_000, 0xBAD5EED);
+}
+
+#[test]
+#[should_panic(expected = "writer-private")]
+fn reader_touching_a_writer_private_word_panics() {
+    let mut m = RealCode::new(Config::k1(1, 1, 1));
+    let setup = Arc::get_mut(&mut m.setup.0).expect("sole owner");
+    let current = setup.key(setup.current[0], 0).expect("current word");
+    setup.private[current] = true;
+    let _ = m.step(1); // the reader's R1 loads `current`
+}

@@ -33,9 +33,10 @@
 //! 64 B header and slot lines. Every register type runs on that layout —
 //! [`crate::ArcGroup`] at any K, [`crate::ArcRegister`] and
 //! [`crate::TypedArc`] as K = 1 groups — so the proof sketch below and the
-//! ordering budget describe exactly one implementation. The trait stays as
-//! the seam through which a model checker can drive these functions over
-//! its own word type.
+//! ordering budget describe exactly one implementation. The trait is also
+//! the seam the test-only `model_check` module drives: it runs these very
+//! functions over a wrapper of the real cells, one shared access per step,
+//! through every interleaving `interleave::explore` enumerates.
 //!
 //! # Why the fast path is safe (the linchpin)
 //!
@@ -254,7 +255,8 @@ pub(crate) fn quarantine_on<C: ArcCells>(c: &C, reason: u64) {
         .compare_exchange(HEALTH_OK, reason, Ordering::AcqRel, Ordering::Relaxed)
         .is_ok()
     {
-        c.last_good_word().store(c.version_word().load(Ordering::Acquire), Ordering::Release);
+        let version = c.version_word().load(Ordering::Acquire);
+        c.last_good_word().store(version, Ordering::Release);
     }
 }
 
@@ -318,6 +320,10 @@ impl Default for RawOptions {
 /// usual ownership discipline (the words are dedicated to this register
 /// and live as long as the view); the protocol functions below provide all
 /// synchronization.
+///
+/// The functions below make exactly one access to each word an accessor
+/// returns, before calling the next accessor: the test-only model checker
+/// treats each accessor call as the step boundary of the access after it.
 pub(crate) trait ArcCells {
     /// Number of slots of this register.
     fn n_slots(&self) -> usize;
@@ -393,6 +399,7 @@ const CAND_HINT_BIT: u32 = 1 << SLOT_INDEX_BITS;
 /// `slot_free_on`, so dropping, duplicating or staling entries is harmless,
 /// and a dropped slot resurfaces through the fallback scan.
 #[derive(Debug, Clone, Copy)]
+#[cfg_attr(test, derive(PartialEq, Eq, Hash))]
 pub(crate) struct WriterMem {
     /// Slot of the current publication (always equals `current.index`).
     last_slot: u32,
@@ -1099,6 +1106,29 @@ impl<C: ArcCells> Drop for PublishGuard<'_, C> {
     }
 }
 
+/// The write path of Algorithm 3: W1 with writer memory `wr`, then
+/// `fill(slot)`, then W2 + W3, counted in `m`.
+///
+/// `fill` has exclusive access to the storage of `slot` until it returns:
+/// W1 proved the slot free, and the Acquire edge on its `r_end` ordered
+/// all prior readers' loads before the fill's stores. The window runs
+/// under a [`PublishGuard`]: if `fill` (or an injected crash point in
+/// panic mode) unwinds, the guard classifies the journal and completes or
+/// discards the publication, so a panicking fill leaves the register
+/// consistent and the writer memory usable again.
+#[inline]
+pub(crate) fn publish_with_on<C: ArcCells, R>(
+    c: &C,
+    wr: &mut WriterMem,
+    m: &mut OpMetrics,
+    fill: impl FnOnce(usize) -> R,
+) -> R {
+    let guard = PublishGuard::select(c, wr, m);
+    let out = fill(guard.slot());
+    guard.publish();
+    out
+}
+
 /// The published version: the number of completed writes (0 = only the
 /// initial value). Monotone; safe to poll from any thread.
 #[inline]
@@ -1177,6 +1207,7 @@ pub(crate) fn outstanding_units_on<C: ArcCells>(c: &C) -> u64 {
 ///
 /// `None` until the handle's first read (lazy acquisition; DESIGN.md §3.2).
 #[derive(Debug)]
+#[cfg_attr(test, derive(Clone, PartialEq, Eq, Hash))]
 pub(crate) struct RawReader {
     last_index: Option<u32>,
     /// Version of the publication this handle pins — cached so the R2

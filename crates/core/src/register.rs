@@ -916,8 +916,9 @@ mod tests {
     fn held_guard_pins_across_more_writes_than_slots() {
         // A guard held across >= n_slots writes: the writer must stay
         // wait-free (every write completes) and the pinned bytes must
-        // never be re-stamped — the model-checked held-guard scenario
-        // (interleave::arc_model), exercised on the real code.
+        // never be re-stamped — the held-guard configuration the model
+        // checker exhausts (model_check::guard_1r_4w_1x), here over 100
+        // writes through the public API.
         let reg = ArcRegister::builder(1, 64).build().unwrap(); // 3 slots
         let mut w = reg.writer().unwrap();
         let mut r = reg.reader().unwrap();

@@ -420,6 +420,7 @@ mod tests {
         }
 
         let reg = ArcRegister::builder(2, 16).initial(b"v0").build().unwrap();
+        let (seen_tx, seen_rx) = std::sync::mpsc::channel();
         let streamer = {
             let reg = Arc::clone(&reg);
             std::thread::spawn(move || {
@@ -429,18 +430,23 @@ mod tests {
                 let mut yielded = Vec::new();
                 while yielded.len() < 3 {
                     match stream.poll_next(&mut cx) {
-                        std::task::Poll::Ready(v) => yielded.push(v),
+                        std::task::Poll::Ready(v) => {
+                            yielded.push(v);
+                            seen_tx.send(v).unwrap();
+                        }
                         std::task::Poll::Pending => std::thread::park(),
                     }
                 }
                 yielded
             })
         };
-        std::thread::sleep(Duration::from_millis(10));
         let mut w = reg.writer().unwrap();
         for i in 1..=3u64 {
             w.write(&i.to_le_bytes());
-            std::thread::sleep(Duration::from_millis(5));
+            // A stream coalesces the versions it has not polled yet, so
+            // publish the next one only after this one was yielded.
+            let seen = seen_rx.recv_timeout(Duration::from_secs(10));
+            assert_eq!(seen, Ok(i), "the stream must yield version {i}");
         }
         let yielded = streamer.join().unwrap();
         assert_eq!(yielded.len(), 3);

@@ -20,19 +20,20 @@
 //!
 //! The exploration is sound for the *protocol logic* under sequential
 //! consistency; the (strictly weaker-ordering) questions about the C11
-//! mapping are addressed separately (DESIGN.md §3.1, stress tests). A
-//! deliberately broken ARC variant ([`arc_model`] with
-//! `Defect::ReleaseEarly`) demonstrates that the checker actually catches
-//! protocol bugs — it fails within a few thousand states.
+//! mapping are addressed separately (DESIGN.md §3.1, stress tests).
 //!
-//! [`arc_model`]: crate::arc_model
+//! The ARC protocol and the slab layout have no model here: the
+//! `arc-register` crate's test-only `model_check` module drives
+//! [`explore`] and [`random_walks`] over the shipped `raw.rs` functions
+//! themselves, checking them with [`ObsChecker`]. The models here cover
+//! what that checker does not reach yet — crash recovery
+//! ([`recovery_model`]) and the watch edge ([`notify_model`]) — and the
+//! other constructions (RF, Peterson, the MN register).
 
 #![deny(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod arc_model;
 pub mod explorer;
-pub mod group_model;
 pub mod mn_model;
 pub mod mn_slab_model;
 pub mod notify_model;
@@ -41,9 +42,7 @@ pub mod recovery_model;
 pub mod rf_model;
 pub mod spec;
 
-pub use arc_model::{ArcModel, Defect};
 pub use explorer::{explore, random_walks, ExploreLimits, Model, Outcome, Report};
-pub use group_model::{GroupArcModel, GroupDefect, GroupModelConfig};
 pub use mn_model::{MnDefect, MnModel};
 pub use mn_slab_model::{MnSlabConfig, MnSlabDefect, MnSlabModel};
 pub use notify_model::{NotifyDefect, NotifyModel};

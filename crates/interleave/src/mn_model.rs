@@ -2,7 +2,8 @@
 //! (`mn-register`), verifying the *composition* layer.
 //!
 //! The sub-registers are ARC instances whose atomicity is verified
-//! separately (by [`crate::arc_model`] and the paper's §4 argument), so
+//! separately (on the shipped code, by `arc-register`'s `model_check`
+//! tests, and by the paper's §4 argument), so
 //! here each sub-register operation is **one atomic step** — exactly the
 //! abstraction the construction's correctness argument relies on. What
 //! remains to check is the composition logic under all interleavings:

@@ -4,8 +4,9 @@
 //!
 //! The layers proven elsewhere:
 //!
-//! * the single-register ARC protocol ([`crate::arc_model`]);
-//! * the slab layout under **one** batch writer ([`crate::group_model`]);
+//! * the single-register ARC protocol and the slab layout under **one**
+//!   batch writer (on the shipped code, by `arc-register`'s test-only
+//!   `model_check` module);
 //! * the timestamp construction over atomic sub-registers
 //!   ([`crate::mn_model`]).
 //!
@@ -14,14 +15,14 @@
 //! adjacent slab ranges** while a reader scans both sub-registers with
 //! persistent per-register pins (exactly the slab `MnReader`'s shape:
 //! one standing `GroupReader` per sub-register). The writers interleave
-//! freely *with each other*, something the group model's program-ordered
+//! freely *with each other*, something the checker's program-ordered
 //! batch writer could never do; a layout bug that lets their slot ranges
 //! overlap therefore fails in a new way — two writers *simultaneously
-//! mid-store into the same slot* — on top of the pin-stomping the group
-//! model already catches.
+//! mid-store into the same slot* — on top of the pin-stomping the
+//! checker's two-register runs already catch.
 //!
 //! Step granularity: every shared-memory access of the write path and
-//! the read path is one step, as in [`crate::arc_model`]. The collect
+//! the read path is one step, as in the shipped-code checker. The collect
 //! (the MN write's timestamp read of the peer sub-register) is modeled
 //! as **one atomic step**, the abstraction [`crate::mn_model`] justifies
 //! — it reads only the peer's *published* slot, which the peer writer
@@ -248,8 +249,7 @@ impl MnSlabModel {
         let g = self.global(target, chosen);
         for reg in 0..2 {
             if let Some(local) = self.reader.pins[reg] {
-                // As in arc_model: between R3 and R4 the stale index
-                // carries no rights.
+                // Between R3 and R4 the stale index carries no rights.
                 let stale = matches!(self.reader.pc, RPc::FetchAdd { reg: r } if r as usize == reg);
                 if !stale && self.global(reg, local) == g {
                     return Err(format!(

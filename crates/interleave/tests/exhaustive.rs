@@ -1,5 +1,6 @@
-//! Exhaustive model-checking of all protocols at multi-reader
-//! configurations — the mechanical counterpart to the paper's §4 proof.
+//! Exhaustive model-checking of the hand-written protocol models at
+//! multi-reader configurations. The ARC protocol itself is checked on the
+//! shipped code by `arc-register`'s test-only `model_check` module.
 //!
 //! Each test enumerates *every* sequentially-consistent interleaving of the
 //! configured workload (deduplicated by state, up to ~365k states),
@@ -12,9 +13,9 @@
 //! sanity configurations always run in the crates' unit tests.
 
 use interleave::{
-    explore, random_walks, ArcModel, Defect, ExploreLimits, FaultKind, MnDefect, MnModel,
-    MnSlabConfig, MnSlabDefect, MnSlabModel, ModelConfig, NotifyDefect, NotifyModel, Outcome,
-    PetersonModel, RecoveryDefect, RecoveryModel, RecoveryModelConfig, RfModel,
+    explore, random_walks, ExploreLimits, FaultKind, MnDefect, MnModel, MnSlabConfig, MnSlabDefect,
+    MnSlabModel, ModelConfig, NotifyDefect, NotifyModel, Outcome, PetersonModel, RecoveryDefect,
+    RecoveryModel, RecoveryModelConfig, RfModel,
 };
 
 fn assert_ok(out: Outcome, what: &str) {
@@ -31,68 +32,6 @@ fn assert_ok(out: Outcome, what: &str) {
         }
         other => panic!("{what}: exploration did not complete: {other:?}"),
     }
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
-fn arc_two_readers_exhaustive() {
-    let cfg = ModelConfig { readers: 2, writes: 2, reads_each: 2 };
-    assert_ok(explore(ArcModel::new(cfg, Defect::None), ExploreLimits::default()), "ARC 2r/2w/2x");
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
-fn arc_ring_two_readers_exhaustive() {
-    // The writer candidate cache (hint drained into a local candidate FIFO,
-    // lazy reclamation at freeze, re-validation at pop) with two readers:
-    // every interleaving must preserve "no slot with a standing reader is
-    // ever recycled" — witnessed directly by the model's slot-exclusion
-    // check at each writer data store.
-    let cfg = ModelConfig { readers: 2, writes: 3, reads_each: 2 };
-    assert_ok(
-        explore(ArcModel::with_ring(cfg, Defect::None, true, true), ExploreLimits::default()),
-        "ARC+ring 2r/3w/2x",
-    );
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
-fn arc_ring_slot_reuse_exhaustive() {
-    // More writes than slots forces ring-served reuse under a standing
-    // reader — the regime where a stale candidate would be catastrophic.
-    let cfg = ModelConfig { readers: 1, writes: 5, reads_each: 3 };
-    assert_ok(
-        explore(ArcModel::with_ring(cfg, Defect::None, true, true), ExploreLimits::default()),
-        "ARC+ring 1r/5w/3x",
-    );
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
-fn arc_three_writes_exhaustive() {
-    // More writes than slots-minus-one forces slot reuse under standing
-    // readers — the regime where the freeze/release accounting must hold.
-    let cfg = ModelConfig { readers: 1, writes: 4, reads_each: 3 };
-    assert_ok(explore(ArcModel::new(cfg, Defect::None), ExploreLimits::default()), "ARC 1r/4w/3x");
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
-fn arc_two_readers_deep_writes_exhaustive() {
-    let cfg = ModelConfig { readers: 2, writes: 3, reads_each: 2 };
-    assert_ok(explore(ArcModel::new(cfg, Defect::None), ExploreLimits::default()), "ARC 2r/3w/2x");
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
-fn arc_hint_two_readers_exhaustive() {
-    // §3.4 free-slot hint: stale hints must be rendered harmless by the
-    // writer's re-validation, under every interleaving.
-    let cfg = ModelConfig { readers: 2, writes: 3, reads_each: 2 };
-    assert_ok(
-        explore(ArcModel::with_hint(cfg, Defect::None, true), ExploreLimits::default()),
-        "ARC+hint 2r/3w/2x",
-    );
 }
 
 #[test]
@@ -127,11 +66,6 @@ fn peterson_two_readers_exhaustive() {
 #[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
 fn randomized_larger_configs() {
     // Too large to exhaust: hammer with reproducible random schedules.
-    let arc = ArcModel::new(ModelConfig { readers: 3, writes: 6, reads_each: 5 }, Defect::None);
-    assert_ok(
-        random_walks(arc, 20_000, 0xA5C3, ExploreLimits::default()),
-        "ARC 3r/6w/5x randomized",
-    );
     let pet = PetersonModel::new(ModelConfig { readers: 3, writes: 6, reads_each: 5 });
     assert_ok(
         random_walks(pet, 20_000, 0x7E7E, ExploreLimits::default()),
@@ -139,17 +73,6 @@ fn randomized_larger_configs() {
     );
     let rf = RfModel::new(ModelConfig { readers: 3, writes: 6, reads_each: 5 });
     assert_ok(random_walks(rf, 20_000, 0x0F0F, ExploreLimits::default()), "RF 3r/6w/5x randomized");
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
-fn broken_arc_found_by_random_walks_too() {
-    // The defect must also be discoverable without exhaustive search —
-    // evidence the randomized mode has real bug-finding power.
-    let m =
-        ArcModel::new(ModelConfig { readers: 1, writes: 3, reads_each: 2 }, Defect::ReleaseEarly);
-    let out = random_walks(m, 200_000, 0xBAD5EED, ExploreLimits::default());
-    assert!(!out.is_ok(), "random walks should stumble onto the release-early violation");
 }
 
 #[test]
