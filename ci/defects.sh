@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# Seeded-defect gate for the real-code model checker
-# (crates/core/src/model_check.rs).
+# Seeded-defect gate for the shipped protocol, recovery and watchdog code.
 #
-# Each patch under ci/defects/ breaks the shipped protocol in one small,
+# Each patch under ci/defects/ breaks the shipped code in one small,
 # plausible way. For each one this script applies the patch, runs the
-# listed checker tests of the arc-register lib in release, requires every
-# one of them to fail with its violation class, and reverts the patch.
-# A patch that no longer applies fails the gate, so a change to raw.rs or
-# group.rs that moves the patched lines must refresh the patch.
+# listed tests of the arc-register lib in release (most are configurations
+# of the real-code model checker, crates/core/src/model_check.rs), requires
+# every one of them to fail with its expected message, and reverts the
+# patch. A patch that no longer applies fails the gate, so a change that
+# moves the patched lines must refresh the patch.
 #
 # Each patch costs one release rebuild of the arc-register lib tests.
 #
@@ -19,7 +19,9 @@ status=0
 applied=""
 trap '[ -n "$applied" ] && git apply -R "$applied"' EXIT
 
-# check PATCH TEST CLASS [TEST CLASS]...
+# check PATCH TEST MESSAGE [TEST MESSAGE]...
+#   TEST is a lib test path (e.g. model_check::k1_1r_3w_2x); MESSAGE is a
+#   fixed string its failure output must contain.
 check() {
     local patch="ci/defects/$1.patch"
     shift
@@ -30,15 +32,15 @@ check() {
     fi
     applied="$patch"
     while [ $# -gt 0 ]; do
-        local test="$1" class="$2" out
+        local test="$1" message="$2" out
         shift 2
-        if out=$(cargo test -q --release -p arc-register --lib -- --exact "model_check::$test" 2>&1); then
+        if out=$(cargo test -q --release -p arc-register --lib -- --exact "$test" 2>&1); then
             echo "defects: $patch was not caught by $test"
             status=1
-        elif grep -q "VIOLATION: $class" <<<"$out"; then
-            echo "defects: $patch caught by $test ($class)"
+        elif grep -qF -- "$message" <<<"$out"; then
+            echo "defects: $patch caught by $test ($message)"
         else
-            echo "defects: $patch made $test fail without a '$class' violation:"
+            echo "defects: $patch made $test fail without '$message':"
             tail -n 20 <<<"$out"
             status=1
         fi
@@ -47,15 +49,24 @@ check() {
     applied=""
 }
 
-exclusion="slot exclusion violated"
-bound="access bound exceeded"
+exclusion="VIOLATION: slot exclusion violated"
+bound="VIOLATION: access bound exceeded"
+regularity="VIOLATION: regularity violation"
+mc=model_check
 
-check release_early k1_1r_3w_2x "$exclusion" walks_1r_3w_2x "$exclusion"
-check no_freeze k1_1r_3w_2x "$exclusion"
-check publish_before_copy k1_1r_1w_1x "$exclusion"
-check acquire_before_release k1_2r_4w_2x "$bound"
-check ring_no_revalidate hint_1r_5w_3x "$exclusion"
-check guard_leak_unit guard_no_hint_1r_3w_2x "$bound"
-check slab_overlap k2_2w_2x "$bound" k2_3w_2x_pruned "$exclusion"
+check release_early $mc::k1_1r_3w_2x "$exclusion" $mc::walks_1r_3w_2x "$exclusion"
+check no_freeze $mc::k1_1r_3w_2x "$exclusion"
+check publish_before_copy $mc::k1_1r_1w_1x "$exclusion"
+check acquire_before_release $mc::k1_2r_4w_2x "$bound"
+check ring_no_revalidate $mc::hint_1r_5w_3x "$exclusion"
+check guard_leak_unit $mc::guard_no_hint_1r_3w_2x "$bound"
+check slab_overlap $mc::k2_2w_2x "$bound" $mc::k2_3w_2x_pruned "$exclusion"
+check skip_adoption $mc::kill_1r_1_2w_2x "$exclusion"
+check skip_freeze_replay $mc::kill_1r_1_2w_2x "$exclusion"
+check skip_rollback $mc::kill_1r_1_2w_2x "$regularity"
+check skip_completion $mc::panic_1r_2_2w_2x "$exclusion"
+check skip_birth_check group::tests::forged_live_pid_with_stale_birth_token_counts_as_dead \
+    "a recycled pid (birth mismatch)"
+check heartbeat_false_positive supervise::tests::classify_matrix "left: Dead"
 
 exit $status

@@ -30,6 +30,39 @@
 //! observe when they change, so the step goes on past them. A reader
 //! touching one makes the checker panic.
 //!
+//! # Faults
+//!
+//! A fault run adds a one-shot daemon thread that kills or unwinds the
+//! writer at any step boundary of its first writes; the writer then makes
+//! its remaining writes.
+//!
+//! * **Kill.** The writer's in-flight write is abandoned: its accesses
+//!   stay in model memory and the writer is no longer scheduled. A
+//!   recovery thread then runs the shipped `recover_register` as its own
+//!   stepped operation, in the quiescent window `recovery.rs` documents:
+//!   it starts only while every reader is between operations, and readers
+//!   wait while it runs. The lease word names another process, so the
+//!   liveness oracle reports only the writer dead; the group carries a pin
+//!   registry, so the at-W2 census is exact. The crashed write counts as
+//!   completed iff recovery classifies it at-W2 or post-W2. The writer
+//!   then claims the role again through `writer_claim_on`.
+//! * **Unwind.** The daemon records the access index at which the
+//!   in-flight write unwinds. On every replay the accessor call at that
+//!   index raises the private payload instead of accessing, and the real
+//!   `PublishGuard::drop` runs against model memory. A second unwind
+//!   inside that `Drop` would abort, so after its one new access an
+//!   unwinding step hands out scratch words until the unwind completes,
+//!   and the next step replays the guard's logged accesses. The write is
+//!   over once a replay reaches the end of the `Drop` with no new access
+//!   pending; it counts as completed iff the guard moved the handle's
+//!   `last_slot`, and the same handle makes the remaining writes.
+//!
+//! A fault may land between any two accesses, so in fault runs only the
+//! heartbeat and churn-budget words stay writer-private: every journal,
+//! lease, claim, version and ledger word ends a step. Each pin-registry
+//! entry is private to the reader that owns it, because recovery reads
+//! it only while readers are between operations.
+//!
 //! # What is checked
 //!
 //! * One [`ObsChecker`] per register, at each read's response: torn reads,
@@ -57,11 +90,28 @@ use register_common::OpMetrics;
 use sync_primitives::WaitSet;
 
 use crate::current::index_of;
+use crate::errors::HandleError;
 use crate::group::{ArcGroup, GroupCells};
 use crate::raw::{
     guard_drop_on, publish_with_on, read_acquire_on, reader_join_on, writer_claim_on, ArcCells,
     RawOptions, RawReader, WriterMem,
 };
+use crate::recovery::{recover_register, RecoveryReport};
+
+/// The lease pid of a killed writer: another process, which the liveness
+/// oracle reports dead.
+const OTHER_PROCESS: u64 = u32::MAX as u64;
+
+/// What the daemon does to the writer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fault {
+    /// No daemon.
+    None,
+    /// Kill it; recovery runs and the writer claims again.
+    Kill,
+    /// Unwind its in-flight write; the write's guard repairs.
+    Panic,
+}
 
 /// A workload: one batch writer (thread 0) writing the registers in turn,
 /// and `readers` reader threads per register.
@@ -72,7 +122,7 @@ struct Config {
     /// Reader threads per register; the group is built for exactly that
     /// many, so each register has `readers + 2` slots.
     readers: usize,
-    /// Writes per register.
+    /// Writes per register; in fault runs, the writes the fault may land in.
     writes: u8,
     /// Reads per reader.
     reads: u8,
@@ -82,6 +132,10 @@ struct Config {
     guard_drop: bool,
     /// Stop scheduling a starved writer instead of failing the run.
     prune_starved: bool,
+    /// The daemon's fault (one register only).
+    fault: Fault,
+    /// Writes after the fault.
+    post: u8,
 }
 
 impl Config {
@@ -95,12 +149,20 @@ impl Config {
             hint: false,
             guard_drop: false,
             prune_starved: false,
+            fault: Fault::None,
+            post: 0,
         }
     }
 
     /// Two registers with one reader each, hint off.
     const fn k2(writes: u8, reads: u8) -> Self {
         Self { registers: 2, ..Self::k1(1, writes, reads) }
+    }
+
+    /// One register whose writer meets `fault` in one of its first `pre`
+    /// writes, then makes `post` more; hint off.
+    const fn fault(fault: Fault, readers: usize, pre: u8, post: u8, reads: u8) -> Self {
+        Self { fault, post, ..Self::k1(readers, pre, reads) }
     }
 
     const fn hint(self) -> Self {
@@ -125,6 +187,19 @@ enum Op {
     Read { k: usize, r: usize },
     /// Drop the guard of reader `r`'s last read of register `k`.
     Drop { k: usize, r: usize },
+    /// The writer claims the role again after recovery.
+    Claim,
+    /// Recovery of the killed writer's register.
+    Recover,
+}
+
+impl Op {
+    fn register(self) -> usize {
+        match self {
+            Op::Write { k, .. } | Op::Read { k, .. } | Op::Drop { k, .. } => k,
+            Op::Claim | Op::Recover => 0,
+        }
+    }
 }
 
 /// What a thread needs to know about the slab, fixed for one exploration.
@@ -134,8 +209,8 @@ struct Setup {
     /// Model-memory keys in ascending order: `(address, 0)` for a protocol
     /// word, `(slot address, 1 + i)` for payload word `i` of a slot.
     keys: Vec<(usize, u8)>,
-    /// Per key: only the writer touches it.
-    private: Vec<bool>,
+    /// Per key: the one thread that touches it, besides recovery.
+    owner: Vec<Option<usize>>,
     /// `slots[k][s]`: the address of slot `s` of register `k` (that of its
     /// `r_start` word), which identifies the slot across registers.
     slots: Vec<Vec<usize>>,
@@ -145,7 +220,8 @@ struct Setup {
     current: Vec<usize>,
     /// Accesses one operation may take. A write whose first W1 sweep over
     /// `n` slots finds a slot (Lemma 4.1) takes fewer than `2 n + 30`; a
-    /// starved writer keeps sweeping and passes the bound.
+    /// starved writer keeps sweeping and passes the bound. Fault runs allow
+    /// 16 more: an unwound write's log also holds the guard's repair.
     bound: usize,
 }
 
@@ -154,27 +230,14 @@ impl Setup {
         self.keys.binary_search(&(addr, tag)).ok()
     }
 
-    fn ops(&self, tid: usize) -> u8 {
-        let c = &self.cfg;
-        match tid {
-            0 => c.writes * c.registers as u8,
-            _ => c.reads * if c.guard_drop { 2 } else { 1 },
-        }
+    /// The daemon's thread id; recovery's is the next one.
+    fn daemon(&self) -> usize {
+        1 + self.cfg.registers * self.cfg.readers
     }
 
-    fn op(&self, tid: usize, i: u8) -> Op {
-        let k_all = self.cfg.registers;
-        match tid {
-            0 => Op::Write { k: i as usize % k_all, seq: (i as usize / k_all) as u8 + 1 },
-            _ => {
-                let (r, k) = (tid - 1, (tid - 1) % k_all);
-                if self.cfg.guard_drop && i % 2 == 1 {
-                    Op::Drop { k, r }
-                } else {
-                    Op::Read { k, r }
-                }
-            }
-        }
+    /// Operations of each reader.
+    fn reader_ops(&self) -> u8 {
+        self.cfg.reads * if self.cfg.guard_drop { 2 } else { 1 }
     }
 }
 
@@ -217,6 +280,21 @@ struct Thread {
     starved: bool,
 }
 
+/// Where a run stands with respect to its fault.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Phase {
+    /// The daemon has yet to act.
+    Armed,
+    /// The writer is dead and recovery has not completed.
+    Dead,
+    /// Recovery completed: the writer claims the role next.
+    Recovered,
+    /// The writer's in-flight write unwinds at this access index.
+    Unwind(usize),
+    /// No fault pending.
+    Over,
+}
+
 /// A model state of the real code: model memory, each thread's handle
 /// state as of the start of its current operation, and its access log.
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -230,31 +308,41 @@ struct RealCode {
     writer: Vec<WriterMem>,
     /// Each reader's handle.
     readers: Vec<RawReader>,
-    /// Thread 0 is the writer, thread `1 + r` is reader `r`.
+    /// Thread 0 is the writer, thread `1 + r` is reader `r`, then the
+    /// daemon and recovery of fault runs.
     threads: Vec<Thread>,
+    phase: Phase,
+    /// Writes the writer makes in all (a fault moves it).
+    writes: u8,
 }
 
 /// How an operation ended a step without completing.
 enum Stop {
     /// The step made its access.
     Step,
+    /// The daemon's unwind of the writer.
+    Unwind,
     /// The operation passed the access bound.
     Starved(String),
     /// A safety check failed.
     Violation(String),
 }
 
-/// What a completed operation hands back: the handle state to keep, and a
-/// read's two payload words.
+/// What a completed operation hands back: a read's handle state and
+/// payload words, a claim's result, or recovery's report.
 enum Done {
-    Writer(WriterMem),
+    Write,
     Reader(RawReader, Option<(u8, u8)>),
+    Claim(Result<usize, HandleError>),
+    Recover(RecoveryReport),
 }
 
 impl RealCode {
     fn new(cfg: Config) -> Self {
+        let kill = cfg.fault == Fault::Kill;
         let group = ArcGroup::builder(cfg.registers, cfg.readers as u32, 8)
             .hint(cfg.hint)
+            .pin_registry(kill)
             .build()
             .expect("model group");
         let n = group.n_slots();
@@ -265,39 +353,51 @@ impl RealCode {
             .map(|r| reader_join_on(&group.cells(r % cfg.registers)).expect("join"))
             .collect();
 
-        // Every word of every register: (address, tag, value, private).
+        // Every word of every register: (address, tag, value, owner).
         let mut words = Vec::new();
         let (mut slots, mut r_end, mut current) = (Vec::new(), Vec::new(), Vec::new());
+        let fault_free = cfg.fault == Fault::None;
         for k in 0..cfg.registers {
             let c = group.cells(k);
+            if kill {
+                c.lease_word().set(OTHER_PROCESS);
+            }
             slots.push((0..n).map(|s| addr(c.r_start(s))).collect::<Vec<_>>());
             r_end.push((0..n).map(|s| addr(c.r_end(s))).collect());
             current.push(addr(c.current_word()));
-            let shared: [&dyn Word; 6] = [
-                c.current_word(),
-                c.hint_word(),
-                c.live_readers_word(),
-                c.writer_claimed_word(),
-                c.health_word(),
-                c.last_good_word(),
+            // Each header word, and whether only the writer touches it.
+            let header: [(&dyn Word, bool); 13] = [
+                (c.current_word(), false),
+                (c.hint_word(), false),
+                (c.live_readers_word(), false),
+                (c.writer_claimed_word(), false),
+                (c.health_word(), false),
+                (c.last_good_word(), false),
+                (c.gen_joins_word(), true),
+                (c.heartbeat_word(), true),
+                (c.version_word(), fault_free),
+                (c.wip_word(), fault_free),
+                (c.wip_old_word(), fault_free),
+                (c.lease_word(), fault_free),
+                (c.birth_word(), fault_free),
             ];
-            let private: [&dyn Word; 7] = [
-                c.gen_joins_word(),
-                c.version_word(),
-                c.wip_word(),
-                c.wip_old_word(),
-                c.lease_word(),
-                c.birth_word(),
-                c.heartbeat_word(),
-            ];
-            words.extend(shared.iter().map(|w| (addr(*w), 0, w.get(), false)));
-            words.extend(private.iter().map(|w| (addr(*w), 0, w.get(), true)));
+            words.extend(
+                header
+                    .iter()
+                    .map(|&(w, only_writer)| (addr(w), 0, w.get(), only_writer.then_some(0))),
+            );
             for s in 0..n {
                 for w in [c.r_start(s) as &dyn Word, c.r_end(s), c.slot_version(s)] {
-                    words.push((addr(w), 0, w.get(), false));
+                    words.push((addr(w), 0, w.get(), None));
                 }
-                words.push((addr(c.r_start(s)), 1, 0, false));
-                words.push((addr(c.r_start(s)), 2, 0, false));
+                words.push((addr(c.r_start(s)), 1, 0, None));
+                words.push((addr(c.r_start(s)), 2, 0, None));
+            }
+            // Readers joined in order, so entry `i` is reader `i K + k`'s.
+            for i in 0..c.pin_entries() {
+                let w = c.pin_entry(i);
+                let tid = 1 + i as usize * cfg.registers + k;
+                words.push((addr(w), 0, w.get(), Some(tid)));
             }
         }
         // Overlapping registers would share slot words: keep one copy.
@@ -307,14 +407,19 @@ impl RealCode {
         let setup = Setup {
             cfg,
             keys: words.iter().map(|w| (w.0, w.1)).collect(),
-            private: words.iter().map(|w| w.3).collect(),
+            owner: words.iter().map(|w| w.3).collect(),
             slots,
             r_end,
             current,
-            bound: 4 * n + 32,
+            bound: 4 * n + 32 + if fault_free { 0 } else { 16 },
             group,
         };
-        let threads = 1 + cfg.registers * cfg.readers;
+        let threads = setup.daemon()
+            + match cfg.fault {
+                Fault::None => 0,
+                Fault::Panic => 1,
+                Fault::Kill => 2,
+            };
         Self {
             setup: Shared(Arc::new(setup)),
             mem: words.iter().map(|w| w.2).collect(),
@@ -322,12 +427,53 @@ impl RealCode {
             writer,
             readers,
             threads: vec![Thread::default(); threads],
+            phase: if fault_free { Phase::Over } else { Phase::Armed },
+            writes: cfg.writes * cfg.registers as u8,
         }
     }
 
     fn runnable(&self, tid: usize) -> bool {
+        let s = &self.setup.0;
         let t = &self.threads[tid];
-        !t.starved && t.done < self.setup.0.ops(tid)
+        let daemon = s.daemon();
+        let recovering = self.threads.get(daemon + 1).is_some_and(|r| !r.log.is_empty());
+        if tid == 0 {
+            match self.phase {
+                Phase::Dead => false,
+                Phase::Recovered => true,
+                _ => !t.starved && t.done < self.writes,
+            }
+        } else if tid < daemon {
+            !t.starved && t.done < s.reader_ops() && !recovering
+        } else if tid == daemon {
+            // A kill may land anywhere, an unwind only inside a write.
+            self.phase == Phase::Armed
+                && (s.cfg.fault == Fault::Kill || !self.threads[0].log.is_empty())
+        } else {
+            self.phase == Phase::Dead && self.threads[1..daemon].iter().all(|r| r.log.is_empty())
+        }
+    }
+
+    /// The operation thread `tid` runs next.
+    fn op(&self, tid: usize) -> Op {
+        let s = &self.setup.0;
+        let (i, k_all) = (self.threads[tid].done, s.cfg.registers);
+        if tid == 0 {
+            if self.phase == Phase::Recovered {
+                Op::Claim
+            } else {
+                Op::Write { k: i as usize % k_all, seq: (i as usize / k_all) as u8 + 1 }
+            }
+        } else if tid > s.daemon() {
+            Op::Recover
+        } else {
+            let (r, k) = (tid - 1, (tid - 1) % k_all);
+            if s.cfg.guard_drop && i % 2 == 1 {
+                Op::Drop { k, r }
+            } else {
+                Op::Read { k, r }
+            }
+        }
     }
 
     /// Slots readers hold right now, as `(slot address, reader)`.
@@ -352,25 +498,73 @@ impl RealCode {
         held
     }
 
-    fn complete(&mut self, tid: usize, op: Op, done: Done) -> Result<(), String> {
+    /// The daemon's one step: kill the writer, or arm the unwind of its
+    /// in-flight write at the access that write makes next.
+    fn fire(&mut self) {
+        let cfg = self.setup.0.cfg;
+        let w = &mut self.threads[0];
+        if cfg.fault == Fault::Panic {
+            self.phase = Phase::Unwind(w.log.len());
+            return;
+        }
+        // An abandoned write keeps its accesses and spends its sequence
+        // number.
+        if !w.log.is_empty() {
+            w.log.clear();
+            w.done += 1;
+        }
+        self.writes = w.done + cfg.post;
+        self.phase = Phase::Dead;
+    }
+
+    fn complete(&mut self, tid: usize, op: Op, done: Done, wr: WriterMem) -> Result<(), String> {
         let t = &mut self.threads[tid];
-        t.done += 1;
         t.log.clear();
         let obs = std::mem::take(&mut t.obs);
         match (op, done) {
-            (Op::Write { k, seq }, Done::Writer(wr)) => {
+            (Op::Write { k, seq }, Done::Write) => {
+                t.done += 1;
                 self.writer[k] = wr;
                 self.obs[k].on_write_complete(seq);
             }
             (Op::Read { k, r } | Op::Drop { k, r }, Done::Reader(rd, words)) => {
+                t.done += 1;
                 self.readers[r] = rd;
                 if let Some((w0, w1)) = words {
                     self.obs[k].on_read_complete(obs, w0, w1)?;
                 }
             }
+            (Op::Claim, Done::Claim(claim)) => {
+                let last = claim.map_err(|e| format!("claim after recovery failed: {e}"))?;
+                self.writer[0] = WriterMem::new(last, self.setup.0.group.n_slots());
+                self.phase = Phase::Over;
+            }
+            (Op::Recover, Done::Recover(report)) => {
+                // The crashed write took effect iff recovery adopted it.
+                if report.at_w2 + report.post_w2 > 0 {
+                    let seq = self.obs[0].started_write;
+                    self.obs[0].on_write_complete(seq);
+                }
+                self.phase = Phase::Recovered;
+            }
             _ => unreachable!("operation and result disagree"),
         }
         Ok(())
+    }
+
+    /// The unwound write is over: it took effect iff the guard moved
+    /// `last_slot`, and `wr` makes the remaining writes.
+    fn unwound(&mut self, op: Op, wr: WriterMem) {
+        let Op::Write { k, seq } = op else { unreachable!("only writes unwind") };
+        if wr.last_slot() != self.writer[k].last_slot() {
+            self.obs[k].on_write_complete(seq);
+        }
+        self.writer[k] = wr;
+        let w = &mut self.threads[0];
+        w.log.clear();
+        w.done += 1;
+        self.writes = w.done + self.setup.0.cfg.post;
+        self.phase = Phase::Over;
     }
 }
 
@@ -381,14 +575,18 @@ impl Model for RealCode {
 
     fn step(&mut self, tid: usize) -> Result<(), String> {
         let setup = Arc::clone(&self.setup.0);
-        let op = setup.op(tid, self.threads[tid].done);
-        let (Op::Write { k, .. } | Op::Read { k, .. } | Op::Drop { k, .. }) = op;
+        if tid == setup.daemon() {
+            self.fire();
+            return Ok(());
+        }
+        let op = self.op(tid);
+        let k = op.register();
         if self.threads[tid].log.is_empty() {
             // The operation's first step is its invocation.
             match op {
                 Op::Write { k, seq } => self.obs[k].on_write_start(seq),
                 Op::Read { k, .. } => self.threads[tid].obs = self.obs[k].on_read_start(),
-                Op::Drop { .. } => {}
+                _ => {}
             }
         }
         let cells = setup.group.cells(k);
@@ -400,6 +598,10 @@ impl Model for RealCode {
             cursor: 0,
             shared_done: false,
             finished: false,
+            unwind_at: match self.phase {
+                Phase::Unwind(at) if tid == 0 => Some(at),
+                _ => None,
+            },
         });
         let cx = Stepped {
             setup: &setup,
@@ -410,14 +612,14 @@ impl Model for RealCode {
             scratch: Scratch::default(),
         };
         let mut m = OpMetrics::default();
+        let mut wr = self.writer[k];
         let result = catch_unwind(AssertUnwindSafe(|| match op {
-            Op::Write { k, seq } => {
-                let mut wr = self.writer[k];
+            Op::Write { seq, .. } => {
                 publish_with_on(&cx, &mut wr, &mut m, |slot| {
                     cx.payload_store(slot, 0, seq);
                     cx.payload_store(slot, 1, seq);
                 });
-                Done::Writer(wr)
+                Done::Write
             }
             Op::Read { r, .. } => {
                 let mut rd = self.readers[r].clone();
@@ -430,15 +632,27 @@ impl Model for RealCode {
                 guard_drop_on(&cx, &mut rd, &mut m);
                 Done::Reader(rd, None)
             }
+            Op::Claim => Done::Claim(writer_claim_on(&cx)),
+            Op::Recover => {
+                let mut report = RecoveryReport::default();
+                recover_register(&cx, &mut |pid| pid != OTHER_PROCESS, &mut report);
+                Done::Recover(report)
+            }
         }));
         cx.settle();
         let run = run.into_inner();
         self.mem = run.mem;
         self.threads[tid].log = run.log;
         match result {
-            Ok(done) => self.complete(tid, op, done),
+            Ok(done) => self.complete(tid, op, done, wr),
             Err(payload) => match payload.downcast::<Stop>().map(|s| *s) {
                 Ok(Stop::Step) => Ok(()),
+                // Scratch words were handed out: the guard goes on next step.
+                Ok(Stop::Unwind) if run.finished => Ok(()),
+                Ok(Stop::Unwind) => {
+                    self.unwound(op, wr);
+                    Ok(())
+                }
                 Ok(Stop::Starved(_)) if setup.cfg.prune_starved => {
                     self.threads[tid].starved = true;
                     Ok(())
@@ -511,12 +725,14 @@ struct Run {
     cursor: usize,
     /// The step has made its access to a shared word.
     shared_done: bool,
-    /// Unwinding: accessors hand out scratch words.
+    /// The step is over: accessors hand out scratch words.
     finished: bool,
+    /// The accessor call at this index raises the daemon's unwind.
+    unwind_at: Option<usize>,
 }
 
-/// Words handed out while unwinding, so a dropped `PublishGuard` touches
-/// neither model memory nor the slab.
+/// Words handed out once a step is over, so a `PublishGuard` dropped by
+/// its unwind touches neither model memory nor the slab.
 #[derive(Default)]
 struct Scratch {
     w64: AtomicU64,
@@ -541,17 +757,26 @@ struct Stepped<'c> {
 impl<'c> Stepped<'c> {
     /// Enter an access to `key`: settle the previous new access, end the
     /// step if it already made its shared access, and return the value
-    /// this access sees and whether it is new. `None` while unwinding.
+    /// this access sees and whether it is new. `None` once the step is over.
     fn enter(&self, key: usize) -> Option<(u64, bool)> {
         if self.run.borrow().finished {
             return None;
         }
         self.settle();
-        let private = self.setup.private[key];
+        let owner = self.setup.owner[key];
         let mut run = self.run.borrow_mut();
-        if run.shared_done && !private {
+        if run.shared_done && owner.is_none() {
+            if std::thread::panicking() {
+                // A second unwind inside the guard's `Drop` would abort.
+                run.finished = true;
+                return None;
+            }
             drop(run);
             self.stop(Stop::Step);
+        }
+        if run.unwind_at == Some(run.cursor) && !std::thread::panicking() {
+            drop(run);
+            resume_unwind(Box::new(Stop::Unwind));
         }
         let i = run.cursor;
         run.cursor += 1;
@@ -563,23 +788,24 @@ impl<'c> Stepped<'c> {
             }
             return Some((seen, false));
         }
-        if private && run.tid != 0 {
-            let tid = run.tid;
+        // Recovery may read any private word: it runs only while every
+        // other thread is between operations.
+        let tid = run.tid;
+        if let Some(o) = owner.filter(|&o| o != tid && tid <= self.setup.daemon()) {
             drop(run);
             self.fail(format!(
-                "thread {tid} touched writer-private word {:#x}",
+                "thread {tid} touched word {:#x}, private to thread {o}",
                 self.setup.keys[key].0
             ));
         }
         if run.log.len() >= self.setup.bound {
-            let tid = run.tid;
             drop(run);
             self.stop(Stop::Starved(format!(
                 "access bound exceeded: thread {tid} took {} accesses in one operation",
                 self.setup.bound
             )));
         }
-        run.shared_done |= !private;
+        run.shared_done |= owner.is_none();
         Some((run.mem[key], true))
     }
 
@@ -895,12 +1121,78 @@ fn walks_1r_3w_2x() {
     walks(Config::k1(1, 3, 2), 20_000, 0xBAD5EED);
 }
 
+// Faults. `1_2w` is one write the fault may land in, then two after it.
+
+/// The smallest kill run: it finds the at-W2 journal window.
 #[test]
-#[should_panic(expected = "writer-private")]
+fn kill_1r_1_2w_2x() {
+    exhaustive(Config::fault(Fault::Kill, 1, 1, 2, 2));
+}
+
+#[test]
+fn kill_1r_2_2w_2x() {
+    exhaustive(Config::fault(Fault::Kill, 1, 2, 2, 2));
+}
+
+/// With the hint, a slot leaked by a half-done ledger reset starves the
+/// writer.
+#[test]
+fn kill_hint_1r_2_2w_2x() {
+    exhaustive(Config::fault(Fault::Kill, 1, 2, 2, 2).hint());
+}
+
+#[test]
+fn panic_1r_2_2w_2x() {
+    exhaustive(Config::fault(Fault::Panic, 1, 2, 2, 2));
+}
+
+#[test]
+fn panic_hint_1r_2_2w_2x() {
+    exhaustive(Config::fault(Fault::Panic, 1, 2, 2, 2).hint());
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
+fn kill_2r_1_1w_2x() {
+    exhaustive(Config::fault(Fault::Kill, 2, 1, 1, 2));
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
+fn kill_hint_2r_1_1w_2x() {
+    exhaustive(Config::fault(Fault::Kill, 2, 1, 1, 2).hint());
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
+fn panic_2r_1_1w_2x() {
+    exhaustive(Config::fault(Fault::Panic, 2, 1, 1, 2));
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
+fn panic_hint_2r_1_1w_2x() {
+    exhaustive(Config::fault(Fault::Panic, 2, 1, 1, 2).hint());
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "randomized exploration: run with --release")]
+fn walks_kill_hint_3r_4_3w_4x() {
+    walks(Config::fault(Fault::Kill, 3, 4, 3, 4).hint(), 20_000, 0xDEAD);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "randomized exploration: run with --release")]
+fn walks_panic_hint_3r_4_3w_4x() {
+    walks(Config::fault(Fault::Panic, 3, 4, 3, 4).hint(), 20_000, 0x0BAD);
+}
+
+#[test]
+#[should_panic(expected = "private to thread 0")]
 fn reader_touching_a_writer_private_word_panics() {
     let mut m = RealCode::new(Config::k1(1, 1, 1));
     let setup = Arc::get_mut(&mut m.setup.0).expect("sole owner");
     let current = setup.key(setup.current[0], 0).expect("current word");
-    setup.private[current] = true;
+    setup.owner[current] = Some(0);
     let _ = m.step(1); // the reader's R1 loads `current`
 }

@@ -178,12 +178,20 @@ pub(crate) const NO_HINT: usize = usize::MAX;
 pub(crate) const STAGE_IDLE: u64 = 0;
 /// W1 done: `wip.slot` is selected and being filled; not yet published.
 pub(crate) const STAGE_FILLING: u64 = 1;
-/// Entering W2: `wip_old` holds the *previous* slot index. Until the stage
-/// advances, the W2 swap may or may not have executed.
+/// Entering W2: `wip_old` holds the *previous* slot as a `current`-shaped
+/// word — its index, with [`PREV_ONLY`] as the counter until the W2 capture
+/// overwrites it with the displaced word itself. Until the stage advances,
+/// the W2 swap may or may not have executed.
 pub(crate) const STAGE_PUB_PREV: u64 = 2;
 /// W2 done and captured: `wip_old` holds the raw `(index, counter)` word
 /// the swap displaced — everything after is exactly replayable.
 pub(crate) const STAGE_PUB_RAW: u64 = 3;
+
+/// Counter half of a journalled previous slot that carries no presence
+/// count. No real count reaches it (the churn budget keeps a generation
+/// below [`MAX_READERS`] units), so any other counter in a `PUB_PREV`
+/// journal's `wip_old` is the captured displaced word.
+pub(crate) const PREV_ONLY: u32 = u32::MAX;
 
 /// Pack a journal stage word.
 #[inline]
@@ -799,8 +807,11 @@ fn publish_core<C: ArcCells>(
     // then advance the stage. From here until the PUB_RAW capture below,
     // a crash is classified by comparing `current.index` against
     // `wip.slot` — W1 guarantees slot != last_slot, so `current` moving
-    // to `wip.slot` can only mean *our* swap executed.
-    c.wip_old_word().store(wr.last_slot() as u64, Ordering::Relaxed);
+    // to `wip.slot` can only mean *our* swap executed. The previous slot
+    // is journalled `current`-shaped, so its index stays readable after
+    // the capture below overwrites the word with the displaced one.
+    let prev = Current { index: wr.last_slot, counter: PREV_ONLY }.pack();
+    c.wip_old_word().store(prev, Ordering::Relaxed);
     c.wip_word().store(wip_pack(STAGE_PUB_PREV, slot), Ordering::Relaxed);
     // Reset the slot's generation counters. Visibility to readers is
     // carried by the SeqCst swap below (release) paired with their
@@ -829,9 +840,10 @@ fn publish_core<C: ArcCells>(
     maybe_crash(CrashPoint::AtW2);
     // Capture the displaced word, then advance the journal stage. The
     // Release on the stage store orders it after the capture, so recovery
-    // reading PUB_RAW (Acquire) always finds the real displaced word —
-    // a crash *between* these stores still classifies as at-W2, whose
-    // census repair is correct (merely less exact) for this state too.
+    // reading PUB_RAW (Acquire) always finds the real displaced word. A
+    // crash *between* these stores classifies as at-W2 and finds the
+    // capture by its counter half (not `PREV_ONLY`), so it replays the
+    // freeze exactly; the census runs only when the capture is missing.
     c.wip_old_word().store(old, Ordering::Relaxed);
     c.wip_word().store(wip_pack(STAGE_PUB_RAW, slot), Ordering::Release);
     maybe_crash(CrashPoint::PostW2);
@@ -927,12 +939,13 @@ impl JournalVerdict {
 /// lease, and claim retirement stay with the caller, because recovery
 /// frees the role while the guard's handle keeps it.
 ///
-/// The at-W2 census (`displaced = None`) counts the previous slot's
-/// standing pins from the registry; on a slab without one it
-/// conservatively over-freezes with the live-reader count — a possible
-/// one-slot leak, never a torn read. In-process this branch is
-/// unreachable (the guard always has the displaced word); it exists for
-/// the cross-process path and as defense in depth.
+/// At-W2 with `displaced = None` replays the displaced word if the writer
+/// captured it into `wip_old` before dying; otherwise the census counts
+/// the previous slot's standing pins from the registry. On a slab without
+/// one the census conservatively over-freezes with the live-reader count
+/// — a possible one-slot leak, never a torn read. In-process this branch
+/// is unreachable (the guard always has the displaced word); it exists
+/// for the cross-process path and as defense in depth.
 pub(crate) fn classify_and_complete_on<C: ArcCells>(
     c: &C,
     displaced: Option<u64>,
@@ -961,39 +974,53 @@ pub(crate) fn classify_and_complete_on<C: ArcCells>(
                             quarantine_on(c, HEALTH_BAD_CURRENT);
                         }
                     }
-                    // At-W2 proper: published, but the displaced word (and
-                    // with it the previous slot's acquisition count) died
-                    // with the writer. Rebuild the W3 freeze by census:
-                    // frozen count := releases so far + standing pins on
-                    // the previous slot. Exact with a registry under the
+                    // Published, and the writer died. If the displaced word
+                    // was captured before the stage advanced, replay it
+                    // exactly. Otherwise it (and with it the previous
+                    // slot's acquisition count) died with the writer:
+                    // rebuild the W3 freeze by census — frozen count :=
+                    // releases so far + standing pins on the previous
+                    // slot. Exact with a registry under the
                     // quiescent-recovery contract; conservative (possible
                     // one-slot leak, never a torn read) without one.
                     None => {
-                        let prev = c.wip_old_word().load(Ordering::Acquire) as usize;
+                        let journalled = c.wip_old_word().load(Ordering::Acquire);
+                        let prev = index_of(journalled) as usize;
                         if prev < c.n_slots() {
-                            let standing = if c.pin_entries() > 0 {
-                                let mut standing = 0u32;
-                                for i in 0..c.pin_entries() {
-                                    let e = c.pin_entry(i).load(Ordering::Acquire);
-                                    if pin_pinned_slot(e) == Some(prev) {
-                                        standing += 1;
-                                    }
-                                }
-                                standing
+                            let frozen = if counter_of(journalled) != PREV_ONLY {
+                                counter_of(journalled)
                             } else {
-                                c.live_readers_word().load(Ordering::Acquire)
+                                let standing = if c.pin_entries() > 0 {
+                                    let mut standing = 0u32;
+                                    for i in 0..c.pin_entries() {
+                                        let e = c.pin_entry(i).load(Ordering::Acquire);
+                                        if pin_pinned_slot(e) == Some(prev) {
+                                            standing += 1;
+                                        }
+                                    }
+                                    standing
+                                } else {
+                                    c.live_readers_word().load(Ordering::Acquire)
+                                };
+                                let released = c.r_end(prev).load(Ordering::Acquire);
+                                released.wrapping_add(standing)
                             };
-                            let released = c.r_end(prev).load(Ordering::Acquire);
-                            c.r_start(prev)
-                                .store(released.wrapping_add(standing), Ordering::Release);
+                            c.r_start(prev).store(frozen, Ordering::Release);
                         }
                     }
                 }
                 roll_forward_version_on(c, slot);
                 JournalVerdict::AtW2 { published: slot }
             } else {
-                // Swap not reached: pre-W2 discard (the counter resets and
-                // version stamp on the never-published slot are inert).
+                // Swap not reached: pre-W2 discard. The version stamp on
+                // the never-published slot is inert, but its ledger reset
+                // may have landed only half (`r_start` stored, `r_end`
+                // not), which would read pinned forever: finish it. No
+                // reader can touch this ledger — W1 chose the slot only
+                // once its last generation was fully released, and it
+                // was never published since.
+                c.r_start(slot).store(0, Ordering::Relaxed);
+                c.r_end(slot).store(0, Ordering::Relaxed);
                 JournalVerdict::PreW2
             }
         }

@@ -10,16 +10,18 @@
 //!
 //! The write path journals its progress in three spare header words (a
 //! `wip` stage word, a `wip_old` payload word, and a `lease` word holding
-//! the writer's pid), ordered so that at *every* instant the journal
-//! either describes the interrupted step exactly or errs toward a repair
-//! that is still safe. [`ArcGroup::recover`](crate::ArcGroup::recover)
-//! walks the registers, classifies each dead writer's journal —
-//! **pre-W2** (swap not reached: discard the filled slot), **at-W2**
-//! (swap reached but the displaced value was lost: adopt the published
-//! slot and rebuild the previous slot's ledger by census), **post-W2**
-//! (displaced value captured: roll the publication forward exactly) —
-//! then sweeps dead readers' pin-registry entries, releasing their
-//! orphaned presence units.
+//! the writer's pid), ordered so that at every access boundary the
+//! journal either describes the interrupted step exactly or errs toward a
+//! repair that is still safe — the test-only model checker kills the
+//! writer at each of them and runs `recover_register` on what it left.
+//! [`ArcGroup::recover`](crate::ArcGroup::recover) walks the registers,
+//! classifies each dead writer's journal — **pre-W2** (swap not reached:
+//! discard the filled slot), **at-W2** (swap reached, stage not advanced:
+//! adopt the published slot and replay the displaced word if the writer
+//! captured it, else rebuild the previous slot's ledger by census),
+//! **post-W2** (displaced value captured: roll the publication forward
+//! exactly) — then sweeps dead readers' pin-registry entries, releasing
+//! their orphaned presence units.
 //!
 //! Surviving readers never notice: recovery only writes words the dead
 //! writer itself would have written (or ledger words readers don't spin
@@ -64,7 +66,7 @@ pub struct RecoveryReport {
     /// Dead writers classified pre-W2 (filled slot discarded).
     pub pre_w2: usize,
     /// Dead writers classified at-W2 (published slot adopted, previous
-    /// slot's ledger rebuilt by census).
+    /// slot's ledger rebuilt from the captured word or by census).
     pub at_w2: usize,
     /// Dead writers classified post-W2 (publication rolled forward).
     pub post_w2: usize,

@@ -69,7 +69,10 @@ pub const SLAB_MAGIC: u64 = u64::from_le_bytes(*b"ARCSLAB1");
 ///   the checksummed geometry, and shm mapping lengths are explicitly
 ///   rounded up to the page quantum (so `mapped_len` is validated
 ///   against the *rounded* total, not the raw layout total).
-pub const SLAB_LAYOUT_VERSION: u32 = 3;
+/// * v4 — the publication journal's `wip_old` holds the previous slot
+///   `current`-shaped (index, counter `u32::MAX`) at stage `PUB_PREV`, so
+///   recovery no longer reads it as a bare slot index.
+pub const SLAB_LAYOUT_VERSION: u32 = 4;
 
 /// Reserved bytes at offset 0 for the superblock (128 = two cache
 /// lines; the second line is the mutable epoch + reserve, so epoch bumps

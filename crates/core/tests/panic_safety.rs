@@ -27,8 +27,9 @@ use std::sync::{Arc, Mutex};
 use arc_register::crash::{self, CrashPoint};
 use arc_register::{ArcGroup, ArcRegister, TypedArc, WriteError, INLINE_CAP};
 
-/// The crash registry is process-global; every test that arms it holds
-/// this lock.
+/// The crash registry is process-global, and an armed point fires in any
+/// write of the process: every test that arms it or writes holds this
+/// lock.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -166,6 +167,7 @@ fn typed_writer_panic_resolves_clean() {
 /// every boundary length on both placements, oversize strictly rejected.
 #[test]
 fn try_write_accepts_every_boundary_and_rejects_oversize() {
+    let _g = lock();
     // Arena-capable register (capacity > INLINE_CAP): both placements.
     let cap = 128usize;
     let reg = ArcRegister::builder(2, cap).build().unwrap();
@@ -203,6 +205,7 @@ fn try_write_accepts_every_boundary_and_rejects_oversize() {
 /// closure never runs.
 #[test]
 fn rejected_writes_are_no_ops_on_both_paths() {
+    let _g = lock();
     let cap = 64usize;
     let reg = ArcRegister::builder(2, cap).build().unwrap();
     let mut w = reg.writer().unwrap();
@@ -227,6 +230,7 @@ fn rejected_writes_are_no_ops_on_both_paths() {
 /// oversized payload; the suffix is untouched and resubmittable.
 #[test]
 fn batch_rejection_publishes_exact_prefix() {
+    let _g = lock();
     let group = ArcGroup::builder(4, 2, 16).initial(b"z").build().unwrap();
     let mut set = group.writer_set().unwrap();
     let big = [1u8; 17];

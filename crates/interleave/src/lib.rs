@@ -22,13 +22,14 @@
 //! consistency; the (strictly weaker-ordering) questions about the C11
 //! mapping are addressed separately (DESIGN.md §3.1, stress tests).
 //!
-//! The ARC protocol and the slab layout have no model here: the
-//! `arc-register` crate's test-only `model_check` module drives
-//! [`explore`] and [`random_walks`] over the shipped `raw.rs` functions
-//! themselves, checking them with [`ObsChecker`]. The models here cover
-//! what that checker does not reach yet — crash recovery
-//! ([`recovery_model`]) and the watch edge ([`notify_model`]) — and the
-//! other constructions (RF, Peterson, the MN register).
+//! The ARC protocol, the slab layout and crash recovery have no model
+//! here: the `arc-register` crate's test-only `model_check` module drives
+//! [`explore`] and [`random_walks`] over the shipped `raw.rs` and
+//! `recovery.rs` functions themselves, killing or unwinding the real
+//! writer at every access, and checks them with [`ObsChecker`]. The models
+//! here cover what that checker does not reach yet — the watch edge
+//! ([`notify_model`]) — and the other constructions (RF, Peterson, the MN
+//! register).
 
 #![deny(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -38,7 +39,6 @@ pub mod mn_model;
 pub mod mn_slab_model;
 pub mod notify_model;
 pub mod peterson_model;
-pub mod recovery_model;
 pub mod rf_model;
 pub mod spec;
 
@@ -47,6 +47,5 @@ pub use mn_model::{MnDefect, MnModel};
 pub use mn_slab_model::{MnSlabConfig, MnSlabDefect, MnSlabModel};
 pub use notify_model::{NotifyDefect, NotifyModel};
 pub use peterson_model::PetersonModel;
-pub use recovery_model::{FaultKind, RecoveryDefect, RecoveryModel, RecoveryModelConfig};
 pub use rf_model::RfModel;
 pub use spec::{ModelConfig, ObsChecker};

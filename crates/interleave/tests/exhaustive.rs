@@ -1,6 +1,7 @@
 //! Exhaustive model-checking of the hand-written protocol models at
-//! multi-reader configurations. The ARC protocol itself is checked on the
-//! shipped code by `arc-register`'s test-only `model_check` module.
+//! multi-reader configurations. The ARC protocol and its crash recovery are
+//! checked on the shipped code by `arc-register`'s test-only `model_check`
+//! module.
 //!
 //! Each test enumerates *every* sequentially-consistent interleaving of the
 //! configured workload (deduplicated by state, up to ~365k states),
@@ -13,9 +14,8 @@
 //! sanity configurations always run in the crates' unit tests.
 
 use interleave::{
-    explore, random_walks, ExploreLimits, FaultKind, MnDefect, MnModel, MnSlabConfig, MnSlabDefect,
-    MnSlabModel, ModelConfig, NotifyDefect, NotifyModel, Outcome, PetersonModel, RecoveryDefect,
-    RecoveryModel, RecoveryModelConfig, RfModel,
+    explore, random_walks, ExploreLimits, MnDefect, MnModel, MnSlabConfig, MnSlabDefect,
+    MnSlabModel, ModelConfig, NotifyDefect, NotifyModel, Outcome, PetersonModel, RfModel,
 };
 
 fn assert_ok(out: Outcome, what: &str) {
@@ -114,27 +114,6 @@ fn mn_slab_overlap_defect_caught_at_depth() {
     let cfg = MnSlabConfig { writes_each: 3, reads_each: 2 };
     let out = explore(MnSlabModel::new(cfg, MnSlabDefect::SlabOverlap), ExploreLimits::default());
     assert!(!out.is_ok(), "overlapping MN slab bases must be caught at depth too");
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
-fn recovery_panic_guard_two_readers_exhaustive() {
-    // §3.13 in-process panic axis at depth: the writer unwinds at every
-    // instruction boundary of two pre-panic writes, the guard repair
-    // interleaves freely with two roaming readers (no quiescent window),
-    // and the resumed writer publishes two more — every interleaving
-    // must stay tear-free, regular, inversion-free and exclusion-clean.
-    let cfg = RecoveryModelConfig {
-        readers: 2,
-        pre_writes: 2,
-        post_writes: 2,
-        reads_each: 2,
-        fault: FaultKind::Panic,
-    };
-    assert_ok(
-        explore(RecoveryModel::new(cfg, RecoveryDefect::None), ExploreLimits::default()),
-        "recovery+panic 2r/2+2w/2x",
-    );
 }
 
 // ---------------------------------------------------------------------

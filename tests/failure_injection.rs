@@ -57,7 +57,9 @@ fn verified_run<F: RegisterFamily>(
             barrier.wait();
             let mut last = 0u64;
             let mut reads = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            // One read before honoring `stop`, so the progress assertion
+            // below holds however late this thread is first scheduled.
+            loop {
                 let seq = reader.read_with(|v| {
                     verify(v).unwrap_or_else(|e| panic!("{}: torn under injection: {e}", F::NAME))
                 });
@@ -70,6 +72,9 @@ fn verified_run<F: RegisterFamily>(
                         std::thread::sleep(pause);
                     }
                 }
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
             }
             reads
         }));
@@ -81,10 +86,13 @@ fn verified_run<F: RegisterFamily>(
             let mut buf = vec![0u8; size];
             barrier.wait();
             let mut seq = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
                 seq += 1;
                 stamp(&mut buf, seq);
                 writer.write(&buf);
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
             }
             seq
         }));
@@ -142,7 +150,8 @@ fn verified_group_run(
                 barrier.wait();
                 let mut last = 0u64;
                 let mut reads = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                // One read before honoring `stop` (see `verified_run`).
+                loop {
                     let guard = reader.read_ref();
                     let seq = verify(guard.bytes())
                         .unwrap_or_else(|e| panic!("group[{k}]: torn under injection: {e}"));
@@ -156,6 +165,9 @@ fn verified_group_run(
                         }
                     }
                     drop(guard);
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 reads
             }));
@@ -169,11 +181,14 @@ fn verified_group_run(
             let mut buf = vec![0u8; size];
             barrier.wait();
             let mut seq = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
                 seq += 1;
                 stamp(&mut buf, seq);
                 for k in 0..registers {
                     writer.write(k, &buf);
+                }
+                if stop.load(Ordering::Relaxed) {
+                    break;
                 }
             }
             seq
@@ -368,11 +383,18 @@ fn group_slab_correct_with_sigstopped_writer() {
         }
     }
 
-    // The writer is frozen mid-publication; readers must not be.
+    // The writer is frozen mid-publication; readers must not be. Poll
+    // until reads advance: a loaded machine may not schedule a reader
+    // within any fixed sleep.
     let before = reads.load(Ordering::Relaxed);
-    std::thread::sleep(Duration::from_millis(50));
-    let during = reads.load(Ordering::Relaxed);
-    assert!(during > before, "readers stopped making progress during the writer stall");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while reads.load(Ordering::Relaxed) == before {
+        assert!(
+            Instant::now() < deadline,
+            "readers stopped making progress during the writer stall"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     // Resume; the watchdog must close the episode.
     send_signal(pid, SIGCONT).expect("SIGCONT");

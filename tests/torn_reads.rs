@@ -30,7 +30,9 @@ fn hunt<F: RegisterFamily>(readers: usize, size: usize, window: Duration) {
         handles.push(std::thread::spawn(move || {
             barrier.wait();
             let mut last_seq = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            // One read before honoring `stop`, so the `reads_done`
+            // assertion holds however late this thread is first scheduled.
+            loop {
                 let seq = reader.read_with(|v| {
                     verify(v).unwrap_or_else(|e| panic!("{}: torn read: {e}", F::NAME))
                 });
@@ -39,6 +41,9 @@ fn hunt<F: RegisterFamily>(readers: usize, size: usize, window: Duration) {
                 assert!(seq >= last_seq, "{}: reader saw seq regress {last_seq} -> {seq}", F::NAME);
                 last_seq = seq;
                 reads_done.fetch_add(1, Ordering::Relaxed);
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
             }
         }));
     }
@@ -144,7 +149,8 @@ mod arc_inline_boundary {
             handles.push(std::thread::spawn(move || {
                 barrier.wait();
                 let mut last_seq = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                // One read before honoring `stop` (see `hunt`).
+                loop {
                     let snap = r.read();
                     let seq =
                         verify(&snap).unwrap_or_else(|e| panic!("alternating: torn read: {e}"));
@@ -156,6 +162,9 @@ mod arc_inline_boundary {
                     assert!(seq >= last_seq, "seq regressed {last_seq} -> {seq}");
                     last_seq = seq;
                     reads_done.fetch_add(1, Ordering::Relaxed);
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
             }));
         }
