@@ -3,13 +3,13 @@
 #
 # Each patch under ci/defects/ breaks the shipped code in one small,
 # plausible way. For each one this script applies the patch, runs the
-# listed tests of the arc-register lib in release (most are configurations
+# listed tests in release (most are arc-register lib tests: configurations
 # of the real-code model checker, crates/core/src/model_check.rs), requires
 # every one of them to fail with its expected message, and reverts the
 # patch. A patch that no longer applies fails the gate, so a change that
 # moves the patched lines must refresh the patch.
 #
-# Each patch costs one release rebuild of the arc-register lib tests.
+# Each patch costs one release rebuild of the test binaries it runs.
 #
 # Usage: ci/defects.sh            (run from anywhere in the repository)
 set -uo pipefail
@@ -20,8 +20,9 @@ applied=""
 trap '[ -n "$applied" ] && git apply -R "$applied"' EXIT
 
 # check PATCH TEST MESSAGE [TEST MESSAGE]...
-#   TEST is a lib test path (e.g. model_check::k1_1r_3w_2x); MESSAGE is a
-#   fixed string its failure output must contain.
+#   TEST is an arc-register lib test path (e.g. model_check::k1_1r_3w_2x),
+#   or FILE/NAME for test NAME of the root package's tests/FILE.rs; MESSAGE
+#   is a fixed string its failure output must contain.
 check() {
     local patch="ci/defects/$1.patch"
     shift
@@ -32,9 +33,13 @@ check() {
     fi
     applied="$patch"
     while [ $# -gt 0 ]; do
-        local test="$1" message="$2" out
+        local test="$1" message="$2" target=(-p arc-register --lib) out
         shift 2
-        if out=$(cargo test -q --release -p arc-register --lib -- --exact "$test" 2>&1); then
+        if [[ $test == */* ]]; then
+            target=(--test "${test%%/*}")
+            test=${test#*/}
+        fi
+        if out=$(cargo test -q --release "${target[@]}" -- --exact "$test" 2>&1); then
             echo "defects: $patch was not caught by $test"
             status=1
         elif grep -qF -- "$message" <<<"$out"; then
@@ -68,5 +73,7 @@ check skip_completion $mc::panic_1r_2_2w_2x "$exclusion"
 check skip_birth_check group::tests::forged_live_pid_with_stale_birth_token_counts_as_dead \
     "a recycled pid (birth mismatch)"
 check heartbeat_false_positive supervise::tests::classify_matrix "left: Dead"
+check identity_unkeyed crash_recovery/live_forked_child_lease_carries_the_childs_birth \
+    "a live forked child's lease reads as dead"
 
 exit $status

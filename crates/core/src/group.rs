@@ -105,7 +105,7 @@ use crate::raw::{
 use crate::recovery::{self, RecoveryReport};
 use crate::register::{ReadGuard, Snapshot, INLINE_CAP};
 use crate::shm::{
-    pid_alive, PlacementInfo, Slab, SlabBackend, SlabError, SlabGeometry, SlabLayout,
+    pid_alive, Identity, PlacementInfo, Slab, SlabBackend, SlabError, SlabGeometry, SlabLayout,
     SlabPlacement, FLAG_FAST_PATH, FLAG_HINT, FLAG_INLINE, FLAG_PINS, HDR_BYTES, SLOT_BYTES,
 };
 
@@ -1141,7 +1141,7 @@ impl ArcGroup {
     /// if the register's ledger was found scribbled (§3.10; permanent).
     pub fn writer(self: &Arc<Self>, k: usize) -> Result<GroupWriter, HandleError> {
         self.check_index(k);
-        let mem = self.claim_writer(k)?;
+        let mem = self.claim_writer(k, &Identity::resolve())?;
         Ok(GroupWriter { group: Arc::clone(self), k, mem, metrics: OpMetrics::default() })
     }
 
@@ -1149,7 +1149,7 @@ impl ArcGroup {
     /// concurrently per register).
     pub fn reader(self: &Arc<Self>, k: usize) -> Result<GroupReader, HandleError> {
         self.check_index(k);
-        let rd = self.join_reader(k)?;
+        let rd = self.join_reader(k, Identity::resolve().pid)?;
         Ok(GroupReader { group: Arc::clone(self), k, rd: Some(rd), metrics: OpMetrics::default() })
     }
 
@@ -1162,9 +1162,11 @@ impl ArcGroup {
     /// [`HandleError::Quarantined`] if a scrub pass benched any register
     /// (§3.10 — sticky for the life of the mapping).
     pub fn writer_set(self: &Arc<Self>) -> Result<GroupWriterSet, HandleError> {
+        // Resolved once, before the first claim's swap.
+        let me = Identity::resolve();
         let mut mems = Vec::with_capacity(self.registers);
         for k in 0..self.registers {
-            match self.claim_writer(k) {
+            match self.claim_writer(k, &me) {
                 Ok(mem) => mems.push(mem),
                 Err(e) => {
                     // Roll back the claims made so far.
@@ -1183,9 +1185,10 @@ impl ArcGroup {
     /// Counts as one of each register's `max_readers` reader handles;
     /// fails (joining nothing) if any register is at its cap.
     pub fn reader_set(self: &Arc<Self>) -> Result<GroupReaderSet, HandleError> {
+        let pid = Identity::resolve().pid;
         let mut rds = Vec::with_capacity(self.registers);
         for k in 0..self.registers {
-            match self.join_reader(k) {
+            match self.join_reader(k, pid) {
                 Ok(rd) => rds.push(rd),
                 Err(e) => {
                     for (j, rd) in rds.into_iter().enumerate() {
@@ -1203,10 +1206,10 @@ impl ArcGroup {
         })
     }
 
-    /// Claim register `k`'s writer role (`k < registers`), refusing
-    /// quarantined registers and ones a dead process left damaged; the
-    /// claim hook of every writer handle.
-    pub(crate) fn claim_writer(&self, k: usize) -> Result<WriterMem, HandleError> {
+    /// Claim register `k`'s writer role (`k < registers`) for process
+    /// `me`, refusing quarantined registers and ones a dead process left
+    /// damaged; the claim hook of every writer handle.
+    pub(crate) fn claim_writer(&self, k: usize, me: &Identity) -> Result<WriterMem, HandleError> {
         let cells = self.cells(k);
         if cells.health_word().load(Ordering::Acquire) != HEALTH_OK {
             return Err(HandleError::Quarantined);
@@ -1214,7 +1217,7 @@ impl ArcGroup {
         if recovery::register_needs_recovery(&cells, &mut pid_alive) {
             return Err(HandleError::NeedsRecovery);
         }
-        let last_slot = writer_claim_on(&cells)?;
+        let last_slot = writer_claim_on(&cells, me)?;
         Ok(WriterMem::new(last_slot, self.n_slots))
     }
 
@@ -1224,9 +1227,9 @@ impl ArcGroup {
         writer_release_on(&self.cells(k));
     }
 
-    /// Join register `k` as a reader (`k < registers`).
-    pub(crate) fn join_reader(&self, k: usize) -> Result<RawReader, HandleError> {
-        reader_join_on(&self.cells(k))
+    /// Join register `k` as a reader (`k < registers`) for process `pid`.
+    pub(crate) fn join_reader(&self, k: usize, pid: u64) -> Result<RawReader, HandleError> {
+        reader_join_on(&self.cells(k), pid)
     }
 
     /// Leave register `k`, releasing the reader's outstanding unit.
@@ -2521,7 +2524,7 @@ mod tests {
 
         // Control: a forged lease with *our* true birth token is a live
         // claimant — no recovery (pid-only semantics preserved).
-        g.fault_forge_lease(1, me, crate::shm::self_birth());
+        g.fault_forge_lease(1, me, crate::shm::Identity::resolve().birth);
         assert!(!g.needs_recovery(), "a matching birth token means the same incarnation");
     }
 

@@ -97,6 +97,7 @@ use crate::raw::{
     RawOptions, RawReader, WriterMem,
 };
 use crate::recovery::{recover_register, RecoveryReport};
+use crate::shm::Identity;
 
 /// The lease pid of a killed writer: another process, which the liveness
 /// oracle reports dead.
@@ -223,6 +224,8 @@ struct Setup {
     /// starved writer keeps sweeping and passes the bound. Fault runs allow
     /// 16 more: an unwound write's log also holds the guard's repair.
     bound: usize,
+    /// The identity every claim and join records.
+    me: Identity,
 }
 
 impl Setup {
@@ -346,11 +349,12 @@ impl RealCode {
             .build()
             .expect("model group");
         let n = group.n_slots();
+        let me = Identity::resolve();
         let writer = (0..cfg.registers)
-            .map(|k| WriterMem::new(writer_claim_on(&group.cells(k)).expect("claim"), n))
+            .map(|k| WriterMem::new(writer_claim_on(&group.cells(k), &me).expect("claim"), n))
             .collect();
         let readers = (0..cfg.registers * cfg.readers)
-            .map(|r| reader_join_on(&group.cells(r % cfg.registers)).expect("join"))
+            .map(|r| reader_join_on(&group.cells(r % cfg.registers), me.pid).expect("join"))
             .collect();
 
         // Every word of every register: (address, tag, value, owner).
@@ -413,6 +417,7 @@ impl RealCode {
             current,
             bound: 4 * n + 32 + if fault_free { 0 } else { 16 },
             group,
+            me,
         };
         let threads = setup.daemon()
             + match cfg.fault {
@@ -632,7 +637,7 @@ impl Model for RealCode {
                 guard_drop_on(&cx, &mut rd, &mut m);
                 Done::Reader(rd, None)
             }
-            Op::Claim => Done::Claim(writer_claim_on(&cx)),
+            Op::Claim => Done::Claim(writer_claim_on(&cx, &setup.me)),
             Op::Recover => {
                 let mut report = RecoveryReport::default();
                 recover_register(&cx, &mut |pid| pid != OTHER_PROCESS, &mut report);

@@ -159,7 +159,7 @@ use sync_primitives::WaitSet;
 use crate::crash::{maybe_crash, CrashPoint};
 use crate::current::{counter_of, index_of, Current, MAX_READERS};
 use crate::errors::HandleError;
-use crate::shm::{self_birth, self_pid};
+use crate::shm::Identity;
 
 /// Sentinel for "no hint posted".
 pub(crate) const NO_HINT: usize = usize::MAX;
@@ -457,12 +457,12 @@ impl WriterMem {
     }
 }
 
-/// Register a reader handle (bounded by `max_readers`).
+/// Register a reader handle (bounded by `max_readers`) for process `pid`.
 ///
 /// Orderings: both counters are pure capacity bookkeeping — the RMW itself
 /// is atomic, and no payload data is published through them, so `Relaxed`
 /// carries the whole argument (ordering-budget table in the module docs).
-pub(crate) fn reader_join_on<C: ArcCells>(c: &C) -> Result<RawReader, HandleError> {
+pub(crate) fn reader_join_on<C: ArcCells>(c: &C, pid: u64) -> Result<RawReader, HandleError> {
     let max_readers = c.max_readers();
     let live = c.live_readers_word().fetch_add(1, Ordering::Relaxed);
     if live >= max_readers {
@@ -486,7 +486,7 @@ pub(crate) fn reader_join_on<C: ArcCells>(c: &C) -> Result<RawReader, HandleErro
     // check above admits at most `max_readers` handles, and dead readers
     // hold their live_readers unit until swept, so a free entry always
     // exists; the fallback (NO_PIN) only de-optimizes recovery.
-    let owner = self_pid() << 32;
+    let owner = pid << 32;
     let mut pin_idx = NO_PIN;
     for i in 0..c.pin_entries() {
         // AcqRel: take over the entry after any previous owner's stores.
@@ -653,14 +653,10 @@ pub(crate) fn slot_free_on<C: ArcCells>(c: &C, slot: usize) -> bool {
     r_start == r_end
 }
 
-/// Claim the unique writer role, returning the slot of the current
-/// publication (the claimer's initial `last_slot`).
-pub(crate) fn writer_claim_on<C: ArcCells>(c: &C) -> Result<usize, HandleError> {
-    // Make both syscalls (getpid, a /proc read) before taking the role: a
-    // signal is delivered on syscall return, and a claimant killed between
-    // the swap and the lease store leaves a claimed role with no lease for
-    // recovery to find.
-    let (pid, birth) = (self_pid(), self_birth());
+/// Claim the unique writer role for process `me`, returning the slot of
+/// the current publication (the claimer's initial `last_slot`). Makes no
+/// syscall: see [`Identity::resolve`] for why.
+pub(crate) fn writer_claim_on<C: ArcCells>(c: &C, me: &Identity) -> Result<usize, HandleError> {
     // Acquire: lock-style handoff — pairs with the Release store in
     // writer_release_on, ordering the previous writer's publishes (and
     // slot stores) before this claimer's reads of protocol state.
@@ -673,8 +669,8 @@ pub(crate) fn writer_claim_on<C: ArcCells>(c: &C) -> Result<usize, HandleError> 
     // quiescent recovery. The birth token lands first so a probe that
     // sees our pid sees our incarnation too (a pid with birth 0 is
     // treated as "no birth evidence", i.e. v1 pid-only semantics).
-    c.birth_word().store(birth, Ordering::Relaxed);
-    c.lease_word().store(pid, Ordering::Relaxed);
+    c.birth_word().store(me.birth, Ordering::Relaxed);
+    c.lease_word().store(me.pid, Ordering::Relaxed);
     // Invariant: last_slot always equals current.index between writes,
     // so a re-claimed writer reconstructs it from `current`.
     Ok(current_index_on(c))
@@ -1313,7 +1309,7 @@ mod tests {
         }
 
         fn reader_join(&self) -> Result<RawReader, HandleError> {
-            reader_join_on(&self.c())
+            reader_join_on(&self.c(), Identity::resolve().pid)
         }
 
         fn read_acquire(&self, rd: &mut RawReader) -> ReadOutcome {
@@ -1326,7 +1322,7 @@ mod tests {
 
         fn writer_claim(&self) -> Result<WriterMem, HandleError> {
             let c = self.c();
-            writer_claim_on(&c).map(|last| WriterMem::new(last, c.n_slots()))
+            writer_claim_on(&c, &Identity::resolve()).map(|last| WriterMem::new(last, c.n_slots()))
         }
 
         fn writer_release(&self, _wr: WriterMem) {

@@ -41,6 +41,7 @@ use register_common::OpMetrics;
 use crate::errors::{HandleError, WriteError};
 use crate::group::{ArcGroup, GroupBuilder};
 use crate::raw::{RawReader, ReadOutcome, WriterMem};
+use crate::shm::Identity;
 use crate::typed::Versioned;
 
 /// Largest payload (bytes) stored inline in the slot cache line.
@@ -195,13 +196,13 @@ impl ArcRegister {
 
     /// Claim the unique writer handle.
     pub fn writer(self: &Arc<Self>) -> Result<ArcWriter, HandleError> {
-        let mem = self.group.claim_writer(0)?;
+        let mem = self.group.claim_writer(0, &Identity::resolve())?;
         Ok(ArcWriter { reg: Arc::clone(self), mem, metrics: OpMetrics::default() })
     }
 
     /// Register a reader handle (up to `max_readers` concurrently).
     pub fn reader(self: &Arc<Self>) -> Result<ArcReader, HandleError> {
-        let rd = self.group.join_reader(0)?;
+        let rd = self.group.join_reader(0, Identity::resolve().pid)?;
         Ok(ArcReader { reg: Arc::clone(self), rd: Some(rd), metrics: OpMetrics::default() })
     }
 }

@@ -1027,10 +1027,57 @@ pub(crate) fn process_birth(pid: u64) -> u64 {
     }
 }
 
-/// This process's own birth token (0 where `/proc` is unavailable).
-#[inline]
-pub(crate) fn self_birth() -> u64 {
-    process_birth(self_pid())
+/// A process incarnation as a writer lease records it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Identity {
+    /// The process id.
+    pub(crate) pid: u64,
+    /// Its birth token ([`process_birth`]; 0 = no birth evidence).
+    pub(crate) birth: u64,
+}
+
+/// Low bits of [`IDENTITY`] that hold the birth token; the pid sits above
+/// them. The kernel caps pids below 2^22, and a birth in 100 Hz ticks fits
+/// 42 bits for about a billion years.
+const BIRTH_BITS: u32 = 42;
+
+/// The identity this process last resolved, packed `pid << BIRTH_BITS |
+/// birth` (0 = none: no process has pid 0). One word, so a pid is never
+/// paired with another incarnation's birth.
+static IDENTITY: AtomicU64 = AtomicU64::new(0);
+
+impl Identity {
+    /// This process's identity: one `getpid` and one load, plus one
+    /// `/proc` read the first time each process incarnation resolves it.
+    /// The cached word is keyed by pid, so a forked child, which inherits
+    /// its parent's word, reads its own birth.
+    ///
+    /// Claims take the identity as an argument and make no syscall, so
+    /// resolve it before a claim's `swap` — in a batch, once before the
+    /// first. A signal is delivered on syscall return, and a claimant
+    /// killed between the swap and the lease store leaves a claimed role
+    /// with no lease for recovery to find.
+    pub(crate) fn resolve() -> Self {
+        Self::resolve_in(&IDENTITY, self_pid(), process_birth)
+    }
+
+    /// [`Identity::resolve`] for process `pid` over the cache word
+    /// `cache`, reading a birth with `read_birth` on a miss.
+    fn resolve_in(cache: &AtomicU64, pid: u64, read_birth: impl FnOnce(u64) -> u64) -> Self {
+        // Relaxed: the one word is the whole datum, and it publishes no
+        // other data.
+        let word = cache.load(Ordering::Relaxed);
+        if word >> BIRTH_BITS == pid {
+            return Identity { pid, birth: word & ((1 << BIRTH_BITS) - 1) };
+        }
+        let birth = read_birth(pid);
+        // A birth of 0 is no evidence, not a token: leave the word alone
+        // so the next resolve reads again.
+        if birth != 0 && pid < 1 << (64 - BIRTH_BITS) && birth < 1 << BIRTH_BITS {
+            cache.store(pid << BIRTH_BITS | birth, Ordering::Relaxed);
+        }
+        Identity { pid, birth }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1270,11 +1317,31 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn birth_token_is_stable_and_nonzero_for_self() {
-        let b = self_birth();
-        assert_ne!(b, 0, "own /proc stat must parse");
-        assert_eq!(b, process_birth(self_pid()), "birth token must be stable");
+        let me = Identity::resolve();
+        assert_eq!(me.pid, self_pid());
+        assert_ne!(me.birth, 0, "own /proc stat must parse");
+        assert_eq!(me.birth, process_birth(self_pid()), "birth token must be stable");
+        assert_eq!(Identity::resolve(), me, "the cached identity is the resolved one");
         // A pid that cannot exist has no birth evidence.
         assert_eq!(process_birth(u64::MAX), 0);
+    }
+
+    #[test]
+    fn identity_cache_is_keyed_by_pid_and_never_holds_a_zero_birth() {
+        let cache = AtomicU64::new(0);
+        let miss = |_| -> u64 { panic!("a cache hit reads no birth") };
+        // No birth evidence: returned but not cached, so the next resolve
+        // reads again.
+        assert_eq!(Identity::resolve_in(&cache, 7, |_| 0), Identity { pid: 7, birth: 0 });
+        assert_eq!(Identity::resolve_in(&cache, 7, |_| 70).birth, 70);
+        assert_eq!(Identity::resolve_in(&cache, 7, miss).birth, 70);
+        // Another pid, as in a forked child, reads its own birth.
+        assert_eq!(Identity::resolve_in(&cache, 8, |_| 80).birth, 80);
+        assert_eq!(Identity::resolve_in(&cache, 8, miss).birth, 80);
+        // A pid or birth too wide for the word is returned, not cached.
+        assert_eq!(Identity::resolve_in(&cache, 1 << 22, |_| 5).birth, 5);
+        assert_eq!(Identity::resolve_in(&cache, 9, |_| 1 << 42).birth, 1 << 42);
+        assert_eq!(Identity::resolve_in(&cache, 8, miss).birth, 80);
     }
 
     #[test]

@@ -17,6 +17,7 @@ use register_common::OpMetrics;
 use crate::errors::HandleError;
 use crate::group::{ArcGroup, GroupBuilder};
 use crate::raw::{RawReader, WriterMem};
+use crate::shm::Identity;
 
 /// A value paired with the publication version it was read at.
 ///
@@ -81,13 +82,13 @@ impl<T: Send + Sync> TypedArc<T> {
 
     /// Claim the unique writer handle.
     pub fn writer(self: &Arc<Self>) -> Result<TypedWriter<T>, HandleError> {
-        let mem = self.group.claim_writer(0)?;
+        let mem = self.group.claim_writer(0, &Identity::resolve())?;
         Ok(TypedWriter { reg: Arc::clone(self), mem, metrics: OpMetrics::default() })
     }
 
     /// Register a reader handle.
     pub fn reader(self: &Arc<Self>) -> Result<TypedReader<T>, HandleError> {
-        let rd = self.group.join_reader(0)?;
+        let rd = self.group.join_reader(0, Identity::resolve().pid)?;
         Ok(TypedReader { reg: Arc::clone(self), rd: Some(rd), metrics: OpMetrics::default() })
     }
 

@@ -268,6 +268,30 @@ fn probe_and_spawn_sites_degrade_or_fail_typed() {
     sup.stop();
 }
 
+/// A process reads its own birth token once: after one claim, no claim or
+/// join path reads `/proc` again. A `ProcRead` fault armed then stays
+/// armed through every handle constructor.
+#[cfg(target_os = "linux")]
+#[test]
+fn warm_process_claims_and_joins_without_reading_proc() {
+    use arc_register::ArcRegister;
+    let _g = lock();
+    let plane =
+        ArcGroup::builder(64, 2, 64).backend(arc_register::SlabBackend::Shm).build().unwrap();
+    let register = ArcRegister::builder(2, 64).build().unwrap();
+    drop(plane.writer(0).expect("warm-up claim"));
+
+    faults::arm(FaultSite::ProcRead, 0, EIO);
+    let writers = plane.writer_set().expect("writer_set");
+    let readers = plane.reader_set().expect("reader_set");
+    let w = register.writer().expect("ArcRegister writer");
+    let r = register.reader().expect("ArcRegister reader");
+    let untouched = faults::armed();
+    faults::disarm();
+    assert!(untouched, "a claim or join of a warm process read /proc");
+    drop((writers, readers, w, r));
+}
+
 /// The `ARC_FAULT_SEEDS` replay contract: each seed derives one schedule
 /// deterministically; the full create→use→attach→use gauntlet under it
 /// must end in success or a typed error — never a panic, never a leaked

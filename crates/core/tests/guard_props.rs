@@ -122,8 +122,12 @@ fn guards_survive_concurrent_writer_reclaim_stress() {
         handles.push(std::thread::spawn(move || {
             let mut r = reg.reader().unwrap();
             let mut copied = Vec::new();
+            // One unconditional read before honoring `stop`: the writer's
+            // bursts can all finish before this thread is first
+            // scheduled, and the total-reads assertion below must not
+            // race the scheduler.
             let mut reads = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
                 {
                     let guard = r.read_ref();
                     let first = guard.first().copied().unwrap_or(0);
@@ -138,6 +142,9 @@ fn guards_survive_concurrent_writer_reclaim_stress() {
                 let first = copied[0];
                 assert!(copied.iter().all(|&b| b == first), "torn copy");
                 reads += 1;
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
             }
             reads
         }));

@@ -14,7 +14,9 @@
 //! * [`ArcGroup::recover`] classifies the interruption exactly (pre-W2
 //!   discard / at-W2 adoption / post-W2 roll-forward / pin sweep);
 //! * the recovered plane serves fresh writers, and a second mapping of
-//!   the same slab observes the same healed state.
+//!   the same slab observes the same healed state;
+//! * a live forked child's lease carries the child's birth token, not
+//!   the one its parent cached before the fork (lease v2, §3.10).
 //!
 //! Seeds (the number of successful writes before the fatal one, which
 //! varies the victim slot and hint state) come from `ARC_CRASH_SEEDS`, a
@@ -26,9 +28,12 @@
 #![cfg(target_os = "linux")]
 
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use arc_register::{crash, ArcGroup, CrashPoint, HandleError, RecoveryReport, SlabBackend};
-use workload_harness::procs::{child_exit, fork_child, wait_child, ChildExit};
+use workload_harness::procs::{
+    child_exit, fork_child, send_signal, wait_child, ChildExit, SIGKILL,
+};
 
 const CAP: usize = 64;
 /// Registers in the plane; crashes target register 1 so the tests also
@@ -402,4 +407,66 @@ fn cleanly_exiting_child_needs_no_recovery() {
     let snap = r.read();
     assert_eq!(untorn(snap.bytes(), snap.version()), 9);
     w.write(&[10; CAP]);
+}
+
+/// Birth token of `pid` as the kernel reports it: field 22 of
+/// `/proc/<pid>/stat`, in clock ticks since boot.
+fn birth_of(pid: &str) -> u64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("read /proc stat");
+    let rest = &stat[stat.rfind(')').expect("comm field") + 1..];
+    rest.split_ascii_whitespace().nth(19).and_then(|t| t.parse().ok()).expect("starttime")
+}
+
+#[test]
+fn live_forked_child_lease_carries_the_childs_birth() {
+    let _s = serial();
+    let g = plane();
+    // Claiming warms this process's cached identity, which the child
+    // inherits across the fork.
+    let _parent_writer = g.writer(0).expect("parent writer");
+    let mut reader = g.reader(1).expect("parent reader");
+    // Births tick at 100 Hz: forking two ticks after this process started
+    // guarantees the child's birth differs from the parent's, so a child
+    // that reused the parent's cached birth would be caught.
+    std::thread::sleep(Duration::from_millis(20));
+
+    const MARK: u8 = 0x3C;
+    let gc = Arc::clone(&g);
+    let pid = fork_child(move || {
+        let mut w = match gc.writer(1) {
+            Ok(w) => w,
+            Err(_) => child_exit(101),
+        };
+        w.write(&[MARK; CAP]);
+        loop {
+            std::thread::sleep(Duration::from_secs(1));
+        }
+    })
+    .expect("fork");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let published = loop {
+        if reader.read().bytes().first() == Some(&MARK) {
+            break true;
+        }
+        if Instant::now() >= deadline {
+            break false;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    // Observed while the child lives, asserted once it is reaped, so a
+    // failure leaves no process behind.
+    let births = (birth_of("self"), birth_of(&pid.to_string()));
+    let live_child_looks_dead = g.needs_recovery() || g.writer_probe(1).lease_dead;
+    let _ = send_signal(pid, SIGKILL);
+    assert_eq!(wait_child(pid).expect("waitpid"), ChildExit::Signaled(SIGKILL));
+    assert!(published, "the child never published its marker");
+    assert_ne!(births.0, births.1, "parent and child share a birth tick");
+    assert!(
+        !live_child_looks_dead,
+        "a live forked child's lease reads as dead: it must carry the child's birth token"
+    );
+
+    assert!(g.needs_recovery(), "the killed child's lease must read as dead");
+    assert_eq!(g.recover().writers_recovered, 1);
+    assert!(!g.needs_recovery());
 }
