@@ -57,6 +57,7 @@ check() {
 exclusion="VIOLATION: slot exclusion violated"
 bound="VIOLATION: access bound exceeded"
 regularity="VIOLATION: regularity violation"
+collision="VIOLATION: writer collision"
 mc=model_check
 
 check release_early $mc::k1_1r_3w_2x "$exclusion" $mc::walks_1r_3w_2x "$exclusion"
@@ -65,7 +66,8 @@ check publish_before_copy $mc::k1_1r_1w_1x "$exclusion"
 check acquire_before_release $mc::k1_2r_4w_2x "$bound"
 check ring_no_revalidate $mc::hint_1r_5w_3x "$exclusion"
 check guard_leak_unit $mc::guard_no_hint_1r_3w_2x "$bound"
-check slab_overlap $mc::k2_2w_2x "$bound" $mc::k2_3w_2x_pruned "$exclusion"
+check slab_overlap $mc::k2_2w_2x "$bound" $mc::k2_3w_2x_pruned "$exclusion" \
+    $mc::mn_2w_1x "$bound" $mc::mn_3w_0x_pruned "$collision"
 check skip_adoption $mc::kill_1r_1_2w_2x "$exclusion"
 check skip_freeze_replay $mc::kill_1r_1_2w_2x "$exclusion"
 check skip_rollback $mc::kill_1r_1_2w_2x "$regularity"

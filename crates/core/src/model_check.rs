@@ -25,10 +25,25 @@
 //! payload (`resume_unwind`, which skips the panic hook). A `PublishGuard`
 //! dropped by that unwind is handed scratch words.
 //!
-//! Words only the writer touches — its journal, lease, birth, heartbeat,
-//! version and churn-budget words — never end a step: no other thread can
-//! observe when they change, so the step goes on past them. A reader
-//! touching one makes the checker panic.
+//! Words only a register's writer touches — its journal, lease, birth,
+//! heartbeat, version and churn-budget words — never end a step: no other
+//! thread can observe when they change, so the step goes on past them.
+//! Any other thread touching one makes the checker panic.
+//!
+//! # Writers
+//!
+//! A run has one batch writer, which writes the registers in turn, or one
+//! writer thread per register of a K = 2 slab (`writer_per_register`):
+//! writer `k` writes register `k`, as each writer role of a two-writer
+//! (M,N) cell owns one sub-register of the cell's slab. Writers are the
+//! first threads, then the readers; the two-writer runs have one reader
+//! per register. A reader's pin persists across its operations, like the
+//! standing sub-register readers of an `MnReader`, and each reader also
+//! stands in for the other writer's collect reader on its register: two
+//! independent readers reach every pin combination one scanning reader
+//! could. The (M,N) timestamp checks stay with `interleave::mn_model`,
+//! which assumes atomic sub-registers; these runs show the sub-registers
+//! are atomic while two writers store into one slab at once.
 //!
 //! # Faults
 //!
@@ -71,6 +86,9 @@
 //! * Slot exclusion, at every payload store. A reader holds its handle's
 //!   pinned slot until the R3 release of its current operation, and any
 //!   slot it pins by R4 in that operation.
+//! * Writer collision, at every payload store: no writer stores into a
+//!   slot that another writer's in-flight write has stored into. Only a
+//!   layout that lets two registers share a slot can trip it.
 //! * Wait-freedom: no operation takes more than [`Setup::bound`] accesses.
 //!   A starved writer fails the run, or with `prune_starved` stops being
 //!   scheduled so the search goes on past it.
@@ -114,12 +132,15 @@ enum Fault {
     Panic,
 }
 
-/// A workload: one batch writer (thread 0) writing the registers in turn,
-/// and `readers` reader threads per register.
+/// A workload: the writer threads, then `readers` reader threads per
+/// register.
 #[derive(Debug, Clone, Copy)]
 struct Config {
     /// Registers of the group (K).
     registers: usize,
+    /// One writer thread per register, in place of the one batch writer
+    /// that writes the registers in turn.
+    writer_per_register: bool,
     /// Reader threads per register; the group is built for exactly that
     /// many, so each register has `readers + 2` slots.
     readers: usize,
@@ -144,6 +165,7 @@ impl Config {
     const fn k1(readers: usize, writes: u8, reads: u8) -> Self {
         Self {
             registers: 1,
+            writer_per_register: false,
             readers,
             writes,
             reads,
@@ -158,6 +180,11 @@ impl Config {
     /// Two registers with one reader each, hint off.
     const fn k2(writes: u8, reads: u8) -> Self {
         Self { registers: 2, ..Self::k1(1, writes, reads) }
+    }
+
+    /// Two registers with a writer and a reader each, hint off.
+    const fn mn(writes: u8, reads: u8) -> Self {
+        Self { writer_per_register: true, ..Self::k2(writes, reads) }
     }
 
     /// One register whose writer meets `fault` in one of its first `pre`
@@ -176,6 +203,16 @@ impl Config {
 
     const fn prune_starved(self) -> Self {
         Self { prune_starved: true, ..self }
+    }
+
+    /// Writer threads (W); writer `w` writes registers `w, w + W, …` in
+    /// turn.
+    const fn writers(&self) -> usize {
+        if self.writer_per_register {
+            self.registers
+        } else {
+            1
+        }
     }
 }
 
@@ -235,7 +272,7 @@ impl Setup {
 
     /// The daemon's thread id; recovery's is the next one.
     fn daemon(&self) -> usize {
-        1 + self.cfg.registers * self.cfg.readers
+        self.cfg.writers() + self.cfg.registers * self.cfg.readers
     }
 
     /// Operations of each reader.
@@ -311,12 +348,21 @@ struct RealCode {
     writer: Vec<WriterMem>,
     /// Each reader's handle.
     readers: Vec<RawReader>,
-    /// Thread 0 is the writer, thread `1 + r` is reader `r`, then the
-    /// daemon and recovery of fault runs.
+    /// Threads `0..W` are the writers, thread `W + r` is reader `r`, then
+    /// the daemon and recovery of fault runs.
     threads: Vec<Thread>,
     phase: Phase,
-    /// Writes the writer makes in all (a fault moves it).
+    /// Writes each writer makes in all (a fault moves it).
     writes: u8,
+}
+
+/// What keeps a writer from storing into a slot.
+#[derive(Clone, Copy)]
+enum Holder {
+    /// Reader `r` holds it.
+    Reader(usize),
+    /// Writer `w`'s in-flight write has stored into it.
+    Writer(usize),
 }
 
 /// How an operation ended a step without completing.
@@ -361,6 +407,7 @@ impl RealCode {
         let mut words = Vec::new();
         let (mut slots, mut r_end, mut current) = (Vec::new(), Vec::new(), Vec::new());
         let fault_free = cfg.fault == Fault::None;
+        let writers = cfg.writers();
         for k in 0..cfg.registers {
             let c = group.cells(k);
             if kill {
@@ -369,7 +416,7 @@ impl RealCode {
             slots.push((0..n).map(|s| addr(c.r_start(s))).collect::<Vec<_>>());
             r_end.push((0..n).map(|s| addr(c.r_end(s))).collect());
             current.push(addr(c.current_word()));
-            // Each header word, and whether only the writer touches it.
+            // Each header word, and whether only its writer touches it.
             let header: [(&dyn Word, bool); 13] = [
                 (c.current_word(), false),
                 (c.hint_word(), false),
@@ -385,11 +432,9 @@ impl RealCode {
                 (c.lease_word(), fault_free),
                 (c.birth_word(), fault_free),
             ];
-            words.extend(
-                header
-                    .iter()
-                    .map(|&(w, only_writer)| (addr(w), 0, w.get(), only_writer.then_some(0))),
-            );
+            words.extend(header.iter().map(|&(w, only_writer)| {
+                (addr(w), 0, w.get(), only_writer.then_some(k % writers))
+            }));
             for s in 0..n {
                 for w in [c.r_start(s) as &dyn Word, c.r_end(s), c.slot_version(s)] {
                     words.push((addr(w), 0, w.get(), None));
@@ -400,7 +445,7 @@ impl RealCode {
             // Readers joined in order, so entry `i` is reader `i K + k`'s.
             for i in 0..c.pin_entries() {
                 let w = c.pin_entry(i);
-                let tid = 1 + i as usize * cfg.registers + k;
+                let tid = writers + i as usize * cfg.registers + k;
                 words.push((addr(w), 0, w.get(), Some(tid)));
             }
         }
@@ -433,7 +478,7 @@ impl RealCode {
             readers,
             threads: vec![Thread::default(); threads],
             phase: if fault_free { Phase::Over } else { Phase::Armed },
-            writes: cfg.writes * cfg.registers as u8,
+            writes: cfg.writes * (cfg.registers / writers) as u8,
         }
     }
 
@@ -442,7 +487,7 @@ impl RealCode {
         let t = &self.threads[tid];
         let daemon = s.daemon();
         let recovering = self.threads.get(daemon + 1).is_some_and(|r| !r.log.is_empty());
-        if tid == 0 {
+        if tid < s.cfg.writers() {
             match self.phase {
                 Phase::Dead => false,
                 Phase::Recovered => true,
@@ -455,24 +500,27 @@ impl RealCode {
             self.phase == Phase::Armed
                 && (s.cfg.fault == Fault::Kill || !self.threads[0].log.is_empty())
         } else {
-            self.phase == Phase::Dead && self.threads[1..daemon].iter().all(|r| r.log.is_empty())
+            let readers = &self.threads[s.cfg.writers()..daemon];
+            self.phase == Phase::Dead && readers.iter().all(|r| r.log.is_empty())
         }
     }
 
     /// The operation thread `tid` runs next.
     fn op(&self, tid: usize) -> Op {
         let s = &self.setup.0;
-        let (i, k_all) = (self.threads[tid].done, s.cfg.registers);
-        if tid == 0 {
+        let (i, k_all, w_all) = (self.threads[tid].done, s.cfg.registers, s.cfg.writers());
+        if tid < w_all {
             if self.phase == Phase::Recovered {
                 Op::Claim
             } else {
-                Op::Write { k: i as usize % k_all, seq: (i as usize / k_all) as u8 + 1 }
+                // The writer's registers `tid, tid + W, …` in turn.
+                let (per, i) = (k_all / w_all, i as usize);
+                Op::Write { k: tid + i % per * w_all, seq: (i / per) as u8 + 1 }
             }
         } else if tid > s.daemon() {
             Op::Recover
         } else {
-            let (r, k) = (tid - 1, (tid - 1) % k_all);
+            let (r, k) = (tid - w_all, (tid - w_all) % k_all);
             if s.cfg.guard_drop && i % 2 == 1 {
                 Op::Drop { k, r }
             } else {
@@ -481,22 +529,33 @@ impl RealCode {
         }
     }
 
-    /// Slots readers hold right now, as `(slot address, reader)`.
-    fn held(&self) -> Vec<(usize, usize)> {
+    /// The slots writer `w` may not store into right now, as `(slot
+    /// address, holder)`.
+    fn held(&self, w: usize) -> Vec<(usize, Holder)> {
         let s = &self.setup.0;
+        let w_all = s.cfg.writers();
         let mut held = Vec::new();
         for (r, rd) in self.readers.iter().enumerate() {
             let k = r % s.cfg.registers;
-            let log = &self.threads[1 + r].log;
+            let log = &self.threads[w_all + r].log;
             let touched = |a: &Access, addr: usize| s.keys[a.key as usize] == (addr, 0);
             if let Some(p) = rd.pinned_slot() {
                 if !log.iter().any(|a| touched(a, s.r_end[k][p])) {
-                    held.push((s.slots[k][p], r));
+                    held.push((s.slots[k][p], Holder::Reader(r)));
                 }
             }
             for a in log.iter().filter(|a| touched(a, s.current[k]) && a.wrote) {
                 if let Some(&slot) = s.slots[k].get(index_of(a.seen) as usize) {
-                    held.push((slot, r));
+                    held.push((slot, Holder::Reader(r)));
+                }
+            }
+        }
+        // A writer loads no payload word, so each one in its log is a store.
+        for (other, t) in self.threads[..w_all].iter().enumerate().filter(|&(o, _)| o != w) {
+            for a in &t.log {
+                let (line, tag) = s.keys[a.key as usize];
+                if tag > 0 {
+                    held.push((line, Holder::Writer(other)));
                 }
             }
         }
@@ -599,7 +658,7 @@ impl Model for RealCode {
             tid,
             log: std::mem::take(&mut self.threads[tid].log),
             mem: std::mem::take(&mut self.mem),
-            held: if tid == 0 { self.held() } else { Vec::new() },
+            held: if tid < setup.cfg.writers() { self.held(tid) } else { Vec::new() },
             cursor: 0,
             shared_done: false,
             finished: false,
@@ -724,8 +783,8 @@ struct Run {
     tid: usize,
     log: Vec<Access>,
     mem: Vec<u64>,
-    /// Slots readers hold (writer steps only).
-    held: Vec<(usize, usize)>,
+    /// The slots this thread may not store into (writer steps only).
+    held: Vec<(usize, Holder)>,
     /// Accessor calls made so far.
     cursor: usize,
     /// The step has made its access to a shared word.
@@ -888,16 +947,19 @@ impl<'c> Stepped<'c> {
     fn payload_store(&self, slot: usize, word: u8, seq: u8) {
         let key = self.payload_key(slot, word);
         if let Some((seen, true)) = self.enter(key) {
-            let line = self.setup.slots[self.k][slot];
+            let (k, line) = (self.k, self.setup.slots[self.k][slot]);
             let holder = self.run.borrow().held.iter().find(|h| h.0 == line).map(|h| h.1);
-            if let Some(r) = holder {
-                self.stop(Stop::Violation(format!(
-                    "slot exclusion violated: the writer stores into slot {slot} of register {} \
-                     while reader {r} holds it",
-                    self.k
-                )));
+            match holder {
+                Some(Holder::Reader(r)) => self.stop(Stop::Violation(format!(
+                    "slot exclusion violated: the writer stores into slot {slot} of register {k} \
+                     while reader {r} holds it"
+                ))),
+                Some(Holder::Writer(w)) => self.stop(Stop::Violation(format!(
+                    "writer collision: the writer of register {k} stores into slot {slot} while \
+                     writer {w} is storing into it"
+                ))),
+                None => self.record(key, seen, seq.into()),
             }
-            self.record(key, seen, seq.into());
         }
     }
 }
@@ -1112,6 +1174,49 @@ fn k2_3w_2x_pruned() {
     exhaustive(Config::k2(3, 2).prune_starved());
 }
 
+// Two registers of one slab with a writer and a reader each: the shape of
+// a two-writer (M,N) cell.
+
+#[test]
+fn mn_1w_2x() {
+    exhaustive(Config::mn(1, 2));
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
+fn mn_2w_1x() {
+    exhaustive(Config::mn(2, 1));
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
+fn mn_2w_2x() {
+    exhaustive(Config::mn(2, 2));
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
+fn mn_3w_1x() {
+    exhaustive(Config::mn(3, 1));
+}
+
+/// Writers only, a starved one pruned: a broken layout can fail only on
+/// the writer collision here.
+#[test]
+fn mn_3w_0x_pruned() {
+    exhaustive(Config::mn(3, 0).prune_starved());
+}
+
+/// Two writers whose payload stores alias one register's slots collide.
+#[test]
+fn aliased_writers_collide() {
+    let mut m = RealCode::new(Config::mn(1, 0));
+    let setup = Arc::get_mut(&mut m.setup.0).expect("sole owner");
+    setup.slots[1] = setup.slots[0].clone();
+    let out = explore(m, ExploreLimits::default());
+    assert!(out.violation().is_some_and(|v| v.contains("writer collision")), "{out:?}");
+}
+
 // Random schedules of configurations too large to exhaust.
 
 #[test]
@@ -1124,6 +1229,12 @@ fn walks_hint_3r_6w_5x() {
 #[cfg_attr(debug_assertions, ignore = "randomized exploration: run with --release")]
 fn walks_1r_3w_2x() {
     walks(Config::k1(1, 3, 2), 20_000, 0xBAD5EED);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "randomized exploration: run with --release")]
+fn walks_mn_hint_4w_3x() {
+    walks(Config::mn(4, 3).hint(), 20_000, 0x2B17);
 }
 
 // Faults. `1_2w` is one write the fault may land in, then two after it.

@@ -3,7 +3,8 @@
 //!
 //! The sub-registers are ARC instances whose atomicity is verified
 //! separately (on the shipped code, by `arc-register`'s `model_check`
-//! tests, and by the paper's §4 argument), so
+//! tests, also with two writers storing into one slab at once, and by the
+//! paper's §4 argument), so
 //! here each sub-register operation is **one atomic step** — exactly the
 //! abstraction the construction's correctness argument relies on. What
 //! remains to check is the composition logic under all interleavings:

@@ -1,7 +1,7 @@
 //! Exhaustive model-checking of the hand-written protocol models at
-//! multi-reader configurations. The ARC protocol and its crash recovery are
-//! checked on the shipped code by `arc-register`'s test-only `model_check`
-//! module.
+//! multi-reader configurations. The ARC protocol, two writers sharing one
+//! slab and crash recovery are checked on the shipped code by
+//! `arc-register`'s test-only `model_check` module.
 //!
 //! Each test enumerates *every* sequentially-consistent interleaving of the
 //! configured workload (deduplicated by state, up to ~365k states),
@@ -14,8 +14,8 @@
 //! sanity configurations always run in the crates' unit tests.
 
 use interleave::{
-    explore, random_walks, ExploreLimits, MnDefect, MnModel, MnSlabConfig, MnSlabDefect,
-    MnSlabModel, ModelConfig, NotifyDefect, NotifyModel, Outcome, PetersonModel, RfModel,
+    explore, random_walks, ExploreLimits, MnDefect, MnModel, ModelConfig, NotifyDefect,
+    NotifyModel, Outcome, PetersonModel, RfModel,
 };
 
 fn assert_ok(out: Outcome, what: &str) {
@@ -93,27 +93,6 @@ fn mn_three_writers_exhaustive() {
         explore(MnModel::new(3, cfg, MnDefect::None), ExploreLimits::default()),
         "MN 3w/1r/2x",
     );
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
-fn mn_slab_two_writers_deep_exhaustive() {
-    // The slab-backed MN cell at full protocol granularity: two writers'
-    // ARC write paths interleaving freely on adjacent slab ranges, three
-    // writes each, while the reader scans both sub-registers.
-    let cfg = MnSlabConfig { writes_each: 3, reads_each: 2 };
-    assert_ok(
-        explore(MnSlabModel::new(cfg, MnSlabDefect::None), ExploreLimits::default()),
-        "MN-slab 2w/1r/3x",
-    );
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
-fn mn_slab_overlap_defect_caught_at_depth() {
-    let cfg = MnSlabConfig { writes_each: 3, reads_each: 2 };
-    let out = explore(MnSlabModel::new(cfg, MnSlabDefect::SlabOverlap), ExploreLimits::default());
-    assert!(!out.is_ok(), "overlapping MN slab bases must be caught at depth too");
 }
 
 // ---------------------------------------------------------------------

@@ -20,18 +20,20 @@
 //! * [`MnGroupReader`] — one reader over every cell (joins all K·M
 //!   sub-registers once).
 //!
-//! Each cell runs the identical timestamp construction as a standalone
-//! [`crate::MnRegister`]: per-cell atomicity carries over verbatim (the
-//! `linearizer::mw` checker validates per-cell histories recorded
-//! through these handles), and cells never interfere — sub-register
-//! disjointness in the slab is the same `ArcGroup` layout argument,
-//! model-checked in `interleave::mn_slab_model` for the two-writer cell.
+//! A standalone [`crate::MnRegister`] is a one-cell table. Each cell runs
+//! the timestamp construction on its own: per-cell atomicity is the
+//! register's (the `linearizer::mw` checker validates per-cell histories
+//! recorded through these handles), and cells never interfere —
+//! sub-register disjointness in the slab is the `ArcGroup` layout
+//! argument, which `arc-register`'s test-only `model_check` module checks
+//! on the shipped code with one writer thread per register of a
+//! two-register slab, the shape of a two-writer cell.
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use arc_register::{ArcGroup, GroupReader, GroupWriter, HandleError};
+use arc_register::{ArcGroup, GroupReader, GroupWriter, HandleError, MAX_READERS};
 use register_common::traits::{validate_spec, BuildError, RegisterSpec};
 
 use crate::{Timestamp, HEADER};
@@ -73,14 +75,16 @@ impl MnGroup {
         if cells == 0 || writers == 0 {
             return Err(BuildError::ZeroRegisters);
         }
-        validate_spec(RegisterSpec::new(readers, capacity), initial, None)?;
-        let subs = cells.checked_mul(writers).expect("cell count overflows usize");
         // Every sub-register serves the N table readers plus the other
-        // M − 1 writers' collect readers of its cell.
-        let sub_readers = (readers + writers - 1).max(1) as u32;
+        // M − 1 writers' collect readers of its cell, at most MAX_READERS.
+        let limit = (MAX_READERS as usize).saturating_sub(writers - 1);
+        validate_spec(RegisterSpec::new(readers, capacity), initial, Some(limit))?;
+        let sub_readers = (readers + writers - 1) as u32;
+        let subs = cells.checked_mul(writers).expect("cell count overflows usize");
         let group = ArcGroup::builder(subs, sub_readers, HEADER + capacity).build()?;
-        // Per-cell Algorithm-1 initialization, exactly as `MnRegister`:
-        // sub-register 0 of each cell holds the initial value at (1, 0),
+        // Per-cell Algorithm-1 initialization: no handle exists yet, so
+        // claim each sub-register's writer role, publish, and release it.
+        // Sub-register 0 of each cell holds the initial value at (1, 0),
         // the others their (0, id) placeholders.
         for cell in 0..cells {
             for id in 0..writers {
@@ -222,7 +226,7 @@ impl MnGroupWriter {
         assert!(k < self.table.cells, "cell index {k} out of range ({})", self.table.cells);
         assert!(
             value.len() <= self.table.capacity,
-            "value of {} bytes exceeds cell capacity {}",
+            "value of {} bytes exceeds capacity {}",
             value.len(),
             self.table.capacity
         );
@@ -266,6 +270,11 @@ impl fmt::Debug for MnGroupWriter {
 
 impl Drop for MnGroupWriter {
     fn drop(&mut self) {
+        // Leave the sub-registers before giving the role back: the next
+        // claimant of this id claims the same sub-writers, and the role
+        // mutex orders these releases before its claims.
+        self.own.clear();
+        self.peers.clear();
         let mut roles = self.table.roles.lock().expect("role allocator poisoned");
         // Persist the per-cell counters so a future claimant of this id
         // resumes above this handle's own sub-register timestamps.
@@ -346,12 +355,18 @@ impl fmt::Debug for MnGroupReader {
 
 impl Drop for MnGroupReader {
     fn drop(&mut self) {
+        // Leave the sub-registers before the gate: a claimant admitted by
+        // the gate joins them next, and the gate's release/acquire pair
+        // orders these leaves before its joins.
+        self.subs.clear();
         self.table.live_readers.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::{Duration, Instant};
+
     use super::*;
 
     fn small(cells: usize, writers: usize) -> Arc<MnGroup> {
@@ -378,6 +393,52 @@ mod tests {
         assert!(MnGroup::new(2, 2, 0, 16, b"").is_err());
         assert!(MnGroup::new(2, 2, 1, 0, b"").is_err());
         assert!(MnGroup::new(2, 2, 1, 4, b"too long").is_err());
+    }
+
+    #[test]
+    fn reader_counts_beyond_the_sub_register_cap_are_refused() {
+        // The sub-registers' reader count is N + M − 1, a `u32`.
+        let limit = MAX_READERS as usize;
+        assert_eq!(
+            MnGroup::new(1, 1, (1 << 32) + 2, 16, b"").unwrap_err(),
+            BuildError::TooManyReaders { requested: (1 << 32) + 2, limit }
+        );
+        assert_eq!(
+            crate::MnRegister::new(1, 1 << 32, 16, b"").unwrap_err(),
+            BuildError::TooManyReaders { requested: 1 << 32, limit }
+        );
+        assert_eq!(
+            MnGroup::new(1, 3, limit, 16, b"").unwrap_err(),
+            BuildError::TooManyReaders { requested: limit, limit: limit - 2 }
+        );
+    }
+
+    /// Two threads claim a handle and drop it for 1 s. A dropped handle
+    /// that gives its role back before it leaves its sub-registers lets
+    /// the other thread's claim find one still taken, which panics.
+    fn claim_and_drop_race<H>(claim: impl Fn() -> Result<H, HandleError> + Sync) {
+        let deadline = Instant::now() + Duration::from_secs(1);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    while Instant::now() < deadline {
+                        drop(claim());
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn dropped_reader_leaves_its_sub_registers_before_its_role() {
+        let t = MnGroup::new(1, 1, 1, 16, b"").unwrap();
+        claim_and_drop_race(|| t.reader());
+    }
+
+    #[test]
+    fn dropped_writer_leaves_its_sub_registers_before_its_role() {
+        let t = MnGroup::new(1, 1, 1, 16, b"").unwrap();
+        claim_and_drop_race(|| t.writer());
     }
 
     #[test]
@@ -486,7 +547,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds cell capacity")]
+    #[should_panic(expected = "exceeds capacity")]
     fn oversized_write_panics() {
         let t = small(2, 2);
         let mut w = t.writer().unwrap();

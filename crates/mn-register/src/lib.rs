@@ -19,13 +19,16 @@
 //!
 //! Every (M,N) operation is an O(M) scan over the sub-registers — the
 //! read visits all `M`, the write collects from `M − 1`. All M
-//! sub-registers live in one [`ArcGroup`] slab: sub-register `i` is group
-//! register `i`, so the timestamp scan walks M *adjacent* 64 B header
-//! lines in address order — sequential prefetch instead of pointer
-//! chasing, at `64 + n_slots·64` bytes per sub-register
-//! ([`MnRegister::heap_bytes`]). The group runs the same wait-free state
-//! machine per register, so the construction's proof is the (1,N)
-//! register's.
+//! sub-registers live in one [`ArcGroup`](arc_register::ArcGroup) slab:
+//! sub-register `i` is group register `i`, so the timestamp scan walks M
+//! *adjacent* 64 B header lines in address order — sequential prefetch
+//! instead of pointer chasing, at `64 + n_slots·64` bytes per
+//! sub-register ([`MnRegister::heap_bytes`]). The group runs the same
+//! wait-free state machine per register, so the construction's proof is
+//! the (1,N) register's.
+//!
+//! An [`MnRegister`] is a one-cell [`MnGroup`]: its handles are the
+//! table's handles with the cell fixed at 0.
 //!
 //! # Why this is atomic
 //!
@@ -38,8 +41,11 @@
 //! `ts` and completed before r₂ began, every sub-register r₂ reads is at
 //! least as new as what r₁ saw. The `linearizer::mw` checker validates
 //! exactly these conditions on recorded executions of this implementation,
-//! and `interleave::mn_slab_model` model-checks two
-//! writers of one cell sharing a slab exhaustively.
+//! and `interleave::mn_model` model-checks them over atomic
+//! sub-registers. That the sub-registers are atomic with two writers
+//! storing into one slab at once is checked on the shipped ARC code by
+//! `arc-register`'s test-only `model_check` module, with one writer
+//! thread per register of a two-register slab.
 //!
 //! # Progress and costs
 //!
@@ -71,12 +77,10 @@
 #![deny(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use arc_register::{ArcGroup, GroupReader, GroupWriter, HandleError};
-use register_common::traits::{validate_spec, BuildError, RegisterSpec};
+use arc_register::HandleError;
+use register_common::traits::{BuildError, RegisterSpec};
 
 pub mod group;
 pub mod table;
@@ -113,27 +117,11 @@ impl Timestamp {
     }
 }
 
-/// Writer-role bookkeeping behind one lock (cold path: claims/drops).
-struct WriterRoles {
-    /// Writer ids currently available to claim.
-    free: Vec<usize>,
-    /// Largest counter each id has ever published. A write's collect
-    /// reads only the *other* M − 1 sub-registers, so a re-claimed id
-    /// must resume above its **own** sub-register's timestamp — seeding
-    /// a fresh handle from here is what keeps the per-sub-register
-    /// timestamp stream monotone across handle recycling.
-    last_counter: Vec<u64>,
-}
-
-/// The shared (M,N) register.
+/// The shared (M,N) register: a one-cell [`MnGroup`].
+#[derive(Debug)]
 pub struct MnRegister {
-    /// The M sub-registers: group register `i` belongs to writer `i`.
-    subs: Arc<ArcGroup>,
-    writers: usize,
-    capacity: usize,
-    n_readers: usize,
-    roles: Mutex<WriterRoles>,
-    live_readers: AtomicUsize,
+    /// Writer `i`'s sub-register is group register `i` of the cell's slab.
+    cell: Arc<MnGroup>,
 }
 
 impl MnRegister {
@@ -146,64 +134,28 @@ impl MnRegister {
         capacity: usize,
         initial: &[u8],
     ) -> Result<Arc<Self>, BuildError> {
-        if writers == 0 {
-            return Err(BuildError::ZeroRegisters);
-        }
-        validate_spec(RegisterSpec::new(readers, capacity), initial, None)?;
-        // Each sub-register serves the N real readers plus the other M−1
-        // writers' collect reads.
-        let sub_readers = (readers + writers - 1).max(1) as u32;
-        let subs = ArcGroup::builder(writers, sub_readers, HEADER + capacity).build()?;
-        // Algorithm-1 initialization per sub-register: no handle exists
-        // yet, so claim each writer role, publish the placeholder (or the
-        // initial value for writer 0), and release it again.
-        for id in 0..writers {
-            let mut w = subs.writer(id).expect("fresh group has all writer roles");
-            let body = if id == 0 { initial } else { &[][..] };
-            let ts = Timestamp { counter: u64::from(id == 0), writer: id as u64 };
-            w.write_with(HEADER + body.len(), |buf| {
-                ts.encode(buf);
-                buf[HEADER..].copy_from_slice(body);
-            });
-        }
-        Ok(Arc::new(Self {
-            subs,
-            writers,
-            capacity,
-            n_readers: readers,
-            roles: Mutex::new(WriterRoles {
-                free: (0..writers).rev().collect(),
-                last_counter: (0..writers).map(|id| u64::from(id == 0)).collect(),
-            }),
-            live_readers: AtomicUsize::new(0),
-        }))
+        Ok(Arc::new(Self { cell: MnGroup::new(1, writers, readers, capacity, initial)? }))
     }
 
     /// Number of writers `M`.
     pub fn writers(&self) -> usize {
-        self.writers
+        self.cell.writers()
     }
 
     /// Reader cap `N`.
     pub fn max_readers(&self) -> usize {
-        self.n_readers
+        self.cell.max_readers()
     }
 
     /// Payload capacity in bytes.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.cell.capacity()
     }
 
     /// Bytes of heap this register owns across all M sub-registers: the
-    /// one slab plus this struct.
+    /// one slab plus the cell and this struct.
     pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.subs.heap_bytes()
-    }
-
-    /// A reader handle on sub-register `k` (used for writer collects and
-    /// reader scans; counts against the sub-register's `N + M − 1` cap).
-    fn sub_reader(&self, k: usize) -> GroupReader {
-        self.subs.reader(k).expect("sub-register sized for N + M - 1 readers")
+        std::mem::size_of::<Self>() + self.cell.heap_bytes()
     }
 
     /// Claim one of the `M` writer handles (each may be claimed once;
@@ -211,56 +163,20 @@ impl MnRegister {
     /// [`HandleError::WriterAlreadyClaimed`] when all M are out — the same
     /// error contract as [`ArcRegister::writer`](arc_register::ArcRegister::writer).
     pub fn writer(self: &Arc<Self>) -> Result<MnWriter, HandleError> {
-        let last_counter;
-        let id;
-        {
-            let mut roles = self.roles.lock().expect("role allocator poisoned");
-            let Some(free_id) = roles.free.pop() else {
-                return Err(HandleError::WriterAlreadyClaimed);
-            };
-            id = free_id;
-            // Resume above everything this id ever published (its own
-            // sub-register is the one place the collect never looks).
-            last_counter = roles.last_counter[id];
-        }
-        // The writer reads every *other* sub-register during collects.
-        let peers = (0..self.writers).filter(|&j| j != id).map(|j| self.sub_reader(j)).collect();
-        let own = self.subs.writer(id).expect("sub-writer claimed once per id");
-        Ok(MnWriter { reg: Arc::clone(self), id, own, peers, last_counter })
+        self.cell.writer().map(MnWriter)
     }
 
     /// Register one of the `N` reader handles. Fails with
     /// [`HandleError::ReadersExhausted`] at the cap — the same error
     /// contract as [`ArcRegister::reader`](arc_register::ArcRegister::reader).
     pub fn reader(self: &Arc<Self>) -> Result<MnReader, HandleError> {
-        let live = self.live_readers.fetch_add(1, Ordering::SeqCst);
-        if live >= self.n_readers {
-            self.live_readers.fetch_sub(1, Ordering::SeqCst);
-            return Err(HandleError::ReadersExhausted { max_readers: self.n_readers as u32 });
-        }
-        let subs = (0..self.writers).map(|k| self.sub_reader(k)).collect();
-        Ok(MnReader { reg: Arc::clone(self), subs })
-    }
-}
-
-impl fmt::Debug for MnRegister {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MnRegister")
-            .field("writers", &self.writers())
-            .field("max_readers", &self.n_readers)
-            .field("capacity", &self.capacity)
-            .finish()
+        self.cell.reader().map(MnReader)
     }
 }
 
 /// One of the `M` writer handles.
-pub struct MnWriter {
-    reg: Arc<MnRegister>,
-    id: usize,
-    own: GroupWriter,
-    peers: Vec<GroupReader>,
-    last_counter: u64,
-}
+#[derive(Debug)]
+pub struct MnWriter(MnGroupWriter);
 
 impl MnWriter {
     /// Store a new value. Wait-free: `M − 1` ARC reads (the timestamp
@@ -272,60 +188,18 @@ impl MnWriter {
     /// timestamp counter is exhausted (~2⁶⁴ writes; wrapping it would
     /// silently re-order history, so exhaustion is loud instead).
     pub fn write(&mut self, value: &[u8]) -> Timestamp {
-        assert!(
-            value.len() <= self.reg.capacity,
-            "value of {} bytes exceeds register capacity {}",
-            value.len(),
-            self.reg.capacity
-        );
-        // Collect: the largest counter visible anywhere (fast-path reads
-        // when peers are quiet). The peers are adjacent group registers,
-        // so this walk is sequential in the slab.
-        let mut max_counter = self.last_counter;
-        for peer in self.peers.iter_mut() {
-            let snap = peer.read();
-            let ts = Timestamp::decode(&snap);
-            max_counter = max_counter.max(ts.counter);
-        }
-        let counter =
-            max_counter.checked_add(1).expect("MN timestamp counter exhausted (2^64 writes)");
-        let ts = Timestamp { counter, writer: self.id as u64 };
-        self.last_counter = ts.counter;
-        self.own.write_with(HEADER + value.len(), |buf| {
-            ts.encode(buf);
-            buf[HEADER..].copy_from_slice(value);
-        });
-        ts
+        self.0.write(0, value)
     }
 
     /// This writer's id (the timestamp tie-breaker).
     pub fn id(&self) -> usize {
-        self.id
-    }
-}
-
-impl fmt::Debug for MnWriter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MnWriter").field("id", &self.id).finish()
-    }
-}
-
-impl Drop for MnWriter {
-    fn drop(&mut self) {
-        let mut roles = self.reg.roles.lock().expect("role allocator poisoned");
-        // Persist the published counter so a future claimant of this id
-        // resumes above this handle's own sub-register timestamp.
-        roles.last_counter[self.id] = self.last_counter;
-        roles.free.push(self.id);
-        // `own` and `peers` release their sub-register roles themselves.
+        self.0.id()
     }
 }
 
 /// One of the `N` reader handles.
-pub struct MnReader {
-    reg: Arc<MnRegister>,
-    subs: Vec<GroupReader>,
-}
+#[derive(Debug)]
+pub struct MnReader(MnGroupReader);
 
 impl MnReader {
     /// Read the newest value: `M` zero-copy ARC reads, return the one with
@@ -336,22 +210,7 @@ impl MnReader {
     /// handle's next read. The scan visits the M sub-registers in
     /// ascending slab order — adjacent cache lines.
     pub fn read_with<R>(&mut self, f: impl FnOnce(&[u8], Timestamp) -> R) -> R {
-        debug_assert!(!self.subs.is_empty());
-        let mut best_ts = Timestamp { counter: 0, writer: 0 };
-        // Every sub-register's pin persists independently for the whole
-        // scan, so the winning view stays valid while later sub-registers
-        // are read — no per-read allocation on the hot path.
-        let mut best: Option<&[u8]> = None;
-        for sub in self.subs.iter_mut() {
-            let snap = sub.read();
-            let bytes = snap.bytes();
-            let ts = Timestamp::decode(bytes);
-            if best.is_none() || ts > best_ts {
-                best_ts = ts;
-                best = Some(bytes);
-            }
-        }
-        f(&best.expect("at least one sub-register")[HEADER..], best_ts)
+        self.0.read_with(0, f)
     }
 
     /// Copy the newest value out, returning it with its timestamp.
@@ -359,29 +218,14 @@ impl MnReader {
     /// Allocates per call; loops should prefer [`MnReader::read_to_vec`]
     /// (reused buffer) or [`MnReader::read_with`] (no copy at all).
     pub fn read_owned(&mut self) -> (Vec<u8>, Timestamp) {
-        self.read_with(|v, ts| (v.to_vec(), ts))
+        self.0.read_owned(0)
     }
 
     /// Copy the newest value into `out` (capacity reused: `clear` +
     /// `reserve`, never shrink), returning its timestamp — the
     /// allocation-free steady-state form of [`MnReader::read_owned`].
     pub fn read_to_vec(&mut self, out: &mut Vec<u8>) -> Timestamp {
-        self.read_with(|v, ts| {
-            register_common::copy_to_vec(v, out);
-            ts
-        })
-    }
-}
-
-impl fmt::Debug for MnReader {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MnReader").field("subs", &self.subs.len()).finish()
-    }
-}
-
-impl Drop for MnReader {
-    fn drop(&mut self) {
-        self.reg.live_readers.fetch_sub(1, Ordering::SeqCst);
+        self.0.read_to_vec(0, out)
     }
 }
 
@@ -499,7 +343,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds register capacity")]
+    #[should_panic(expected = "exceeds capacity")]
     fn oversized_write_panics() {
         let reg = MnRegister::new(1, 1, 8, b"").unwrap();
         reg.writer().unwrap().write(&[0; 9]);
@@ -547,7 +391,7 @@ mod tests {
 
     #[test]
     fn concurrent_writers_and_readers_smoke() {
-        use std::sync::atomic::AtomicBool;
+        use std::sync::atomic::{AtomicBool, Ordering};
         let reg = on(3, 4, 64, &[0; 16]);
         let stop = Arc::new(AtomicBool::new(false));
         let mut handles = Vec::new();

@@ -37,12 +37,17 @@ fn record_and_check<F: RegisterFamily>(readers: usize, value_size: usize, window
         let barrier = Arc::clone(&barrier);
         handles.push(std::thread::spawn(move || {
             barrier.wait();
-            while !stop.load(Ordering::Relaxed) {
+            // One read before honoring `stop`, so the progress assertion holds
+            // however late this thread is first scheduled.
+            loop {
                 let pend = log.begin();
                 let seq = reader.read_with(|v| {
                     verify(v).unwrap_or_else(|e| panic!("{}: bad payload: {e}", F::NAME))
                 });
                 log.finish(pend, seq);
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
             }
             log
         }));
@@ -55,12 +60,16 @@ fn record_and_check<F: RegisterFamily>(readers: usize, value_size: usize, window
         std::thread::spawn(move || {
             let mut buf = vec![0u8; value_size];
             barrier.wait();
-            while !stop.load(Ordering::Relaxed) {
+            // Likewise one write before honoring `stop`.
+            loop {
                 let seq = wlog.next_seq();
                 stamp(&mut buf, seq);
                 let pend = wlog.begin();
                 writer.write(&buf);
                 wlog.finish(pend, seq);
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
             }
             wlog
         })

@@ -36,7 +36,9 @@ fn run_mn(writers: usize, readers: usize, size: usize, window: Duration) {
             let mut log = Vec::new();
             let mut k = 0u64;
             barrier.wait();
-            while !stop.load(Ordering::Relaxed) {
+            // One write before honoring `stop`, so the progress assertion holds
+            // however late this thread is first scheduled.
+            loop {
                 k += 1;
                 // Payload stamp: seq unique per writer via (k, writer id)
                 // folded into one u64 (id in the high bits).
@@ -50,6 +52,9 @@ fn run_mn(writers: usize, readers: usize, size: usize, window: Duration) {
                     invoked,
                     responded,
                 });
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
             }
             writes.lock().unwrap().extend(log);
         }));
@@ -63,7 +68,8 @@ fn run_mn(writers: usize, readers: usize, size: usize, window: Duration) {
         handles.push(std::thread::spawn(move || {
             let mut log = Vec::new();
             barrier.wait();
-            while !stop.load(Ordering::Relaxed) {
+            // Likewise one read before honoring `stop`.
+            loop {
                 let invoked = clock.tick();
                 let ts: Timestamp = r.read_with(|v, ts| {
                     verify(v).expect("torn MN payload");
@@ -80,6 +86,9 @@ fn run_mn(writers: usize, readers: usize, size: usize, window: Duration) {
                     invoked,
                     responded,
                 });
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
             }
             reads.lock().unwrap().extend(log);
         }));
@@ -151,7 +160,8 @@ fn run_mn_table(cells: usize, writers: usize, readers: usize, size: usize, windo
             let mut log = vec![Vec::new(); cells];
             let mut seq = 0u64;
             barrier.wait();
-            while !stop.load(Ordering::Relaxed) {
+            // One write before honoring `stop` (see `run_mn`).
+            loop {
                 seq += 1;
                 let k = (seq as usize * 7) % cells;
                 stamp(&mut buf, (w.id() as u64) << 48 | seq);
@@ -164,6 +174,9 @@ fn run_mn_table(cells: usize, writers: usize, readers: usize, size: usize, windo
                     invoked,
                     responded,
                 });
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
             }
             let mut all = writes.lock().unwrap();
             for (k, cell_log) in log.into_iter().enumerate() {
@@ -181,7 +194,8 @@ fn run_mn_table(cells: usize, writers: usize, readers: usize, size: usize, windo
             let mut log = vec![Vec::new(); cells];
             let mut seq = 0u64;
             barrier.wait();
-            while !stop.load(Ordering::Relaxed) {
+            // One read before honoring `stop` (see `run_mn`).
+            loop {
                 seq += 1;
                 let k = (reader_id + seq as usize * 3) % cells;
                 let invoked = clock.tick();
@@ -196,6 +210,9 @@ fn run_mn_table(cells: usize, writers: usize, readers: usize, size: usize, windo
                     invoked,
                     responded,
                 });
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
             }
             let mut all = reads.lock().unwrap();
             for (k, cell_log) in log.into_iter().enumerate() {
