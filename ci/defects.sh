@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Seeded-defect gate for the shipped protocol, recovery and watchdog code.
+# Seeded-defect gate for the shipped protocol, recovery, watch edge and
+# watchdog code.
 #
 # Each patch under ci/defects/ breaks the shipped code in one small,
 # plausible way. For each one this script applies the patch, runs the
@@ -58,6 +59,8 @@ exclusion="VIOLATION: slot exclusion violated"
 bound="VIOLATION: access bound exceeded"
 regularity="VIOLATION: regularity violation"
 collision="VIOLATION: writer collision"
+lost="VIOLATION: lost wakeup"
+woken="VIOLATION: woken read"
 mc=model_check
 
 check release_early $mc::k1_1r_3w_2x "$exclusion" $mc::walks_1r_3w_2x "$exclusion"
@@ -77,5 +80,10 @@ check skip_birth_check group::tests::forged_live_pid_with_stale_birth_token_coun
 check heartbeat_false_positive supervise::tests::classify_matrix "left: Dead"
 check identity_unkeyed crash_recovery/live_forked_child_lease_carries_the_childs_birth \
     "a live forked child's lease reads as dead"
+check check_before_bump $mc::watch_1_2w "$lost"
+check unregistered_park $mc::watch_1_2w "$lost"
+check bump_before_w2 $mc::watch_1_2w "$woken"
+check stale_registration_kept group::tests::stale_watcher_registrations_cost_at_most_one_idle_wake \
+    "a registration nobody parks on outlived two publications"
 
 exit $status

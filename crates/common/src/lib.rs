@@ -45,5 +45,5 @@ pub use metrics::OpMetrics;
 pub use payload::{stamp, verify, PayloadError, MIN_PAYLOAD_LEN};
 pub use traits::{
     MwTableFamily, ReadHandle, RefReadHandle, RegisterFamily, RegisterSpec, TableFamily,
-    TableReadHandle, TableWriteHandle, VersionedReadHandle, WatchFamily, WatchHandle, WriteHandle,
+    TableReadHandle, TableWriteHandle, VersionedReadHandle, WatchHandle, WriteHandle,
 };

@@ -197,20 +197,6 @@ pub trait WatchHandle: VersionedReadHandle {
     fn wait_for_update_timeout(&mut self, last: u64, timeout: std::time::Duration) -> Option<u64>;
 }
 
-/// A register family whose readers support the watch layer; the
-/// `workload_harness::notify` driver measures wake latency through this.
-pub trait WatchFamily: RegisterFamily {
-    /// Watch-capable reader handle type.
-    type Watcher: WatchHandle;
-
-    /// Build a register and split it into one writer plus `spec.readers`
-    /// watch-capable readers.
-    fn build_watch(
-        spec: RegisterSpec,
-        initial: &[u8],
-    ) -> Result<(Self::Writer, Vec<Self::Watcher>), BuildError>;
-}
-
 /// A family of (1,N) register algorithms: the type-level entry point used by
 /// the conformance suite and the figure benches.
 pub trait RegisterFamily: 'static {

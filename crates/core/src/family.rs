@@ -5,7 +5,7 @@
 
 use register_common::traits::{
     BuildError, ReadHandle, RefReadHandle, RegisterFamily, RegisterSpec, TableFamily,
-    TableReadHandle, TableWriteHandle, VersionedReadHandle, WatchFamily, WatchHandle, WriteHandle,
+    TableReadHandle, TableWriteHandle, VersionedReadHandle, WatchHandle, WriteHandle,
 };
 
 use crate::current::MAX_READERS;
@@ -77,56 +77,15 @@ impl RefReadHandle for ArcReader {
     }
 }
 
-impl RefReadHandle for crate::watch::WatchReader {
-    type Guard<'a> = ReadGuard<'a>;
-
-    #[inline]
-    fn read_ref(&mut self) -> ReadGuard<'_> {
-        crate::watch::WatchReader::read_ref(self)
-    }
-
-    fn zero_copy() -> bool {
-        true
-    }
-}
-
-impl ReadHandle for crate::watch::WatchReader {
-    #[inline]
-    fn read_with<R, F: FnOnce(&[u8]) -> R>(&mut self, f: F) -> R {
-        f(&self.read())
-    }
-}
-
-impl VersionedReadHandle for crate::watch::WatchReader {
-    #[inline]
-    fn read_versioned_with<R, F: FnOnce(u64, &[u8]) -> R>(&mut self, f: F) -> R {
-        let snap = self.read();
-        f(snap.version(), &snap)
-    }
-}
-
-impl WatchHandle for crate::watch::WatchReader {
+impl WatchHandle for ArcReader {
     #[inline]
     fn wait_for_update(&mut self, last: u64) -> u64 {
-        crate::watch::WatchReader::wait_for_update(self, last).version()
+        ArcReader::wait_for_update(self, last).version()
     }
 
     #[inline]
     fn wait_for_update_timeout(&mut self, last: u64, timeout: std::time::Duration) -> Option<u64> {
-        crate::watch::WatchReader::wait_for_update_timeout(self, last, timeout)
-            .map(|snap| snap.version())
-    }
-}
-
-impl WatchFamily for ArcFamily {
-    type Watcher = crate::watch::WatchReader;
-
-    fn build_watch(
-        spec: RegisterSpec,
-        initial: &[u8],
-    ) -> Result<(Self::Writer, Vec<Self::Watcher>), BuildError> {
-        let (writer, readers) = <ArcFamily as RegisterFamily>::build(spec, initial)?;
-        Ok((writer, readers.into_iter().map(crate::watch::WatchReader::new).collect()))
+        ArcReader::wait_for_update_timeout(self, last, timeout).map(|snap| snap.version())
     }
 }
 

@@ -85,11 +85,11 @@
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::task::Waker;
 
 use register_common::traits::{validate_spec, BuildError, RegisterSpec};
 use register_common::OpMetrics;
-use sync_primitives::WaitSet;
 
 use register_common::errors::ConfigError;
 
@@ -97,16 +97,17 @@ use crate::current::{index_of, Current, MAX_READERS};
 use crate::errors::{HandleError, WriteError};
 use crate::raw::{
     guard_drop_on, outstanding_units_on, publish_with_on, quarantine_on, read_acquire_on,
-    reader_join_on, reader_leave_on, wait_for_version_on, wait_for_version_timeout_on, wip_slot,
-    wip_stage, writer_claim_on, writer_release_on, ArcCells, RawOptions, RawReader, ReadOutcome,
-    WriterMem, HEALTH_BAD_CURRENT, HEALTH_BAD_JOURNAL, HEALTH_BAD_LEN, HEALTH_OK, NO_HINT,
-    SLOT_INDEX_BITS, STAGE_IDLE, STAGE_PUB_RAW,
+    reader_join_on, reader_leave_on, register_watcher_on, wait_for_version_on,
+    wait_for_version_timeout_on, wip_slot, wip_stage, writer_claim_on, writer_release_on, ArcCells,
+    RawOptions, RawReader, ReadOutcome, WriterMem, HEALTH_BAD_CURRENT, HEALTH_BAD_JOURNAL,
+    HEALTH_BAD_LEN, HEALTH_OK, NO_HINT, SLOT_INDEX_BITS, STAGE_IDLE, STAGE_PUB_RAW,
 };
 use crate::recovery::{self, RecoveryReport};
 use crate::register::{ReadGuard, Snapshot, INLINE_CAP};
 use crate::shm::{
-    pid_alive, Identity, PlacementInfo, Slab, SlabBackend, SlabError, SlabGeometry, SlabLayout,
-    SlabPlacement, FLAG_FAST_PATH, FLAG_HINT, FLAG_INLINE, FLAG_PINS, HDR_BYTES, SLOT_BYTES,
+    futex_wait, futex_wake, pid_alive, Identity, PlacementInfo, Slab, SlabBackend, SlabError,
+    SlabGeometry, SlabLayout, SlabPlacement, FLAG_FAST_PATH, FLAG_HINT, FLAG_INLINE, FLAG_PINS,
+    HDR_BYTES, SLOT_BYTES,
 };
 
 pub mod layout {
@@ -275,6 +276,10 @@ struct RegHeader {
     gen_joins: AtomicU32,
     /// Whether the register's unique writer role is claimed.
     writer_claimed: AtomicBool,
+    /// The watchers' waiter word (raw.rs module docs): 0, or the version
+    /// (low 32 bits) some watcher waits for. The writer wakes the
+    /// watchers parked on `version` only when it is non-zero.
+    waiters: AtomicU32,
 }
 
 impl RegHeader {
@@ -289,6 +294,7 @@ impl RegHeader {
             live_readers: AtomicU32::new(0),
             gen_joins: AtomicU32::new(0),
             writer_claimed: AtomicBool::new(false),
+            waiters: AtomicU32::new(0),
         }
     }
 }
@@ -354,6 +360,19 @@ pub(crate) struct GroupCells<'a> {
 }
 
 impl<'a> GroupCells<'a> {
+    /// The futex word watchers park on: the low 32 bits of the version
+    /// word, which a publication always changes (its next 2^32 − 1 values
+    /// differ there).
+    #[inline]
+    fn futex_word(&self) -> *const u32 {
+        let word = std::ptr::from_ref(&self.header.version).cast::<u32>();
+        if cfg!(target_endian = "big") {
+            word.wrapping_add(1)
+        } else {
+            word
+        }
+    }
+
     /// # Safety-relevant invariant
     ///
     /// `slot < n_slots` at every call site: protocol slot indices come
@@ -458,10 +477,17 @@ impl ArcCells for GroupCells<'_> {
         unsafe { self.pins.get_unchecked(i as usize) }
     }
     #[inline]
-    fn watch(&self) -> &WaitSet {
-        // One wait set for the whole group: watchers re-check their own
-        // register's version word after every wake (module docs).
-        &self.g.watch
+    fn waiters_word(&self) -> &AtomicU32 {
+        &self.header.waiters
+    }
+    fn park(&self, seen: u64, timeout: Option<std::time::Duration>) {
+        futex_wait(self.futex_word(), seen as u32, timeout);
+    }
+    fn wake(&self) -> usize {
+        // The futex first: threads parked in any process. Then this
+        // mapping's stream wakers, which registered in the same waiter
+        // word (`crate::watch`).
+        futex_wake(self.futex_word()) + self.g.streams.wake_all()
     }
     #[inline]
     fn max_readers(&self) -> u32 {
@@ -650,7 +676,7 @@ impl GroupBuilder {
         let group = ArcGroup {
             slab,
             layout,
-            watch: WaitSet::new(),
+            streams: StreamWakers::default(),
             registers: self.registers,
             n_slots,
             capacity: self.capacity,
@@ -679,6 +705,47 @@ impl GroupBuilder {
     }
 }
 
+/// The wakers of a mapping's version streams (`crate::watch`). Threads
+/// park on a register's version word in the slab; a task cannot, so it
+/// leaves its waker here and registers in the same waiter word, and the
+/// writer's wake drains the list. Each entry is one-shot.
+#[derive(Default)]
+struct StreamWakers {
+    /// Whether the list may hold a waker, so that a wake takes the lock
+    /// only when a stream waits: without streams the writer's wake writes
+    /// nothing in this mapping's memory, which the woken readers read.
+    pending: AtomicBool,
+    list: Mutex<Vec<Waker>>,
+}
+
+impl StreamWakers {
+    /// Leave `waker` for the next wake. The caller then registers in the
+    /// waiter word: that `SeqCst` RMW releases the `pending` store to the
+    /// writer's `Acquire` load of the word.
+    fn add(&self, waker: &Waker) {
+        let mut list = self.list.lock().unwrap_or_else(|p| p.into_inner());
+        if !list.iter().any(|w| w.will_wake(waker)) {
+            list.push(waker.clone());
+        }
+        self.pending.store(true, Ordering::Relaxed);
+    }
+
+    /// Wake and forget every waker left; returns how many.
+    fn wake_all(&self) -> usize {
+        if !self.pending.load(Ordering::Relaxed) {
+            return 0;
+        }
+        let woken = {
+            let mut list = self.list.lock().unwrap_or_else(|p| p.into_inner());
+            self.pending.store(false, Ordering::Relaxed);
+            std::mem::take(&mut *list)
+        };
+        let n = woken.len();
+        woken.into_iter().for_each(Waker::wake);
+        n
+    }
+}
+
 /// K wait-free (1,N) registers sharing one slab (module docs).
 ///
 /// Create with [`ArcGroup::builder`]; hand out per-register
@@ -690,14 +757,9 @@ pub struct ArcGroup {
     slab: Slab,
     /// Region offsets, computed at build / validated at attach.
     layout: SlabLayout,
-    /// Group-wide wait/notify edge: any register's publish wakes all
-    /// parked watchers, each of which re-checks its own register's
-    /// version word (thundering-herd by design — per-register condvars
-    /// would cost ~10× the whole header slab at K = 1M).
-    ///
-    /// Process-local (a slab attacher gets its own): cross-process
-    /// consumers poll [`ArcGroup::poll_changed`] / the version words.
-    watch: WaitSet,
+    /// Wakers of this mapping's version streams. Process-local: a stream
+    /// hears only publications made through this mapping.
+    streams: StreamWakers,
     // Geometry copies (also recorded in the superblock): plain fields so
     // the hot paths don't chase through `layout.geometry`.
     registers: usize,
@@ -791,7 +853,7 @@ impl ArcGroup {
         Ok(Arc::new(ArcGroup {
             slab,
             layout,
-            watch: WaitSet::new(),
+            streams: StreamWakers::default(),
             registers: g.registers,
             n_slots: g.n_slots,
             capacity: g.capacity,
@@ -1099,9 +1161,10 @@ impl ArcGroup {
     }
 
     /// Block until register `k` publishes past `last`; returns the version
-    /// observed. The blocking edge is the group-wide wait set (any
-    /// register's publish wakes the waiter, which re-checks `k`): opt-in
-    /// and strictly outside the wait-free protocol.
+    /// observed. The caller parks on register `k`'s own version word in
+    /// the slab (a futex on Linux), so only a publication of `k` wakes it,
+    /// made through any mapping of the slab in any process. Opt-in and
+    /// strictly outside the wait-free protocol.
     pub fn wait_for_update(&self, k: usize, last: u64) -> u64 {
         self.check_index(k);
         wait_for_version_on(&self.cells(k), last)
@@ -1119,10 +1182,26 @@ impl ArcGroup {
         wait_for_version_timeout_on(&self.cells(k), last, timeout)
     }
 
-    /// The group-wide wait set, for async waker registration.
-    #[cfg(feature = "async")]
-    pub(crate) fn watch_set(&self) -> &WaitSet {
-        &self.watch
+    /// Register `k`'s waiter word (0 = no watcher registered).
+    #[cfg(test)]
+    pub(crate) fn waiters(&self, k: usize) -> u32 {
+        self.header(k).waiters.load(Ordering::Relaxed)
+    }
+
+    /// A version stream's poll of register `k`: the published version if
+    /// it is past `last`; otherwise `None`, with `waker` left for the next
+    /// publication of this mapping (registered, then re-checked, as a
+    /// parking thread does).
+    pub(crate) fn poll_update(&self, k: usize, last: u64, waker: &Waker) -> Option<u64> {
+        self.check_index(k);
+        let v = self.published_version(k);
+        if v > last {
+            return Some(v);
+        }
+        self.streams.add(waker);
+        register_watcher_on(&self.cells(k), last);
+        let v = self.published_version(k);
+        (v > last).then_some(v)
     }
 
     /// Bytes of memory the whole group owns (the slab — superblock +
@@ -2231,8 +2310,8 @@ mod tests {
         };
         std::thread::sleep(std::time::Duration::from_millis(10));
         let mut set = g.writer_set().unwrap();
-        // A write to register 0 wakes the set but register 1 is unchanged,
-        // so the waiter re-parks; the write to register 1 releases it.
+        // The waiter parks on register 1's own version word: a write to
+        // register 0 wakes nobody, the write to register 1 releases it.
         set.write(0, b"other");
         std::thread::sleep(std::time::Duration::from_millis(5));
         set.write(1, b"mine");
@@ -2240,6 +2319,26 @@ mod tests {
         assert!(
             g.wait_for_update_timeout(0, 1, std::time::Duration::from_millis(5)).is_none(),
             "register 0 is still at version 1"
+        );
+    }
+
+    #[test]
+    fn stale_watcher_registrations_cost_at_most_one_idle_wake() {
+        let g = small(2);
+        let mut set = g.writer_set().unwrap();
+        // A watcher killed after it registered, as it was about to park,
+        // leaves its registration behind; so does a wait that timed out.
+        crate::raw::register_watcher_on(&g.cells(0), g.published_version(0));
+        assert!(g.wait_for_update_timeout(1, 0, std::time::Duration::from_millis(1)).is_none());
+        assert!(g.waiters(0) != 0 && g.waiters(1) != 0, "both registrations are in place");
+        for _ in 0..2 {
+            set.write(0, b"x");
+            set.write(1, b"y");
+        }
+        assert_eq!(
+            (g.waiters(0), g.waiters(1)),
+            (0, 0),
+            "a registration nobody parks on outlived two publications"
         );
     }
 

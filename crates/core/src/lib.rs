@@ -62,12 +62,13 @@
 //!   multi-register workloads.
 //! * [`typed`] — [`TypedArc`]: the same protocol carrying any `T`, over a
 //!   one-register group's protocol words.
-//! * [`watch`] — versioned reads + change notification: park until the
-//!   register publishes past a version watermark ([`WatchReader`]),
-//!   batch-poll a group's header lines ([`ArcGroup::poll_changed`]), or
-//!   (feature `async`) stream versions to any `std::task` executor. The
-//!   read/write paths stay wait-free — waiting is opt-in and outside the
-//!   protocol.
+//! * [`watch`] — versioned reads + change notification: park on the
+//!   register's version word in the slab until it passes a watermark
+//!   ([`ArcReader::wait_for_update`], from any process that maps the
+//!   slab), batch-poll a group's header lines ([`ArcGroup::poll_changed`]),
+//!   or stream versions to any `std::task` executor ([`VersionStream`]).
+//!   The read/write paths stay wait-free — waiting is opt-in and outside
+//!   the protocol.
 //! * [`raw`] — the slot/counter protocol, payload-agnostic and written
 //!   once against the slab's per-register words.
 //! * [`shm`] — the relocatable slab: [`ArcGroup`] stores all K registers
@@ -153,9 +154,7 @@ pub use shm::{
 pub use supervise::{PlaneSupervisor, SupervisorConfig, SupervisorEvent, WriterHealth};
 pub use topology::{NumaNode, Topology};
 pub use typed::{TypedArc, TypedReadGuard, TypedReader, TypedWriter, Versioned};
-#[cfg(feature = "async")]
 pub use watch::VersionStream;
-pub use watch::{TypedWatchReader, WatchReader};
 
 /// The maximum number of concurrent readers the `current` encoding admits:
 /// 2³² − 2 (the paper's headline).

@@ -26,8 +26,9 @@
 //! dropped by that unwind is handed scratch words.
 //!
 //! Words only a register's writer touches — its journal, lease, birth,
-//! heartbeat, version and churn-budget words — never end a step: no other
-//! thread can observe when they change, so the step goes on past them.
+//! heartbeat, version, waiter and churn-budget words — never end a step:
+//! no other thread can observe when they change, so the step goes on past
+//! them.
 //! Any other thread touching one makes the checker panic.
 //!
 //! # Writers
@@ -44,6 +45,21 @@
 //! could. The (M,N) timestamp checks stay with `interleave::mn_model`,
 //! which assumes atomic sub-registers; these runs show the sub-registers
 //! are atomic while two writers store into one slab at once.
+//!
+//! # Watchers
+//!
+//! Watcher threads follow the readers, all on the last register. Each
+//! runs the shipped `wait_for_version_on`, then a read through its own
+//! reader handle, until it has read the last version its register will
+//! publish (in fault runs, until no writer step is left and it has read
+//! the register's version). [`Stepped::park`] and [`Stepped::wake`]
+//! stand in for the futex: a park is one step that compares the
+//! model-memory version with the value parked on and, if they match,
+//! leaves the thread unscheduled until a wake of its register; a wake is
+//! one step that unparks every watcher of the register and logs how many
+//! for replays. The version and waiter words of a watched register are
+//! shared words. A parked watcher counts as between operations for
+//! recovery's quiescent window.
 //!
 //! # Faults
 //!
@@ -89,6 +105,11 @@
 //! * Writer collision, at every payload store: no writer stores into a
 //!   slot that another writer's in-flight write has stored into. Only a
 //!   layout that lets two registers share a slot can trip it.
+//! * No lost wakeup: once no writer, daemon or recovery step is left, a
+//!   watcher parked on a version its register has moved past fails the
+//!   run.
+//! * Woken reads: a watcher's read after a wait returns at least the
+//!   version the wait returned.
 //! * Wait-freedom: no operation takes more than [`Setup::bound`] accesses.
 //!   A starved writer fails the run, or with `prune_starved` stops being
 //!   scheduled so the search goes on past it.
@@ -101,18 +122,18 @@ use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use interleave::spec::ReadObs;
 use interleave::{explore, random_walks, ExploreLimits, Model, ObsChecker, Outcome};
 use register_common::OpMetrics;
-use sync_primitives::WaitSet;
 
 use crate::current::index_of;
 use crate::errors::HandleError;
 use crate::group::{ArcGroup, GroupCells};
 use crate::raw::{
-    guard_drop_on, publish_with_on, read_acquire_on, reader_join_on, writer_claim_on, ArcCells,
-    RawOptions, RawReader, WriterMem,
+    guard_drop_on, publish_with_on, read_acquire_on, reader_join_on, wait_for_version_on,
+    writer_claim_on, ArcCells, RawOptions, RawReader, WriterMem,
 };
 use crate::recovery::{recover_register, RecoveryReport};
 use crate::shm::Identity;
@@ -158,6 +179,8 @@ struct Config {
     fault: Fault,
     /// Writes after the fault.
     post: u8,
+    /// Watcher threads, all on the last register.
+    watchers: usize,
 }
 
 impl Config {
@@ -174,6 +197,7 @@ impl Config {
             prune_starved: false,
             fault: Fault::None,
             post: 0,
+            watchers: 0,
         }
     }
 
@@ -205,6 +229,22 @@ impl Config {
         Self { prune_starved: true, ..self }
     }
 
+    /// `registers` registers whose last one `watchers` watcher threads
+    /// watch, `writes` writes each, no readers, hint off.
+    const fn watch(registers: usize, watchers: usize, writes: u8) -> Self {
+        Self { registers, watchers, ..Self::k1(0, writes, 0) }
+    }
+
+    /// `watchers` watcher threads on the last register written.
+    const fn watched_by(self, watchers: usize) -> Self {
+        Self { watchers, ..self }
+    }
+
+    /// The register the watchers watch.
+    const fn watched(&self) -> usize {
+        self.registers - 1
+    }
+
     /// Writer threads (W); writer `w` writes registers `w, w + W, …` in
     /// turn.
     const fn writers(&self) -> usize {
@@ -225,6 +265,8 @@ enum Op {
     Read { k: usize, r: usize },
     /// Drop the guard of reader `r`'s last read of register `k`.
     Drop { k: usize, r: usize },
+    /// A watcher waits for register `k` to publish past its last read.
+    Wait { k: usize },
     /// The writer claims the role again after recovery.
     Claim,
     /// Recovery of the killed writer's register.
@@ -234,7 +276,7 @@ enum Op {
 impl Op {
     fn register(self) -> usize {
         match self {
-            Op::Write { k, .. } | Op::Read { k, .. } | Op::Drop { k, .. } => k,
+            Op::Write { k, .. } | Op::Read { k, .. } | Op::Drop { k, .. } | Op::Wait { k } => k,
             Op::Claim | Op::Recover => 0,
         }
     }
@@ -270,9 +312,14 @@ impl Setup {
         self.keys.binary_search(&(addr, tag)).ok()
     }
 
+    /// The first watcher's thread id (after the writers and readers).
+    fn first_watcher(&self) -> usize {
+        self.cfg.writers() + self.cfg.registers * self.cfg.readers
+    }
+
     /// The daemon's thread id; recovery's is the next one.
     fn daemon(&self) -> usize {
-        self.cfg.writers() + self.cfg.registers * self.cfg.readers
+        self.first_watcher() + self.cfg.watchers
     }
 
     /// Operations of each reader.
@@ -318,6 +365,12 @@ struct Thread {
     obs: ReadObs,
     /// Starved and no longer scheduled (`prune_starved`).
     starved: bool,
+    /// Parked in a wait until a wake of its register.
+    parked: bool,
+    /// A watcher's last read version.
+    last: u64,
+    /// The version a watcher's last wait returned.
+    waited: u64,
 }
 
 /// Where a run stands with respect to its fault.
@@ -346,10 +399,10 @@ struct RealCode {
     obs: Vec<ObsChecker>,
     /// The writer's memory of each register.
     writer: Vec<WriterMem>,
-    /// Each reader's handle.
+    /// Each reader's handle, then each watcher's.
     readers: Vec<RawReader>,
     /// Threads `0..W` are the writers, thread `W + r` is reader `r`, then
-    /// the daemon and recovery of fault runs.
+    /// the watchers, then the daemon and recovery of fault runs.
     threads: Vec<Thread>,
     phase: Phase,
     /// Writes each writer makes in all (a fault moves it).
@@ -381,7 +434,9 @@ enum Stop {
 /// payload words, a claim's result, or recovery's report.
 enum Done {
     Write,
-    Reader(RawReader, Option<(u8, u8)>),
+    /// A read's handle state, payload words and version, or a guard drop's.
+    Reader(RawReader, Option<(u8, u8)>, u64),
+    Waited(u64),
     Claim(Result<usize, HandleError>),
     Recover(RecoveryReport),
 }
@@ -389,7 +444,7 @@ enum Done {
 impl RealCode {
     fn new(cfg: Config) -> Self {
         let kill = cfg.fault == Fault::Kill;
-        let group = ArcGroup::builder(cfg.registers, cfg.readers as u32, 8)
+        let group = ArcGroup::builder(cfg.registers, (cfg.readers + cfg.watchers) as u32, 8)
             .hint(cfg.hint)
             .pin_registry(kill)
             .build()
@@ -399,8 +454,11 @@ impl RealCode {
         let writer = (0..cfg.registers)
             .map(|k| WriterMem::new(writer_claim_on(&group.cells(k), &me).expect("claim"), n))
             .collect();
+        let watched = cfg.watched();
         let readers = (0..cfg.registers * cfg.readers)
-            .map(|r| reader_join_on(&group.cells(r % cfg.registers), me.pid).expect("join"))
+            .map(|r| r % cfg.registers)
+            .chain((0..cfg.watchers).map(|_| watched))
+            .map(|k| reader_join_on(&group.cells(k), me.pid).expect("join"))
             .collect();
 
         // Every word of every register: (address, tag, value, owner).
@@ -417,7 +475,10 @@ impl RealCode {
             r_end.push((0..n).map(|s| addr(c.r_end(s))).collect());
             current.push(addr(c.current_word()));
             // Each header word, and whether only its writer touches it.
-            let header: [(&dyn Word, bool); 13] = [
+            // Watchers load the version word and register in the waiter
+            // word of the register they watch.
+            let unwatched = k != watched || cfg.watchers == 0;
+            let header: [(&dyn Word, bool); 14] = [
                 (c.current_word(), false),
                 (c.hint_word(), false),
                 (c.live_readers_word(), false),
@@ -426,7 +487,8 @@ impl RealCode {
                 (c.last_good_word(), false),
                 (c.gen_joins_word(), true),
                 (c.heartbeat_word(), true),
-                (c.version_word(), fault_free),
+                (c.version_word(), fault_free && unwatched),
+                (c.waiters_word(), unwatched),
                 (c.wip_word(), fault_free),
                 (c.wip_old_word(), fault_free),
                 (c.lease_word(), fault_free),
@@ -442,11 +504,18 @@ impl RealCode {
                 words.push((addr(c.r_start(s)), 1, 0, None));
                 words.push((addr(c.r_start(s)), 2, 0, None));
             }
-            // Readers joined in order, so entry `i` is reader `i K + k`'s.
+            // Readers, then watchers, joined in order, so entry `i` is
+            // reader `i K + k`'s, then the watchers' of the watched register.
             for i in 0..c.pin_entries() {
                 let w = c.pin_entry(i);
-                let tid = writers + i as usize * cfg.registers + k;
-                words.push((addr(w), 0, w.get(), Some(tid)));
+                let i = i as usize;
+                let tid = if i < cfg.readers {
+                    Some(writers + i * cfg.registers + k)
+                } else {
+                    (k == watched)
+                        .then_some(writers + cfg.registers * cfg.readers + i - cfg.readers)
+                };
+                words.push((addr(w), 0, w.get(), tid));
             }
         }
         // Overlapping registers would share slot words: keep one copy.
@@ -493,16 +562,47 @@ impl RealCode {
                 Phase::Recovered => true,
                 _ => !t.starved && t.done < self.writes,
             }
-        } else if tid < daemon {
+        } else if tid < s.first_watcher() {
             !t.starved && t.done < s.reader_ops() && !recovering
+        } else if tid < daemon {
+            !t.parked && !t.starved && !recovering && self.watching(tid)
         } else if tid == daemon {
             // A kill may land anywhere, an unwind only inside a write.
             self.phase == Phase::Armed
                 && (s.cfg.fault == Fault::Kill || !self.threads[0].log.is_empty())
         } else {
-            let readers = &self.threads[s.cfg.writers()..daemon];
-            self.phase == Phase::Dead && readers.iter().all(|r| r.log.is_empty())
+            // A parked watcher is between operations.
+            let others = &self.threads[s.cfg.writers()..daemon];
+            self.phase == Phase::Dead && others.iter().all(|r| r.log.is_empty() || r.parked)
         }
+    }
+
+    /// Whether watcher `tid` goes on: it finishes an operation it began
+    /// and reads after each wait, and it waits again until it has read
+    /// the last version its register will publish.
+    fn watching(&self, tid: usize) -> bool {
+        let (s, t) = (&self.setup.0, &self.threads[tid]);
+        if !t.log.is_empty() || t.done % 2 == 1 {
+            return true;
+        }
+        match s.cfg.fault {
+            Fault::None => t.last < u64::from(s.cfg.writes),
+            // A fault decides how many writes take effect.
+            _ => !self.writing_over() || t.last < self.version(s.cfg.watched()),
+        }
+    }
+
+    /// No writer, daemon or recovery step is left.
+    fn writing_over(&self) -> bool {
+        let s = &self.setup.0;
+        (0..s.cfg.writers()).chain(s.daemon()..self.threads.len()).all(|t| !self.runnable(t))
+    }
+
+    /// Register `k`'s version word in model memory.
+    fn version(&self, k: usize) -> u64 {
+        let s = &self.setup.0;
+        let c = s.group.cells(k);
+        self.mem[s.key(addr(c.version_word()), 0).expect("version word")]
     }
 
     /// The operation thread `tid` runs next.
@@ -519,6 +619,13 @@ impl RealCode {
             }
         } else if tid > s.daemon() {
             Op::Recover
+        } else if tid >= s.first_watcher() {
+            let k = s.cfg.watched();
+            if i % 2 == 0 {
+                Op::Wait { k }
+            } else {
+                Op::Read { k, r: tid - w_all }
+            }
         } else {
             let (r, k) = (tid - w_all, (tid - w_all) % k_all);
             if s.cfg.guard_drop && i % 2 == 1 {
@@ -535,8 +642,9 @@ impl RealCode {
         let s = &self.setup.0;
         let w_all = s.cfg.writers();
         let mut held = Vec::new();
+        let plain = s.cfg.registers * s.cfg.readers;
         for (r, rd) in self.readers.iter().enumerate() {
-            let k = r % s.cfg.registers;
+            let k = if r < plain { r % s.cfg.registers } else { s.cfg.watched() };
             let log = &self.threads[w_all + r].log;
             let touched = |a: &Access, addr: usize| s.keys[a.key as usize] == (addr, 0);
             if let Some(p) = rd.pinned_slot() {
@@ -582,6 +690,7 @@ impl RealCode {
     }
 
     fn complete(&mut self, tid: usize, op: Op, done: Done, wr: WriterMem) -> Result<(), String> {
+        let watcher = tid >= self.setup.0.first_watcher();
         let t = &mut self.threads[tid];
         t.log.clear();
         let obs = std::mem::take(&mut t.obs);
@@ -591,12 +700,26 @@ impl RealCode {
                 self.writer[k] = wr;
                 self.obs[k].on_write_complete(seq);
             }
-            (Op::Read { k, r } | Op::Drop { k, r }, Done::Reader(rd, words)) => {
+            (Op::Read { k, r } | Op::Drop { k, r }, Done::Reader(rd, words, version)) => {
                 t.done += 1;
                 self.readers[r] = rd;
+                if watcher {
+                    if version < t.waited {
+                        return Err(format!(
+                            "woken read: watcher {tid} read version {version} of register {k} \
+                             after its wait returned version {}",
+                            t.waited
+                        ));
+                    }
+                    t.last = version;
+                }
                 if let Some((w0, w1)) = words {
                     self.obs[k].on_read_complete(obs, w0, w1)?;
                 }
+            }
+            (Op::Wait { .. }, Done::Waited(version)) => {
+                t.done += 1;
+                t.waited = version;
             }
             (Op::Claim, Done::Claim(claim)) => {
                 let last = claim.map_err(|e| format!("claim after recovery failed: {e}"))?;
@@ -662,6 +785,7 @@ impl Model for RealCode {
             cursor: 0,
             shared_done: false,
             finished: false,
+            parked: self.threads.iter().map(|t| t.parked).collect(),
             unwind_at: match self.phase {
                 Phase::Unwind(at) if tid == 0 => Some(at),
                 _ => None,
@@ -687,15 +811,16 @@ impl Model for RealCode {
             }
             Op::Read { r, .. } => {
                 let mut rd = self.readers[r].clone();
-                let slot = read_acquire_on(&cx, &mut rd, &mut m).slot;
-                let words = (cx.payload_load(slot, 0), cx.payload_load(slot, 1));
-                Done::Reader(rd, Some(words))
+                let out = read_acquire_on(&cx, &mut rd, &mut m);
+                let words = (cx.payload_load(out.slot, 0), cx.payload_load(out.slot, 1));
+                Done::Reader(rd, Some(words), out.version)
             }
             Op::Drop { r, .. } => {
                 let mut rd = self.readers[r].clone();
                 guard_drop_on(&cx, &mut rd, &mut m);
-                Done::Reader(rd, None)
+                Done::Reader(rd, None, 0)
             }
+            Op::Wait { .. } => Done::Waited(wait_for_version_on(&cx, self.threads[tid].last)),
             Op::Claim => Done::Claim(writer_claim_on(&cx, &setup.me)),
             Op::Recover => {
                 let mut report = RecoveryReport::default();
@@ -707,6 +832,9 @@ impl Model for RealCode {
         let run = run.into_inner();
         self.mem = run.mem;
         self.threads[tid].log = run.log;
+        for (t, parked) in self.threads.iter_mut().zip(run.parked) {
+            t.parked = parked;
+        }
         match result {
             Ok(done) => self.complete(tid, op, done, wr),
             Err(payload) => match payload.downcast::<Stop>().map(|s| *s) {
@@ -729,6 +857,26 @@ impl Model for RealCode {
 
     fn is_done(&self) -> bool {
         !(0..self.threads.len()).any(|t| self.runnable(t))
+    }
+
+    /// A watcher parked on a version its register has moved past, with no
+    /// writer step left to wake it, has lost its wakeup.
+    fn check_invariants(&self) -> Result<(), String> {
+        let s = &self.setup.0;
+        let k = s.cfg.watched();
+        let parked = (s.first_watcher()..s.daemon()).filter(|&t| self.threads[t].parked);
+        for tid in parked {
+            let log = &self.threads[tid].log;
+            let seen = log.last().map_or(0, |a| a.seen);
+            if seen != self.version(k) && self.writing_over() {
+                return Err(format!(
+                    "lost wakeup: watcher {tid} is parked at version {seen} of register {k}, \
+                     which is at version {}, and no writer is left to wake it",
+                    self.version(k)
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -791,6 +939,8 @@ struct Run {
     shared_done: bool,
     /// The step is over: accessors hand out scratch words.
     finished: bool,
+    /// Which threads are parked in a wait.
+    parked: Vec<bool>,
     /// The accessor call at this index raises the daemon's unwind.
     unwind_at: Option<usize>,
 }
@@ -944,6 +1094,12 @@ impl<'c> Stepped<'c> {
         }
     }
 
+    /// The version word's key: a park is a load of it that may block, and
+    /// a wake an access to the threads parked on it.
+    fn version_key(&self) -> usize {
+        self.setup.key(addr(self.cells.version_word()), 0).expect("version word")
+    }
+
     fn payload_store(&self, slot: usize, word: u8, seq: u8) {
         let key = self.payload_key(slot, word);
         if let Some((seen, true)) = self.enter(key) {
@@ -995,8 +1151,44 @@ impl ArcCells for Stepped<'_> {
     fn slot_version(&self, slot: usize) -> &AtomicU64 {
         self.word(&self.scratch.w64, || self.cells.slot_version(self.in_range(slot)))
     }
-    fn watch(&self) -> &WaitSet {
-        self.cells.watch()
+    fn waiters_word(&self) -> &AtomicU32 {
+        self.word(&self.scratch.w32, || self.cells.waiters_word())
+    }
+    /// One step: compare the version with `seen` and, if they match, park
+    /// the thread until a wake of this register.
+    fn park(&self, seen: u64, _timeout: Option<Duration>) {
+        let key = self.version_key();
+        if let Some((now, true)) = self.enter(key) {
+            self.record(key, now, now);
+            if now == seen {
+                let mut run = self.run.borrow_mut();
+                let tid = run.tid;
+                run.parked[tid] = true;
+                drop(run);
+                self.stop(Stop::Step);
+            }
+        }
+    }
+    /// One step: unpark every watcher of this register; the log keeps
+    /// how many, for replays.
+    fn wake(&self) -> usize {
+        let key = self.version_key();
+        match self.enter(key) {
+            None => 0,
+            Some((woke, false)) => woke as usize,
+            Some((_, true)) => {
+                let mut run = self.run.borrow_mut();
+                let mut woke = 0;
+                if self.k == self.setup.cfg.watched() {
+                    let watchers = self.setup.first_watcher()..self.setup.daemon();
+                    for parked in &mut run.parked[watchers] {
+                        woke += usize::from(std::mem::take(parked));
+                    }
+                }
+                run.log.push(Access { key: key as u8, wrote: false, seen: woke as u64 });
+                woke
+            }
+        }
     }
     fn wip_word(&self) -> &AtomicU64 {
         self.word(&self.scratch.w64, || self.cells.wip_word())
@@ -1301,6 +1493,44 @@ fn walks_kill_hint_3r_4_3w_4x() {
 #[cfg_attr(debug_assertions, ignore = "randomized exploration: run with --release")]
 fn walks_panic_hint_3r_4_3w_4x() {
     walks(Config::fault(Fault::Panic, 3, 4, 3, 4).hint(), 20_000, 0x0BAD);
+}
+
+// Watchers: each runs the shipped wait, then a read, until it has read
+// the last version; the shipped wake unparks it.
+
+#[test]
+fn watch_1_2w() {
+    exhaustive(Config::watch(1, 1, 2));
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
+fn watch_2_2w() {
+    exhaustive(Config::watch(1, 2, 2));
+}
+
+/// Writes to register 0 wake nobody; the watcher of register 1 wakes.
+#[test]
+fn watch_k2_1_2w() {
+    exhaustive(Config::watch(2, 1, 2));
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
+fn watch_1r_1_2w_2x() {
+    exhaustive(Config::k1(1, 2, 2).watched_by(1));
+}
+
+/// A writer killed between its version bump and its wake: recovery's wake
+/// must unpark the watcher, as no later write comes.
+#[test]
+fn kill_watch_1_1_0w() {
+    exhaustive(Config::fault(Fault::Kill, 0, 1, 0, 0).watched_by(1));
+}
+
+#[test]
+fn kill_watch_1_2_0w() {
+    exhaustive(Config::fault(Fault::Kill, 0, 2, 0, 0).watched_by(1));
 }
 
 #[test]

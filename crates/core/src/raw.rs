@@ -80,7 +80,10 @@
 //! | `writer_claimed` | claim `swap` / release store | `Acquire` / `Release` | lock-style handoff of the writer role between threads |
 //! | `slot_version` | writer stamp store / reader load | `Relaxed` | protocol-protected like the payload: stamped before W2, read under a standing unit; the `current` SeqCst pair carries the edge |
 //! | `version` (event word) | writer bump store | `Release` | bumped strictly **after** W2, so a watcher that observes version `v` always finds publication `v` (or newer) readable; single-writer-owned, so the writer's reload is `Relaxed` |
-//! | `version` (event word) | watcher loads | `Acquire` | pairs with the bump; the watch layer's lost-wakeup fence discipline lives in `sync_primitives::WaitSet` (and is model-checked by `interleave::notify_model`) |
+//! | `version` (event word) | watcher loads | `Acquire` | pairs with the bump; the lost-wakeup argument is the waiter word's (next rows) |
+//! | `waiters` (waiter word) | watcher registration `CAS` | `SeqCst` | with the `SeqCst` fences after it and after the writer's bump: either the writer's load sees the registration, or the watcher's re-check sees the new version (the watch edge, below) |
+//! | `waiters` (waiter word) | writer load | `Acquire` | the fence before the load carries the store-buffering pairing; the `Acquire` pairs with the registration so the wake sees a stream waker left before it |
+//! | `waiters` (waiter word) | writer clear `CAS` | `Relaxed` | the clear succeeds only on the value the load saw, and registrations only raise it |
 //! | `wip` (journal stage) | writer stores | `Relaxed`/`Release` | the publication journal (DESIGN.md §3.9) is consumed only by *recovery*, after the writer is dead and the slab quiescent; the one load-bearing edge is `PUB_RAW` released **after** the `wip_old` capture, so a recovery that reads the stage also sees the captured word |
 //! | `wip_old` / `lease` | writer stores | `Relaxed` | same quiescent-consumer argument; the lease pid additionally gates new claims (checked before the claim CAS) |
 //! | `birth` (lease ext) | claim/release stores | `Relaxed` | same quiescent-consumer argument as `lease`: consumed by recovery and the watchdog probe, both off the hot paths |
@@ -90,15 +93,52 @@
 //! | pin registry entry | join `CAS` / pin stores | `AcqRel` / `Release` | claims hand the entry between readers; pin stores are ordered **before** the unit release they describe, so a sweep can over-count (leak until next sweep) but never double-release |
 //!
 //! The version bump is the **watch edge**: one release store per write,
-//! plus `WaitSet::notify_all`'s fence + relaxed load (no lock when nobody
-//! waits). Waiting is an opt-in *blocking* edge strictly outside the
-//! protocol — the read and write paths above stay wait-free.
+//! plus a `SeqCst` fence and one relaxed load of the waiter word (no
+//! syscall when nobody waits). Waiting is an opt-in *blocking* edge
+//! strictly outside the protocol — the read and write paths above stay
+//! wait-free.
 //!
 //! * The writer's payload stores happen-before the `SeqCst` swap (W2),
 //!   which pairs with the readers' `SeqCst` `fetch_add` (R4).
 //! * Diagnostic snapshots (`current_index`, `outstanding_units`, …) use
 //!   `Acquire` loads: they are racy by nature and only exact in quiescent
 //!   states, which the `Acquire` is enough to observe.
+//!
+//! # The watch edge
+//!
+//! A watcher parks on its register's own `version` word: a futex on its
+//! low 32 bits, which every process mapping the slab shares. Before it
+//! parks it registers in the header's `waiters` word, which holds 0 or a
+//! *target*: the low 32 bits of a version some watcher waits for (a zero
+//! target is stored as 1, which errs late). Registration raises the word
+//! to the watcher's target, compared in serial order, with a `SeqCst`
+//! `CAS` that may store the value it found; then a `SeqCst` fence, a
+//! re-check of the version, and the park on the value re-checked. The
+//! writer bumps the version after W2, fences, loads the word, and wakes
+//! only if it is non-zero.
+//!
+//! * **No lost wakeup.** The two fences order the registration and the
+//!   bump: either the writer's load sees the registration (or a later
+//!   value), or the watcher's re-check sees the new version and does not
+//!   park. A watcher that re-checked the old version and parks after the
+//!   writer's wake finds a changed word: the kernel compares the word and
+//!   queues the waiter in one step, so the park returns at once.
+//! * **Stale registrations.** A wait that times out, or a watcher killed
+//!   while parked, leaves its target behind. When a wake woke nobody and
+//!   the version has reached the word's target, the writer clears the
+//!   word with a `CAS` from the value it loaded. Registrations only raise
+//!   the word, so the `CAS` fails if anyone registered since the load;
+//!   a registration that left the word unchanged waits for a version
+//!   this publication already made. So the writer wastes at most one
+//!   wake on a stale target, never one per write (DESIGN.md §3.7 on
+//!   why the word holds a target, not a count).
+//! * **Recovery.** Recovery of a dead writer and the unwind repair of a
+//!   panicked write end with the same wake, so a writer that died between
+//!   its bump and its wake leaves no watcher parked.
+//!
+//! Targets are compared mod 2^32, so a watcher must wait for a version
+//! less than 2^31 publications ahead of the published one; every wait
+//! the crate makes waits for the next version.
 //!
 //! # The writer candidate cache (killing the O(N) scan)
 //!
@@ -151,10 +191,10 @@
 //! among `N + 2` slots at least one non-current slot is free — the writer's
 //! W1 scan terminates within one sweep.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 use register_common::OpMetrics;
-use sync_primitives::WaitSet;
 
 use crate::crash::{maybe_crash, CrashPoint};
 use crate::current::{counter_of, index_of, Current, MAX_READERS};
@@ -355,10 +395,15 @@ pub(crate) trait ArcCells {
     /// Per-slot publication-version stamp (written before W2 under writer
     /// exclusivity, read under a standing presence unit).
     fn slot_version(&self, slot: usize) -> &AtomicU64;
-    /// The wait/notify edge watchers park on (may be shared by all
-    /// registers of a slab group — waiters re-check their own register's
-    /// version word after every wake).
-    fn watch(&self) -> &WaitSet;
+    /// The waiter word: 0, or the target version (low 32 bits) some
+    /// watcher waits for (module docs, the watch edge).
+    fn waiters_word(&self) -> &AtomicU32;
+    /// Park the calling watcher while the version word still reads
+    /// `seen`, for at most `timeout`; returns on a wake, a changed
+    /// version, the timeout or spuriously.
+    fn park(&self, seen: u64, timeout: Option<Duration>);
+    /// Wake every watcher parked on this register; returns how many woke.
+    fn wake(&self) -> usize;
     /// Publication-journal stage word (`STAGE_* << 32 | slot`).
     fn wip_word(&self) -> &AtomicU64;
     /// Publication-journal context word (stage-dependent; see `STAGE_*`).
@@ -867,12 +912,9 @@ fn publish_core<C: ArcCells>(
     wr.last_slot = slot as u32;
     // The watch edge: bump the event word strictly AFTER W2, so any
     // watcher observing `version` finds publication `version` readable
-    // (bumping before W2 would let a woken watcher re-read the old value
-    // and park again with nothing left to wake it — the lost-wakeup shape
-    // `interleave::notify_model` checks). Release pairs with watchers'
-    // Acquire loads; the Dekker fences against sleeping watchers live in
-    // WaitSet::notify_all, which costs one fence + one load when nobody
-    // waits.
+    // (bumping before W2 would let a woken watcher read the old value).
+    // Release pairs with watchers' Acquire loads; the wake at the end
+    // costs one fence + one load when nobody waits.
     c.version_word().store(version, Ordering::Release);
     // Publication complete: retire the journal. Stage first — if only the
     // stage store lands before a crash, IDLE + stale wip_old reads as a
@@ -883,7 +925,7 @@ fn publish_core<C: ArcCells>(
     // keeps completing operations never trips the stall threshold, no
     // matter how slowly it fills.
     heartbeat_tick_on(c);
-    c.watch().notify_all();
+    wake_watchers_on(c, version);
 }
 
 /// Sentinel for "the W2 swap has not executed": not a legal `current`
@@ -1047,12 +1089,12 @@ pub(crate) fn classify_and_complete_on<C: ArcCells>(
 
 /// Finish an adopted publication's version bump: the stamp the writer
 /// wrote into the slot pre-W2 becomes the register's published version
-/// (skipped if the writer already got that far), and watchers are woken.
+/// (skipped if the writer already got that far). The caller wakes the
+/// watchers once the repair is over.
 pub(crate) fn roll_forward_version_on<C: ArcCells>(c: &C, slot: usize) {
     let v = c.slot_version(slot).load(Ordering::Acquire);
     if c.version_word().load(Ordering::Acquire) < v {
         c.version_word().store(v, Ordering::Release);
-        c.watch().notify_all();
     }
 }
 
@@ -1126,6 +1168,9 @@ impl<C: ArcCells> Drop for PublishGuard<'_, C> {
         // The operation ended (however abnormally): tick the odometer so
         // the watchdog sees a live writer, not a mid-publication stall.
         heartbeat_tick_on(self.c);
+        // The unwind may have come after the bump but before the wake.
+        // The writer owns the event word, so the Relaxed reload is exact.
+        wake_watchers_on(self.c, self.c.version_word().load(Ordering::Relaxed));
     }
 }
 
@@ -1152,23 +1197,62 @@ pub(crate) fn publish_with_on<C: ArcCells, R>(
     out
 }
 
-/// The published version: the number of completed writes (0 = only the
-/// initial value). Monotone; safe to poll from any thread.
+/// The waiter-word target of a watcher waiting past `last`: the low 32
+/// bits of `last + 1`, with 0 (the empty word) stored as 1.
 #[inline]
-pub(crate) fn published_version_on<C: ArcCells>(c: &C) -> u64 {
-    c.version_word().load(Ordering::Acquire)
+fn waiter_target(last: u64) -> u32 {
+    (last.wrapping_add(1) as u32).max(1)
+}
+
+/// Whether target `a` is at or past target `b` in serial order (mod 2^32).
+#[inline]
+fn serial_ge(a: u32, b: u32) -> bool {
+    a.wrapping_sub(b) as i32 >= 0
+}
+
+/// Register a watcher waiting past `last` in the waiter word, then fence:
+/// the caller's next load of the version word is the re-check of the
+/// watch edge (module docs).
+pub(crate) fn register_watcher_on<C: ArcCells>(c: &C, last: u64) {
+    let want = waiter_target(last);
+    let mut w = c.waiters_word().load(Ordering::Relaxed);
+    loop {
+        // Raise the word to our target, or store what is there: the CAS
+        // is the registration either way.
+        let target = if w != 0 && serial_ge(w, want) { w } else { want };
+        // SeqCst: the RMW half of the store-buffering pair (module docs).
+        match c.waiters_word().compare_exchange(w, target, Ordering::SeqCst, Ordering::Relaxed) {
+            Ok(_) => break,
+            Err(now) => w = now,
+        }
+    }
+    // SeqCst fence between the registration and the caller's re-check:
+    // the watcher's half of the store-buffering pair.
+    fence(Ordering::SeqCst);
+}
+
+/// The writer's half of the watch edge, after `version` was stored: wake
+/// the register's watchers if any registered, and clear a target that a
+/// wake which woke nobody shows stale (module docs).
+pub(crate) fn wake_watchers_on<C: ArcCells>(c: &C, version: u64) {
+    // SeqCst fence between the version store and the waiter-word load:
+    // the writer's half of the store-buffering pair.
+    fence(Ordering::SeqCst);
+    // Acquire: a registration also releases what the watcher left for the
+    // wake (a stream's waker, `crate::group`).
+    let w = c.waiters_word().load(Ordering::Acquire);
+    if w != 0 && c.wake() == 0 && serial_ge(version as u32, w) {
+        // Fails if a watcher registered since the load: registrations
+        // only raise the word.
+        let _ = c.waiters_word().compare_exchange(w, 0, Ordering::Relaxed, Ordering::Relaxed);
+    }
 }
 
 /// Block until the published version exceeds `last`, returning the version
 /// observed (≥ `last + 1`). This is the opt-in blocking edge of the watch
 /// layer — the register's own operations never call it.
 pub(crate) fn wait_for_version_on<C: ArcCells>(c: &C, last: u64) -> u64 {
-    let mut seen = last;
-    c.watch().wait_until(|| {
-        seen = published_version_on(c);
-        seen > last
-    });
-    seen
+    wait_past_on(c, last, None).expect("an untimed wait returns a newer version")
 }
 
 /// Like [`wait_for_version_on`] with a timeout; `None` if it elapsed with
@@ -1176,17 +1260,31 @@ pub(crate) fn wait_for_version_on<C: ArcCells>(c: &C, last: u64) -> u64 {
 pub(crate) fn wait_for_version_timeout_on<C: ArcCells>(
     c: &C,
     last: u64,
-    timeout: std::time::Duration,
+    timeout: Duration,
 ) -> Option<u64> {
-    let mut seen = last;
-    let woke = c.watch().wait_until_timeout(
-        || {
-            seen = published_version_on(c);
-            seen > last
-        },
-        timeout,
-    );
-    woke.then_some(seen)
+    // A deadline past the clock's range waits without one.
+    wait_past_on(c, last, Instant::now().checked_add(timeout))
+}
+
+/// The watcher's half of the watch edge (module docs): check, register,
+/// re-check, park on the version re-checked, and go round again on a wake.
+fn wait_past_on<C: ArcCells>(c: &C, last: u64, deadline: Option<Instant>) -> Option<u64> {
+    loop {
+        let v = c.version_word().load(Ordering::Acquire);
+        if v > last {
+            return Some(v);
+        }
+        let timeout = match deadline {
+            None => None,
+            Some(d) => Some(d.checked_duration_since(Instant::now()).filter(|t| !t.is_zero())?),
+        };
+        register_watcher_on(c, last);
+        let v = c.version_word().load(Ordering::Acquire);
+        if v > last {
+            return Some(v);
+        }
+        c.park(v, timeout);
+    }
 }
 
 /// The currently published slot index (diagnostic snapshot).
@@ -1350,7 +1448,7 @@ mod tests {
         }
 
         fn published_version(&self) -> u64 {
-            published_version_on(&self.c())
+            self.0.published_version(0)
         }
     }
 

@@ -53,8 +53,8 @@
 use std::sync::atomic::Ordering;
 
 use crate::raw::{
-    classify_and_complete_on, pin_owner, pin_pinned_slot, release_unit_on, ArcCells,
-    JournalVerdict, STAGE_IDLE,
+    classify_and_complete_on, pin_owner, pin_pinned_slot, release_unit_on, wake_watchers_on,
+    ArcCells, JournalVerdict, STAGE_IDLE,
 };
 use crate::shm::process_birth;
 
@@ -182,6 +182,9 @@ fn recover_dead_writer<C: ArcCells>(c: &C, report: &mut RecoveryReport) {
     c.lease_word().store(0, Ordering::Relaxed);
     c.birth_word().store(0, Ordering::Relaxed);
     c.writer_claimed_word().store(false, Ordering::Release);
+    // The dead writer may have bumped the version (or recovery just rolled
+    // it forward) without waking the watchers parked on it.
+    wake_watchers_on(c, c.version_word().load(Ordering::Acquire));
 }
 
 /// Release the presence units of dead readers: each registry entry owned

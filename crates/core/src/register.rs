@@ -362,6 +362,30 @@ impl ArcReader {
         register_common::copy::copy_to_vec(&guard, out)
     }
 
+    /// Park until the register publishes **past** `last`, then read.
+    ///
+    /// The returned snapshot's [`Snapshot::version`] is at least
+    /// `last + 1` — the wake happens strictly after the W2 publication it
+    /// announces, so the post-wake read can never deliver the old value.
+    /// Typical loop: `last = reader.wait_for_update(last).version()`.
+    /// Waiting is opt-in and outside the wait-free protocol
+    /// ([`crate::watch`]).
+    pub fn wait_for_update(&mut self, last: u64) -> Snapshot<'_> {
+        self.reg.group.wait_for_update(0, last);
+        self.read()
+    }
+
+    /// Like [`ArcReader::wait_for_update`] with a timeout: `None` if no
+    /// newer publication arrived in time.
+    pub fn wait_for_update_timeout(
+        &mut self,
+        last: u64,
+        timeout: std::time::Duration,
+    ) -> Option<Snapshot<'_>> {
+        self.reg.group.wait_for_update_timeout(0, last, timeout)?;
+        Some(self.read())
+    }
+
     /// The register this reader belongs to.
     pub fn register(&self) -> &Arc<ArcRegister> {
         &self.reg
@@ -415,8 +439,8 @@ impl<'a> Snapshot<'a> {
     /// up to (and including) the one this read observes, 0 for the initial
     /// value. Per reader handle, versions never decrease and strictly
     /// increase whenever the observed value changes; feed it to
-    /// [`WatchReader::wait_for_update`](crate::watch::WatchReader::wait_for_update)
-    /// or [`crate::ArcGroup::poll_changed`] to learn of the next write
+    /// [`ArcReader::wait_for_update`] or [`crate::ArcGroup::poll_changed`]
+    /// to learn of the next write
     /// without re-reading.
     pub fn version(&self) -> u64 {
         self.version

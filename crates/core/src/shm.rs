@@ -72,7 +72,10 @@ pub const SLAB_MAGIC: u64 = u64::from_le_bytes(*b"ARCSLAB1");
 /// * v4 — the publication journal's `wip_old` holds the previous slot
 ///   `current`-shaped (index, counter `u32::MAX`) at stage `PUB_PREV`, so
 ///   recovery no longer reads it as a bare slot index.
-pub const SLAB_LAYOUT_VERSION: u32 = 4;
+/// * v5 — each register header carries the watchers' waiter word at
+///   byte 60 (padding before), the target the writer checks before it
+///   wakes watchers parked on the register's version word.
+pub const SLAB_LAYOUT_VERSION: u32 = 5;
 
 /// Reserved bytes at offset 0 for the superblock (128 = two cache
 /// lines; the second line is the mutable epoch + reserve, so epoch bumps
@@ -957,6 +960,70 @@ fn os_err(call: &'static str) -> SlabError {
 }
 
 // ---------------------------------------------------------------------
+// Watcher parking (futex)
+// ---------------------------------------------------------------------
+
+/// How long [`futex_wait`] sleeps where no futex is available: a parked
+/// watcher re-checks its register at least this often.
+#[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
+const PARK_SLICE: std::time::Duration = std::time::Duration::from_millis(1);
+
+/// Block the calling thread while the `u32` at `word` still holds
+/// `expected`, for at most `timeout`: `FUTEX_WAIT`, without
+/// `FUTEX_PRIVATE_FLAG`, so every mapping of a shared slab, in any
+/// process, parks on the same word. The kernel compares the word and
+/// queues the caller in one step. Returns on a wake, a changed word, the
+/// timeout or a signal; the caller re-checks what it waits for.
+///
+/// Off Linux, and on architectures whose syscall number is not known
+/// here, it sleeps for one [`PARK_SLICE`] (or the timeout, if shorter)
+/// instead: watchers then poll, and [`futex_wake`] wakes nobody.
+pub(crate) fn futex_wait(word: *const u32, expected: u32, timeout: Option<std::time::Duration>) {
+    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+    {
+        let ts = timeout.map(|t| ffi::Timespec {
+            tv_sec: t.as_secs().min(i64::MAX as u64) as i64,
+            tv_nsec: i64::from(t.subsec_nanos()),
+        });
+        let ts_ptr = ts.as_ref().map_or(std::ptr::null(), |t| t as *const ffi::Timespec);
+        // SAFETY: FUTEX_WAIT only reads the word at `word` (the kernel
+        // validates the address and fails with EFAULT, not a fault, if it
+        // is unmapped); callers pass a live, aligned word of a slab they
+        // borrow. `ts_ptr` is null or points at `ts`, alive until the call
+        // returns.
+        unsafe {
+            ffi::syscall(ffi::SYS_FUTEX, word, ffi::FUTEX_WAIT, expected, ts_ptr, 0usize, 0u32)
+        };
+    }
+    #[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
+    {
+        let _ = (word, expected);
+        std::thread::sleep(timeout.map_or(PARK_SLICE, |t| t.min(PARK_SLICE)));
+    }
+}
+
+/// Wake every thread parked on `word` by [`futex_wait`], in any process
+/// that maps it; returns how many woke (always 0 where no futex is
+/// available).
+pub(crate) fn futex_wake(word: *const u32) -> usize {
+    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+    {
+        // SAFETY: FUTEX_WAKE only resolves the address of `word` to find its
+        // sleepers (EFAULT if unmapped) and ignores the unused arguments;
+        // callers pass a live, aligned word of a slab they borrow.
+        let woke = unsafe {
+            ffi::syscall(ffi::SYS_FUTEX, word, ffi::FUTEX_WAKE, i32::MAX, 0usize, 0usize, 0u32)
+        };
+        usize::try_from(woke).unwrap_or(0)
+    }
+    #[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
+    {
+        let _ = word;
+        0
+    }
+}
+
+// ---------------------------------------------------------------------
 // Process liveness
 // ---------------------------------------------------------------------
 
@@ -1131,6 +1198,26 @@ mod ffi {
         pub fn getpagesize() -> c_int;
         #[cfg(target_os = "linux")]
         pub fn syscall(num: std::ffi::c_long, ...) -> std::ffi::c_long;
+    }
+
+    /// `futex(2)` system call number.
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    pub const SYS_FUTEX: std::ffi::c_long = 202;
+    #[cfg(all(target_os = "linux", target_arch = "aarch64"))]
+    pub const SYS_FUTEX: std::ffi::c_long = 98;
+    /// `futex` op: sleep while the word holds the expected value.
+    #[cfg(target_os = "linux")]
+    pub const FUTEX_WAIT: c_int = 0;
+    /// `futex` op: wake up to `val` sleepers on the word.
+    #[cfg(target_os = "linux")]
+    pub const FUTEX_WAKE: c_int = 1;
+
+    /// `struct timespec` on the 64-bit targets the futex call supports.
+    #[cfg(target_os = "linux")]
+    #[repr(C)]
+    pub struct Timespec {
+        pub tv_sec: i64,
+        pub tv_nsec: i64,
     }
 
     /// `mbind(2)` has no glibc wrapper (it lives in libnuma, which this

@@ -223,6 +223,25 @@ impl<T: Send + Sync> TypedReader<T> {
         }
     }
 
+    /// Park until the register publishes past `last`, then read; the
+    /// returned version is at least `last + 1` (see
+    /// [`crate::ArcReader::wait_for_update`]).
+    pub fn wait_for_update(&mut self, last: u64) -> Versioned<&T> {
+        self.reg.group.wait_for_update(0, last);
+        self.read_versioned()
+    }
+
+    /// Like [`TypedReader::wait_for_update`] with a timeout; `None` if no
+    /// newer publication arrived in time.
+    pub fn wait_for_update_timeout(
+        &mut self,
+        last: u64,
+        timeout: std::time::Duration,
+    ) -> Option<Versioned<&T>> {
+        self.reg.group.wait_for_update_timeout(0, last, timeout)?;
+        Some(self.read_versioned())
+    }
+
     /// Clone the current value out.
     pub fn read_cloned(&mut self) -> T
     where

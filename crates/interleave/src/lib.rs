@@ -22,14 +22,15 @@
 //! consistency; the (strictly weaker-ordering) questions about the C11
 //! mapping are addressed separately (DESIGN.md §3.1, stress tests).
 //!
-//! The ARC protocol, the slab layout, two writers sharing one slab and
-//! crash recovery have no model here: the `arc-register` crate's
-//! test-only `model_check` module drives [`explore`] and [`random_walks`]
-//! over the shipped `raw.rs` and `recovery.rs` functions themselves, with
-//! one batch writer or one writer thread per register, killing or
-//! unwinding the real writer at every access, and checks them with
-//! [`ObsChecker`]. The models here cover what that checker does not reach
-//! yet — the watch edge ([`notify_model`]) — and the other constructions:
+//! The ARC protocol, the slab layout, two writers sharing one slab, crash
+//! recovery and the watch edge have no model here: the `arc-register`
+//! crate's test-only `model_check` module drives [`explore`] and
+//! [`random_walks`] over the shipped `raw.rs` and `recovery.rs` functions
+//! themselves, with one batch writer or one writer thread per register,
+//! watcher threads that park and are woken through the shipped wait and
+//! wake, and a daemon that kills or unwinds the real writer at every
+//! access, and checks them with [`ObsChecker`]. The models here cover
+//! only the other constructions:
 //! RF, Peterson, and the MN timestamp construction over atomic
 //! sub-registers ([`mn_model`]).
 
@@ -38,14 +39,12 @@
 
 pub mod explorer;
 pub mod mn_model;
-pub mod notify_model;
 pub mod peterson_model;
 pub mod rf_model;
 pub mod spec;
 
 pub use explorer::{explore, random_walks, ExploreLimits, Model, Outcome, Report};
 pub use mn_model::{MnDefect, MnModel};
-pub use notify_model::{NotifyDefect, NotifyModel};
 pub use peterson_model::PetersonModel;
 pub use rf_model::RfModel;
 pub use spec::{ModelConfig, ObsChecker};

@@ -1,7 +1,7 @@
 //! Exhaustive model-checking of the hand-written protocol models at
 //! multi-reader configurations. The ARC protocol, two writers sharing one
-//! slab and crash recovery are checked on the shipped code by
-//! `arc-register`'s test-only `model_check` module.
+//! slab, crash recovery and the watch edge are checked on the shipped code
+//! by `arc-register`'s test-only `model_check` module.
 //!
 //! Each test enumerates *every* sequentially-consistent interleaving of the
 //! configured workload (deduplicated by state, up to ~365k states),
@@ -14,8 +14,8 @@
 //! sanity configurations always run in the crates' unit tests.
 
 use interleave::{
-    explore, random_walks, ExploreLimits, MnDefect, MnModel, ModelConfig, NotifyDefect,
-    NotifyModel, Outcome, PetersonModel, RfModel,
+    explore, random_walks, ExploreLimits, MnDefect, MnModel, ModelConfig, Outcome, PetersonModel,
+    RfModel,
 };
 
 fn assert_ok(out: Outcome, what: &str) {
@@ -93,69 +93,4 @@ fn mn_three_writers_exhaustive() {
         explore(MnModel::new(3, cfg, MnDefect::None), ExploreLimits::default()),
         "MN 3w/1r/2x",
     );
-}
-
-// ---------------------------------------------------------------------
-// The watch layer's wait/notify edge: no waiter sleeps through a W2
-// publication (ISSUE 4 — the lost-wakeup model behind
-// `WatchReader::wait_for_update`).
-// ---------------------------------------------------------------------
-
-#[test]
-fn notify_one_waiter_exhaustive() {
-    // Small enough to exhaust even in debug: the canonical 1-publisher ×
-    // 1-waiter store-buffering shape.
-    assert_ok(explore(NotifyModel::new(2, 1, None), ExploreLimits::default()), "notify 2w/1x");
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
-fn notify_two_waiters_exhaustive() {
-    assert_ok(explore(NotifyModel::new(3, 2, None), ExploreLimits::default()), "notify 3w/2x");
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
-fn notify_three_waiters_exhaustive() {
-    // Three waiters contending for the same mutex/condvar across two
-    // publications: the largest configuration in the suite's budget.
-    assert_ok(explore(NotifyModel::new(2, 3, None), ExploreLimits::default()), "notify 2w/3x");
-}
-
-#[test]
-fn notify_check_before_bump_caught() {
-    // The publisher sampling `waiters` before bumping the version is the
-    // reordering the implementation's SC fences forbid; the model loses a
-    // wakeup within a handful of states.
-    let out = explore(
-        NotifyModel::new(1, 1, Some(NotifyDefect::CheckBeforeBump)),
-        ExploreLimits::default(),
-    );
-    assert!(
-        out.violation().is_some_and(|m| m.contains("lost wakeup")),
-        "reordered publisher must be caught: {out:?}"
-    );
-}
-
-#[test]
-fn notify_skip_lock_caught() {
-    // Notifying without the mutex lands in the check→park gap.
-    let out =
-        explore(NotifyModel::new(1, 1, Some(NotifyDefect::SkipLock)), ExploreLimits::default());
-    assert!(
-        out.violation().is_some_and(|m| m.contains("lost wakeup")),
-        "lockless notify must be caught: {out:?}"
-    );
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "exhaustive exploration: run with --release")]
-fn notify_defects_caught_with_two_waiters() {
-    for defect in [NotifyDefect::CheckBeforeBump, NotifyDefect::SkipLock] {
-        let out = explore(NotifyModel::new(2, 2, Some(defect)), ExploreLimits::default());
-        assert!(
-            out.violation().is_some_and(|m| m.contains("lost wakeup")),
-            "{defect:?} must lose a wakeup at 2x2: {out:?}"
-        );
-    }
 }

@@ -33,7 +33,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use arc_register::{ArcGroup, GroupReader, GroupWriter, HandleError, MAX_READERS};
+use arc_register::{ArcGroup, GroupReader, GroupWriter, HandleError, SlabError, MAX_READERS};
 use register_common::traits::{validate_spec, BuildError, RegisterSpec};
 
 use crate::{Timestamp, HEADER};
@@ -80,7 +80,10 @@ impl MnGroup {
         let limit = (MAX_READERS as usize).saturating_sub(writers - 1);
         validate_spec(RegisterSpec::new(readers, capacity), initial, Some(limit))?;
         let sub_readers = (readers + writers - 1) as u32;
-        let subs = cells.checked_mul(writers).expect("cell count overflows usize");
+        // The slab's own size checks report overflow the same way.
+        let subs = cells.checked_mul(writers).ok_or(BuildError::Slab(SlabError::BadGeometry {
+            reason: "cell count overflows usize",
+        }))?;
         let group = ArcGroup::builder(subs, sub_readers, HEADER + capacity).build()?;
         // Per-cell Algorithm-1 initialization: no handle exists yet, so
         // claim each sub-register's writer role, publish, and release it.
@@ -410,6 +413,15 @@ mod tests {
         assert_eq!(
             MnGroup::new(1, 3, limit, 16, b"").unwrap_err(),
             BuildError::TooManyReaders { requested: limit, limit: limit - 2 }
+        );
+    }
+
+    #[test]
+    fn sub_register_counts_beyond_usize_are_refused() {
+        // `cells × writers` sub-registers overflow before any allocation.
+        assert_eq!(
+            MnGroup::new(usize::MAX, 2, 1, 16, b"").unwrap_err(),
+            BuildError::Slab(SlabError::BadGeometry { reason: "cell count overflows usize" })
         );
     }
 

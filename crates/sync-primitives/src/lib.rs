@@ -11,12 +11,7 @@
 //!   used by the seqlock register ablation (optimistic lock-free reads);
 //! * [`ticket::TicketLock`] — a fair FIFO mutex, used where fairness
 //!   matters more than raw speed;
-//! * [`backoff::Backoff`] — bounded exponential backoff for all spin loops;
-//! * [`event::WaitSet`] — a lost-wakeup-free wait/notify edge (parked
-//!   threads + async wakers), the blocking substrate of the register watch
-//!   layer. Unlike the rest of the crate it is not a lock: the condition
-//!   lives in the caller's atomics and the publisher's quiet path is one
-//!   fence + one load.
+//! * [`backoff::Backoff`] — bounded exponential backoff for all spin loops.
 //!
 //! None of the locks are wait-free; that is exactly why the paper includes
 //! a lock baseline — to show what wait-freedom buys once CPU time is
@@ -26,13 +21,11 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod backoff;
-pub mod event;
 pub mod rwlock;
 pub mod seqlock;
 pub mod ticket;
 
 pub use backoff::Backoff;
-pub use event::WaitSet;
 pub use rwlock::{ReadGuard, SpinRwLock, WriteGuard};
 pub use seqlock::SeqCounter;
 pub use ticket::TicketLock;

@@ -22,7 +22,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use register_common::{RegisterSpec, VersionedReadHandle, WatchFamily, WatchHandle, WriteHandle};
+use register_common::{
+    RegisterFamily, RegisterSpec, VersionedReadHandle, WatchHandle, WriteHandle,
+};
 
 use crate::histogram::LatencyHistogram;
 
@@ -68,19 +70,22 @@ impl NotifyResult {
     }
 }
 
-/// Run the notify workload against watch-capable family `F`.
+/// Run the notify workload against family `F`, whose readers can wait.
 ///
 /// # Panics
 ///
 /// Panics if `cfg.watchers == 0`, `cfg.value_size < 8`, or the family
 /// rejects the spec.
-pub fn run_notify<F: WatchFamily>(cfg: &NotifyConfig) -> NotifyResult {
+pub fn run_notify<F: RegisterFamily>(cfg: &NotifyConfig) -> NotifyResult
+where
+    F::Reader: WatchHandle,
+{
     assert!(cfg.watchers >= 1, "need at least one watcher");
     assert!(cfg.value_size >= 8, "payload must fit the 8-byte stamp");
 
     let initial = vec![0u8; cfg.value_size];
     let (mut writer, watchers) =
-        F::build_watch(RegisterSpec::new(cfg.watchers, cfg.value_size), &initial)
+        F::build(RegisterSpec::new(cfg.watchers, cfg.value_size), &initial)
             .unwrap_or_else(|e| panic!("{} rejected the notify spec: {e}", F::NAME));
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -99,7 +104,10 @@ pub fn run_notify<F: WatchFamily>(cfg: &NotifyConfig) -> NotifyResult {
                     let mut last = 0u64;
                     let mut wakeups = 0u64;
                     barrier.wait();
-                    while !stop.load(Ordering::Acquire) {
+                    // `stop` is honoured only after a wake: the writer
+                    // publishes once more after setting it, so every
+                    // watcher wakes at least once however late it runs.
+                    while wakeups == 0 || !stop.load(Ordering::Acquire) {
                         // A bounded wait keeps shutdown prompt even if
                         // this watcher raced past the final wake.
                         let Some(_) =

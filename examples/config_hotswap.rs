@@ -7,7 +7,7 @@
 //!
 //! Pre-ISSUE-4 this example busy-polled: every worker spun on `read()`
 //! burning a core to ask "did the config change?". Workers now park in
-//! [`WatchReader::wait_for_update`] and are woken by the control plane's
+//! [`ArcReader::wait_for_update`] and are woken by the control plane's
 //! publish — the wait-free read path is untouched, the cores are free
 //! between updates, and a woken worker always reads the *freshest* config
 //! (intermediate versions coalesce; a config fleet wants current state,
@@ -17,7 +17,7 @@
 //! the stamped-payload integrity machinery, and dynamic reader
 //! registration (ephemeral probes join and leave while updates flow).
 //!
-//! [`WatchReader::wait_for_update`]: arc_suite::register::watch::WatchReader::wait_for_update
+//! [`ArcReader::wait_for_update`]: arc_suite::ArcReader::wait_for_update
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -45,7 +45,7 @@ fn main() {
     // worker when it has applied the final config.
     let mut handles = Vec::new();
     for w in 0..WORKERS {
-        let mut watcher = reg.watch_reader().expect("worker watcher");
+        let mut watcher = reg.reader().expect("worker watcher");
         let applied = Arc::clone(&applied);
         handles.push(std::thread::spawn(move || {
             let mut last_version = 0u64; // register + config versions coincide here

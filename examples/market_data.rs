@@ -7,7 +7,7 @@
 //!
 //! Pre-ISSUE-4 every strategy busy-polled `read()` at full speed, mostly
 //! re-validating the book it already had. Strategies now park in
-//! [`TypedWatchReader::wait_for_update`] and wake once per *fresh* book:
+//! [`TypedReader::wait_for_update`] and wake once per *fresh* book:
 //! the feed handler never blocks (its write path is the unchanged
 //! wait-free protocol plus one version bump), a slow strategy never sees
 //! a torn book, and a fast feed simply coalesces — each wake delivers the
@@ -18,7 +18,7 @@
 //! against the publish count — the coalescing ratio a real trading stack
 //! tunes around.
 //!
-//! [`TypedWatchReader::wait_for_update`]: arc_suite::register::watch::TypedWatchReader::wait_for_update
+//! [`TypedReader::wait_for_update`]: arc_suite::TypedReader::wait_for_update
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -89,7 +89,7 @@ fn main() {
     // demo still asserts it.
     let mut strategies = Vec::new();
     for sid in 0..STRATEGIES {
-        let mut watcher = register.watch_reader().expect("strategy watcher");
+        let mut watcher = register.reader().expect("strategy watcher");
         let stop = Arc::clone(&stop);
         strategies.push(std::thread::spawn(move || {
             let mut wakes = 0u64;

@@ -1,20 +1,21 @@
 //! Async watching: consume a register's publication versions as a stream.
 //!
 //! ```text
-//! cargo run --release --example watch_stream --features async
+//! cargo run --release --example watch_stream
 //! ```
 //!
-//! The `async` feature exposes [`VersionStream`]: a poll-based stream of
-//! publication versions over the same lost-wakeup-free wait/notify edge
-//! the blocking [`WatchReader`] uses — no executor dependency, any
-//! `std::task`-driven runtime works. This example drives it with a
+//! [`VersionStream`] is a poll-based stream of publication versions over
+//! the register's waiter word, the edge a blocking
+//! [`ArcReader::wait_for_update`] parks on — no executor dependency, any
+//! `std::task`-driven runtime works. A stream hears publications made
+//! through its own mapping of the register. This example drives it with a
 //! ~30-line thread-parking executor built from `std::task::Wake` to show
 //! the contract end to end: each `next().await` resolves to the newest
 //! version strictly past the last one yielded, and the paired wait-free
 //! read then fetches that (or a newer) value.
 //!
-//! [`VersionStream`]: arc_suite::register::VersionStream
-//! [`WatchReader`]: arc_suite::register::WatchReader
+//! [`VersionStream`]: arc_suite::VersionStream
+//! [`ArcReader::wait_for_update`]: arc_suite::ArcReader::wait_for_update
 
 use std::future::Future;
 use std::pin::pin;

@@ -43,8 +43,8 @@ pub use sync_primitives as sync;
 pub use workload_harness as bench_support;
 
 pub use arc_register::{
-    ArcReader, ArcRegister, ArcWriter, Snapshot, TypedArc, TypedWatchReader, Versioned,
-    WatchReader, INLINE_CAP, MAX_READERS,
+    ArcReader, ArcRegister, ArcWriter, Snapshot, TypedArc, TypedReader, VersionStream, Versioned,
+    INLINE_CAP, MAX_READERS,
 };
 pub use baseline_registers::{LockRegister, PetersonRegister, RfRegister, SeqlockRegister};
 pub use mn_register::{MnGroup, MnRegister, MnTableFamily};

@@ -384,6 +384,50 @@ fn concurrent_recover_from_two_processes_repairs_exactly_once() {
     w.write(&[0x77; CAP]);
 }
 
+/// A watcher in another process, on its own mapping of the slab, parks on
+/// the register's version word and wakes on a publication made through
+/// this process's mapping.
+#[test]
+fn watcher_in_another_process_wakes_on_publish() {
+    let _s = serial();
+    let g = plane();
+    let gc = Arc::clone(&g);
+    let pid = fork_child(move || {
+        let Ok(g2) = ArcGroup::attach_fd(gc.memfd().expect("shm plane has a memfd")) else {
+            child_exit(101);
+        };
+        let Ok(mut w) = g2.writer(1) else {
+            child_exit(102);
+        };
+        // The marker: this process is about to park on register 0.
+        w.write(&[1; CAP]);
+        drop(w);
+        let start = Instant::now();
+        let woke = g2.wait_for_update_timeout(0, 0, Duration::from_secs(10));
+        if start.elapsed() >= Duration::from_secs(5) {
+            child_exit(1); // slept through the publication
+        }
+        match woke {
+            Some(v) if v >= 1 => child_exit(0),
+            _ => child_exit(2),
+        }
+    })
+    .expect("fork");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while g.published_version(1) == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Let the child reach its park before the publication it waits for.
+    std::thread::sleep(Duration::from_millis(50));
+    g.writer(0).expect("writer on register 0").write(&[2; CAP]);
+    let exit = wait_child(pid).expect("waitpid");
+    assert_eq!(
+        exit,
+        ChildExit::Exited(0),
+        "the watcher in the child must wake on the parent's publication (1 = slept through it)"
+    );
+}
+
 #[test]
 fn cleanly_exiting_child_needs_no_recovery() {
     let _s = serial();
