@@ -77,6 +77,8 @@ check skip_rollback $mc::kill_1r_1_2w_2x "$regularity"
 check skip_completion $mc::panic_1r_2_2w_2x "$exclusion"
 check skip_birth_check group::tests::forged_live_pid_with_stale_birth_token_counts_as_dead \
     "a recycled pid (birth mismatch)"
+check sweep_release_first recovery::tests::interrupted_pin_sweep_never_releases_a_unit_twice \
+    "a live reader's pinned slot was recycled"
 check heartbeat_false_positive supervise::tests::classify_matrix "left: Dead"
 check identity_unkeyed crash_recovery/live_forked_child_lease_carries_the_childs_birth \
     "a live forked child's lease reads as dead"

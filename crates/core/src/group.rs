@@ -96,11 +96,11 @@ use register_common::errors::ConfigError;
 use crate::current::{index_of, Current, MAX_READERS};
 use crate::errors::{HandleError, WriteError};
 use crate::raw::{
-    guard_drop_on, outstanding_units_on, publish_with_on, quarantine_on, read_acquire_on,
-    reader_join_on, reader_leave_on, register_watcher_on, wait_for_version_on,
-    wait_for_version_timeout_on, wip_slot, wip_stage, writer_claim_on, writer_release_on, ArcCells,
-    RawOptions, RawReader, ReadOutcome, WriterMem, HEALTH_BAD_CURRENT, HEALTH_BAD_JOURNAL,
-    HEALTH_BAD_LEN, HEALTH_OK, NO_HINT, SLOT_INDEX_BITS, STAGE_IDLE, STAGE_PUB_RAW,
+    outstanding_units_on, publish_with_on, quarantine_on, read_acquire_on, reader_join_on,
+    reader_leave_on, register_watcher_on, wait_for_version_on, wait_for_version_timeout_on,
+    wip_slot, wip_stage, writer_claim_on, writer_release_on, ArcCells, RawOptions, RawReader,
+    ReadOutcome, WriterMem, HEALTH_BAD_CURRENT, HEALTH_BAD_JOURNAL, HEALTH_BAD_LEN, HEALTH_OK,
+    NO_HINT, SLOT_INDEX_BITS, STAGE_IDLE, STAGE_PUB_RAW,
 };
 use crate::recovery::{self, RecoveryReport};
 use crate::register::{ReadGuard, Snapshot, INLINE_CAP};
@@ -109,6 +109,7 @@ use crate::shm::{
     SlabGeometry, SlabLayout, SlabPlacement, FLAG_FAST_PATH, FLAG_HINT, FLAG_INLINE, FLAG_PINS,
     HDR_BYTES, SLOT_BYTES,
 };
+use crate::typed::Versioned;
 
 pub mod layout {
     //! Pure slab offset arithmetic, factored out so the property tests can
@@ -1220,16 +1221,14 @@ impl ArcGroup {
     /// if the register's ledger was found scribbled (§3.10; permanent).
     pub fn writer(self: &Arc<Self>, k: usize) -> Result<GroupWriter, HandleError> {
         self.check_index(k);
-        let mem = self.claim_writer(k, &Identity::resolve())?;
-        Ok(GroupWriter { group: Arc::clone(self), k, mem, metrics: OpMetrics::default() })
+        GroupWriter::claim(self, k)
     }
 
     /// Register a reader handle on register `k` (up to `max_readers`
     /// concurrently per register).
     pub fn reader(self: &Arc<Self>, k: usize) -> Result<GroupReader, HandleError> {
         self.check_index(k);
-        let rd = self.join_reader(k, Identity::resolve().pid)?;
-        Ok(GroupReader { group: Arc::clone(self), k, rd: Some(rd), metrics: OpMetrics::default() })
+        GroupReader::join(self, k)
     }
 
     /// Claim the writer role of **every** register, for batched writes.
@@ -1394,7 +1393,7 @@ impl ArcGroup {
 
     /// Whether values of `len` bytes are stored in the slot line.
     #[inline]
-    fn stored_inline(&self, len: usize) -> bool {
+    pub(crate) fn stored_inline(&self, len: usize) -> bool {
         self.inline && len <= INLINE_CAP
     }
 
@@ -1513,16 +1512,7 @@ impl ArcGroup {
         // probe only releases, never re-acquires), and `rd` is mutably
         // borrowed for that lifetime, so no other acquire can intervene.
         let bytes = unsafe { self.slot_bytes_in(cells.slot(out.slot), k, out.slot) };
-        let inline = self.stored_inline(bytes.len());
-        ReadGuard::assemble(bytes, out, inline, rd, m, self, k)
-    }
-
-    /// Guard-drop hook (the eager stale-pin release of
-    /// `crate::raw::guard_drop_on`) for guards over register `k`, typed or
-    /// byte.
-    #[inline]
-    pub(crate) fn guard_drop(&self, k: usize, rd: &mut RawReader, m: &mut OpMetrics) {
-        guard_drop_on(&self.cells(k), rd, m);
+        ReadGuard::assemble(bytes, out, rd, m, self, k)
     }
 
     /// The write hook of Algorithm 3 on register `k` (`raw::publish_with_on`:
@@ -1575,143 +1565,315 @@ impl fmt::Debug for ArcGroup {
     }
 }
 
-/// The unique writer handle of one register of a group.
-pub struct GroupWriter {
-    group: Arc<ArcGroup>,
-    k: usize,
-    mem: WriterMem,
-    metrics: OpMetrics,
+pub(crate) mod sealed {
+    /// Only this crate can make one (the field is private), so only it can
+    /// call [`Sealed::slab_group`]: a bound on the public subtrait lets
+    /// generic code call a supertrait's methods without naming the trait.
+    pub struct Local(());
+
+    pub(crate) const LOCAL: Local = Local(());
+
+    /// What an owner gives this crate alone.
+    pub trait Sealed {
+        /// How handles store the register index: `usize` in a group, the
+        /// zero-sized [`super::Register0`] on a one-register owner.
+        type Index: Copy + Into<usize>;
+
+        /// The owner's slab group. Outside code must not reach it: through
+        /// a typed register's group it could clear the live writer's claim
+        /// and store `T` from two writers at once.
+        fn slab_group(&self, _: Local) -> &super::ArcGroup;
+    }
+}
+pub(crate) use sealed::{Local, Sealed, LOCAL};
+
+/// What a register handle keeps alive (sealed): an [`ArcGroup`], an
+/// [`ArcRegister`](crate::ArcRegister) or a [`TypedArc`](crate::TypedArc).
+///
+/// The paper gives each register one write port and N read ports,
+/// whatever its value type: [`GroupWriter`] and [`GroupReader`] are the
+/// only handles, and the owner decides only their value methods, bytes
+/// for a [`ByteOwner`], `T` for a `TypedArc<T>`.
+///
+/// Outside code can bound on the trait but cannot reach an owner's slab
+/// group through it, neither on a concrete owner
+///
+/// ```compile_fail
+/// use arc_register::{RegisterOwner, TypedArc};
+/// let reg = TypedArc::new(1, 0u32);
+/// let _ = reg.slab_group();
+/// ```
+///
+/// nor through a generic bound:
+///
+/// ```compile_fail
+/// use arc_register::{ArcGroup, RegisterOwner, TypedArc};
+/// fn group_of<O: RegisterOwner>(owner: &O) -> &ArcGroup {
+///     owner.slab_group(Default::default())
+/// }
+/// let reg = TypedArc::new(1, 0u32);
+/// let _ = group_of(&*reg);
+/// ```
+pub trait RegisterOwner: Sealed {}
+
+/// Owners whose registers hold byte strings, [`ArcGroup`] and
+/// [`ArcRegister`](crate::ArcRegister) (sealed): their handles write
+/// `&[u8]` and read [`Snapshot`]s and [`ReadGuard`]s over `[u8]`.
+pub trait ByteOwner: RegisterOwner {}
+
+impl Sealed for ArcGroup {
+    type Index = usize;
+
+    #[inline]
+    fn slab_group(&self, _: Local) -> &ArcGroup {
+        self
+    }
 }
 
-impl GroupWriter {
-    /// Store a new value into this register (wait-free; one memcpy).
+impl RegisterOwner for ArcGroup {}
+
+impl ByteOwner for ArcGroup {}
+
+/// The register index of a one-register owner's handles: always 0 and
+/// zero-sized, so such a handle stores no index and its paths need no
+/// index arithmetic (DESIGN.md §3.5).
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub struct Register0;
+
+impl From<Register0> for usize {
+    fn from(_: Register0) -> usize {
+        0
+    }
+}
+
+/// The unique writer handle of one register: register `k` of a group, or
+/// the one register of an [`ArcRegister`](crate::ArcRegister)
+/// ([`ArcWriter`](crate::ArcWriter)) or a [`TypedArc`](crate::TypedArc)
+/// ([`TypedWriter`](crate::TypedWriter)). `O` is what the handle keeps
+/// alive.
+pub struct GroupWriter<O: RegisterOwner = ArcGroup> {
+    pub(crate) owner: Arc<O>,
+    k: O::Index,
+    pub(crate) mem: WriterMem,
+    pub(crate) metrics: OpMetrics,
+}
+
+impl<O: RegisterOwner> GroupWriter<O> {
+    /// Claim the writer role of register `k` (in range) of `owner`: the
+    /// constructor behind every `writer` method.
+    pub(crate) fn claim(owner: &Arc<O>, k: O::Index) -> Result<Self, HandleError> {
+        let mem = owner.slab_group(LOCAL).claim_writer(k.into(), &Identity::resolve())?;
+        Ok(Self { owner: Arc::clone(owner), k, mem, metrics: OpMetrics::default() })
+    }
+
+    /// Index of the register this writer owns (0 on a one-register owner).
+    #[inline]
+    pub fn index(&self) -> usize {
+        self.k.into()
+    }
+
+    /// Slot index of the current publication.
+    pub fn last_slot(&self) -> usize {
+        self.mem.last_slot()
+    }
+
+    /// This handle's operation counts (writes, their RMWs and slot probes).
+    pub fn metrics(&self) -> OpMetrics {
+        self.metrics
+    }
+
+    /// What this writer keeps alive: its group, register or typed register.
+    pub fn group(&self) -> &Arc<O> {
+        &self.owner
+    }
+}
+
+impl<O: ByteOwner> GroupWriter<O> {
+    /// Store a new value into this register (Algorithm 3; wait-free, one
+    /// memcpy).
     ///
     /// # Panics
     ///
-    /// Panics if `value.len()` exceeds the group capacity.
+    /// Panics if `value.len()` exceeds the register capacity.
     pub fn write(&mut self, value: &[u8]) {
         if let Err(e) = self.try_write(value) {
             panic!("{e}");
         }
     }
 
-    /// Store a new value by filling the slot buffer in place.
+    /// Store a new value by filling exactly `len` bytes of the slot in
+    /// place.
     ///
     /// # Panics
     ///
-    /// Panics if `len` exceeds the group capacity.
+    /// Panics if `len` exceeds the register capacity.
     pub fn write_with(&mut self, len: usize, fill: impl FnOnce(&mut [u8])) {
         if let Err(e) = self.try_write_with(len, fill) {
             panic!("{e}");
         }
     }
 
-    /// Fallible form of [`GroupWriter::write`]: rejects an oversized value
-    /// with [`WriteError::PayloadTooLarge`] instead of panicking, without
-    /// consuming a slot or publishing anything.
+    /// Fallible [`GroupWriter::write`]: an oversize payload is rejected
+    /// with [`WriteError::PayloadTooLarge`] instead of a panic, and the
+    /// register is untouched (no slot consumed, no version bumped).
     pub fn try_write(&mut self, value: &[u8]) -> Result<(), WriteError> {
         self.try_write_with(value.len(), |buf| buf.copy_from_slice(value))
     }
 
-    /// Fallible form of [`GroupWriter::write_with`]; see
-    /// [`GroupWriter::try_write`].
+    /// Fallible [`GroupWriter::write_with`]; see [`GroupWriter::try_write`].
+    ///
+    /// A `fill` that panics unwinds through the panic-safe publication
+    /// guard (DESIGN.md §3.13): the selected slot is discarded, the
+    /// journal retired, and this handle stays valid — the next write
+    /// proceeds normally.
+    #[inline]
     pub fn try_write_with(
         &mut self,
         len: usize,
         fill: impl FnOnce(&mut [u8]),
     ) -> Result<(), WriteError> {
-        self.group.write_one(self.k, &mut self.mem, &mut self.metrics, len, fill)
+        let k = self.index();
+        self.owner.slab_group(LOCAL).write_one(k, &mut self.mem, &mut self.metrics, len, fill)
+    }
+}
+
+impl<O: RegisterOwner> fmt::Debug for GroupWriter<O> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("GroupWriter")
+            .field("k", &self.index())
+            .field("last_slot", &self.last_slot())
+            .finish()
+    }
+}
+
+impl<O: RegisterOwner> Drop for GroupWriter<O> {
+    #[inline]
+    fn drop(&mut self) {
+        self.owner.slab_group(LOCAL).release_writer(self.index());
+    }
+}
+
+/// A reader handle (one per reading thread) on one register: register `k`
+/// of a group, or the one register of an [`ArcRegister`](crate::ArcRegister)
+/// ([`ArcReader`](crate::ArcReader)) or a [`TypedArc`](crate::TypedArc)
+/// ([`TypedReader`](crate::TypedReader)). `O` is what the handle keeps
+/// alive.
+pub struct GroupReader<O: RegisterOwner = ArcGroup> {
+    pub(crate) owner: Arc<O>,
+    k: O::Index,
+    /// Taken only by the drop.
+    pub(crate) rd: Option<RawReader>,
+    pub(crate) metrics: OpMetrics,
+}
+
+impl<O: RegisterOwner> GroupReader<O> {
+    /// Join register `k` (in range) of `owner` as a reader: the
+    /// constructor behind every `reader` method.
+    pub(crate) fn join(owner: &Arc<O>, k: O::Index) -> Result<Self, HandleError> {
+        let rd = owner.slab_group(LOCAL).join_reader(k.into(), Identity::resolve().pid)?;
+        Ok(Self { owner: Arc::clone(owner), k, rd: Some(rd), metrics: OpMetrics::default() })
     }
 
-    /// Index of the register this writer owns.
+    /// Index of the register this reader observes (0 on a one-register
+    /// owner).
+    #[inline]
     pub fn index(&self) -> usize {
-        self.k
+        self.k.into()
     }
 
-    /// This handle's operation counts.
+    /// Slot currently pinned by this handle, if it has read at least once.
+    pub fn pinned_slot(&self) -> Option<usize> {
+        self.rd.as_ref().and_then(|r| r.pinned_slot())
+    }
+
+    /// This handle's operation counts (fast and slow reads, their RMWs).
     pub fn metrics(&self) -> OpMetrics {
         self.metrics
     }
 
-    /// The group this writer belongs to.
-    pub fn group(&self) -> &Arc<ArcGroup> {
-        &self.group
+    /// What this reader keeps alive: its group, register or typed register.
+    pub fn group(&self) -> &Arc<O> {
+        &self.owner
     }
 }
 
-impl fmt::Debug for GroupWriter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("GroupWriter").field("k", &self.k).finish()
-    }
-}
-
-impl Drop for GroupWriter {
-    fn drop(&mut self) {
-        self.group.release_writer(self.k);
-    }
-}
-
-/// A reader handle on one register of a group.
-pub struct GroupReader {
-    group: Arc<ArcGroup>,
-    k: usize,
-    rd: Option<RawReader>,
-    metrics: OpMetrics,
-}
-
-impl GroupReader {
-    /// Read the most recent value of this register (Algorithm 2).
-    /// Wait-free, zero-copy; the snapshot's slot stays pinned until this
-    /// handle's next `read` (or drop).
+impl<O: ByteOwner> GroupReader<O> {
+    /// Read the most recent value (Algorithm 2; wait-free, zero-copy). The
+    /// [`Snapshot`]'s slot stays pinned until this handle's next read (or
+    /// drop), the paper's read-completion semantics.
     #[inline]
     pub fn read(&mut self) -> Snapshot<'_> {
+        let k = self.index();
         let rd = self.rd.as_mut().expect("reader state present until drop");
-        self.group.read_in(self.k, rd, &mut self.metrics)
+        self.owner.slab_group(LOCAL).read_in(k, rd, &mut self.metrics)
     }
 
-    /// Read the most recent value of this register as an RAII zero-copy
-    /// guard — the group form of [`crate::ArcReader::read_ref`]: derefs to
-    /// the slab bytes with no memcpy; dropping it releases the pin eagerly
-    /// if the register has moved on (see [`ReadGuard`]).
+    /// Read the most recent value as an RAII zero-copy [`ReadGuard`]
+    /// (Algorithm 2). The guard's drop ends the read: if the register has
+    /// moved on by then, the pin is released at once rather than at this
+    /// handle's next read (DESIGN.md §3.8).
     #[inline]
     pub fn read_ref(&mut self) -> ReadGuard<'_> {
+        let k = self.index();
         let rd = self.rd.as_mut().expect("reader state present until drop");
-        self.group.read_ref_in(self.k, rd, &mut self.metrics)
+        self.owner.slab_group(LOCAL).read_ref_in(k, rd, &mut self.metrics)
     }
 
-    /// Block until this register publishes past `last`, then read it.
-    /// Convenience over [`ArcGroup::wait_for_update`] + [`GroupReader::read`].
+    /// Read the most recent value together with its publication version —
+    /// [`GroupReader::read`] re-packaged for version-driven callers.
+    #[inline]
+    pub fn read_versioned(&mut self) -> Versioned<Snapshot<'_>> {
+        let snap = self.read();
+        Versioned { version: snap.version(), value: snap }
+    }
+
+    /// Copy the current value into `out`, returning its length. `out`'s
+    /// capacity is reused and never shrunk, so a caller that keeps one
+    /// `Vec` across reads makes no steady-state allocation. (Not named
+    /// `read_into`, which would shadow [`ReadHandle::read_into`].)
+    ///
+    /// [`ReadHandle::read_into`]: register_common::traits::ReadHandle::read_into
+    pub fn read_to_vec(&mut self, out: &mut Vec<u8>) -> usize {
+        let guard = self.read_ref();
+        register_common::copy::copy_to_vec(&guard, out)
+    }
+
+    /// Park until the register publishes past `last`, then read: the
+    /// snapshot's version is at least `last + 1`, since the wake follows
+    /// the W2 it announces. Waiting is outside the wait-free protocol
+    /// ([`crate::watch`]). Loop: `last = r.wait_for_update(last).version()`.
     pub fn wait_for_update(&mut self, last: u64) -> Snapshot<'_> {
-        self.group.wait_for_update(self.k, last);
+        self.owner.slab_group(LOCAL).wait_for_update(self.index(), last);
         self.read()
     }
 
-    /// Index of the register this reader observes.
-    pub fn index(&self) -> usize {
-        self.k
-    }
-
-    /// This handle's operation counts.
-    pub fn metrics(&self) -> OpMetrics {
-        self.metrics
-    }
-
-    /// The group this reader belongs to.
-    pub fn group(&self) -> &Arc<ArcGroup> {
-        &self.group
+    /// Like [`GroupReader::wait_for_update`] with a timeout: `None` if no
+    /// newer publication arrived in time.
+    pub fn wait_for_update_timeout(
+        &mut self,
+        last: u64,
+        timeout: std::time::Duration,
+    ) -> Option<Snapshot<'_>> {
+        self.owner.slab_group(LOCAL).wait_for_update_timeout(self.index(), last, timeout)?;
+        Some(self.read())
     }
 }
 
-impl fmt::Debug for GroupReader {
+impl<O: RegisterOwner> fmt::Debug for GroupReader<O> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("GroupReader").field("k", &self.k).finish()
+        f.debug_struct("GroupReader")
+            .field("k", &self.index())
+            .field("pinned_slot", &self.pinned_slot())
+            .finish()
     }
 }
 
-impl Drop for GroupReader {
+impl<O: RegisterOwner> Drop for GroupReader<O> {
+    #[inline]
     fn drop(&mut self) {
         if let Some(rd) = self.rd.take() {
-            self.group.leave_reader(self.k, rd);
+            self.owner.slab_group(LOCAL).leave_reader(self.index(), rd);
         }
     }
 }
@@ -2224,6 +2386,35 @@ mod tests {
     fn out_of_range_register_panics() {
         let g = small(2);
         let _ = g.reader(2);
+    }
+
+    #[test]
+    fn every_register_reader_has_the_single_register_extras() {
+        // Register 1 of a K = 2 group: the extras the K = 1 handles had.
+        let g = ArcGroup::builder(2, 1, 4096).build().unwrap();
+        let mut w = g.writer(1).unwrap();
+        let mut r = g.reader(1).unwrap();
+        assert_eq!(r.pinned_slot(), None, "no pin before the first read");
+        assert_eq!(r.read_versioned().version, 0);
+        assert_eq!(r.pinned_slot(), Some(0));
+        let no_wait = std::time::Duration::from_millis(5);
+        assert!(r.wait_for_update_timeout(0, no_wait).is_none());
+
+        w.write(&[7u8; 4096]);
+        let snap = r.wait_for_update_timeout(0, no_wait).expect("published");
+        assert_eq!((snap.version(), snap.len()), (1, 4096));
+        assert_eq!(r.pinned_slot(), Some(w.last_slot()));
+
+        let mut out = Vec::new();
+        assert_eq!(r.read_to_vec(&mut out), 4096);
+        let (cap, ptr) = (out.capacity(), out.as_ptr());
+        w.write(b"tiny");
+        assert_eq!(r.read_to_vec(&mut out), 4);
+        assert_eq!(out, b"tiny");
+        assert_eq!(out.capacity(), cap, "read_to_vec must never shrink the buffer");
+        assert_eq!(out.as_ptr(), ptr, "steady-state read_to_vec must not reallocate");
+        let v = r.read_versioned();
+        assert_eq!((v.version, &*v.value), (2, &b"tiny"[..]));
     }
 
     #[test]

@@ -59,7 +59,10 @@
 //!   a view over a one-register [`ArcGroup`].
 //! * [`group`] — [`ArcGroup`]: K registers (up to ~1M) from one slab,
 //!   the crate's one storage layout, with batched write/read paths for
-//!   multi-register workloads.
+//!   multi-register workloads; and the one writer and one reader handle
+//!   type of every register, [`GroupWriter`] and [`GroupReader`]
+//!   ([`ArcWriter`], [`ArcReader`], [`TypedWriter`] and [`TypedReader`]
+//!   name them).
 //! * [`typed`] — [`TypedArc`]: the same protocol carrying any `T`, over a
 //!   one-register group's protocol words.
 //! * [`watch`] — versioned reads + change notification: park on the
@@ -135,8 +138,9 @@ pub use family::{
 };
 pub use faults::{FaultSite, RetryPolicy};
 pub use group::{
-    ArcGroup, GroupBuilder, GroupReader, GroupReaderSet, GroupWriter, GroupWriterSet, HealthReport,
-    QuarantineReason, QuarantinedRegister, RegisterHealth, ScrubReport, WriterProbe,
+    ArcGroup, ByteOwner, GroupBuilder, GroupReader, GroupReaderSet, GroupWriter, GroupWriterSet,
+    HealthReport, QuarantineReason, QuarantinedRegister, RegisterHealth, RegisterOwner,
+    ScrubReport, WriterProbe,
 };
 pub use recovery::RecoveryReport;
 pub use register::{

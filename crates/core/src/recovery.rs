@@ -189,7 +189,8 @@ fn recover_dead_writer<C: ArcCells>(c: &C, report: &mut RecoveryReport) {
 
 /// Release the presence units of dead readers: each registry entry owned
 /// by a dead pid is a standing pin that would forever block its slot's
-/// reuse. Clears the entry and retires the dead reader's join.
+/// reuse. Clears the entry, releases its unit and retires the dead
+/// reader's join, in that order.
 fn sweep_dead_pins<C: ArcCells>(
     c: &C,
     alive: &mut impl FnMut(u64) -> bool,
@@ -200,17 +201,131 @@ fn sweep_dead_pins<C: ArcCells>(
         if e == 0 || alive(pin_owner(e)) {
             continue;
         }
-        match pin_pinned_slot(e) {
-            Some(slot) if slot < c.n_slots() => {
-                release_unit_on(c, slot);
-                report.units_released += 1;
-            }
-            _ => {}
-        }
-        // Entry first, then the join count: an interrupted sweep leaves a
-        // join leaked (re-swept next time), never double-released.
+        // The entry is what tells the next recoverer (a token stealer) to
+        // sweep this reader, so it is cleared before anything it accounts
+        // for. A pass cut before the clear changed nothing and is redone;
+        // one cut after it leaks the unit and the join, or only the join
+        // once the unit is released. No unit is ever released twice.
         c.pin_entry(i).store(0, Ordering::Release);
+        if let Some(slot) = pin_pinned_slot(e).filter(|&slot| slot < c.n_slots()) {
+            release_unit_on(c, slot);
+            report.units_released += 1;
+        }
         c.live_readers_word().fetch_sub(1, Ordering::AcqRel);
         report.pins_swept += 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
+    use std::time::Duration;
+
+    use super::*;
+    use crate::group::{ArcGroup, GroupCells};
+    use crate::raw::RawOptions;
+
+    /// A pid the tests' liveness oracle reports dead.
+    const DEAD: u64 = 0x7fff_fff0;
+
+    /// Register 0's cells, cut short: the `cut_at`-th accessor call
+    /// unwinds before it returns, as a recoverer killed at that access.
+    struct CutCells<'a> {
+        inner: GroupCells<'a>,
+        cut_at: usize,
+        calls: Cell<usize>,
+    }
+
+    impl CutCells<'_> {
+        fn tick(&self) {
+            self.calls.set(self.calls.get() + 1);
+            if self.calls.get() == self.cut_at {
+                resume_unwind(Box::new("recoverer cut"));
+            }
+        }
+    }
+
+    macro_rules! forward {
+        ($($name:ident($($arg:ident: $ty:ty),*) -> $ret:ty;)*) => {$(
+            fn $name(&self, $($arg: $ty),*) -> $ret {
+                self.tick();
+                self.inner.$name($($arg),*)
+            }
+        )*};
+    }
+
+    impl ArcCells for CutCells<'_> {
+        forward! {
+            n_slots() -> usize;
+            current_word() -> &AtomicU64;
+            hint_word() -> &AtomicUsize;
+            r_start(slot: usize) -> &AtomicU32;
+            r_end(slot: usize) -> &AtomicU32;
+            live_readers_word() -> &AtomicU32;
+            gen_joins_word() -> &AtomicU32;
+            writer_claimed_word() -> &AtomicBool;
+            version_word() -> &AtomicU64;
+            slot_version(slot: usize) -> &AtomicU64;
+            waiters_word() -> &AtomicU32;
+            wake() -> usize;
+            wip_word() -> &AtomicU64;
+            wip_old_word() -> &AtomicU64;
+            lease_word() -> &AtomicU64;
+            birth_word() -> &AtomicU64;
+            heartbeat_word() -> &AtomicU64;
+            health_word() -> &AtomicU64;
+            last_good_word() -> &AtomicU64;
+            pin_entries() -> u32;
+            pin_entry(i: u32) -> &AtomicU64;
+            max_readers() -> u32;
+            opts() -> RawOptions;
+        }
+        fn park(&self, seen: u64, timeout: Option<Duration>) {
+            self.tick();
+            self.inner.park(seen, timeout);
+        }
+    }
+
+    #[test]
+    fn interrupted_pin_sweep_never_releases_a_unit_twice() {
+        let mut alive = |pid: u64| pid != DEAD;
+        for cut_at in 1.. {
+            let g = ArcGroup::builder(1, 2, 64).pin_registry(true).build().unwrap();
+            let mut w = g.writer(0).unwrap();
+            w.write(b"v1");
+            let mut live = g.reader(0).unwrap();
+            let held = live.read();
+            let c = g.cells(0);
+            let taken: Vec<u32> = (0..c.pin_entries())
+                .filter(|&i| c.pin_entry(i).load(Ordering::Acquire) != 0)
+                .collect();
+            let mut dead = g.reader(0).unwrap();
+            let _ = dead.read();
+            std::mem::forget(dead);
+            // The reader that joined last died: its entry now names DEAD.
+            let i = (0..c.pin_entries()).find(|i| !taken.contains(i)).unwrap();
+            let e = c.pin_entry(i).load(Ordering::Acquire);
+            c.pin_entry(i).store(DEAD << 32 | (e & u64::from(u32::MAX)), Ordering::Relaxed);
+
+            let cut = CutCells { inner: g.cells(0), cut_at, calls: Cell::new(0) };
+            let pass = catch_unwind(AssertUnwindSafe(|| {
+                recover_register(&cut, &mut alive, &mut RecoveryReport::default())
+            }));
+            // A token stealer runs the whole pass again.
+            g.recover_with(alive);
+            for i in 0..8u8 {
+                w.write(&[i; 2]);
+            }
+            assert_eq!(
+                held.bytes(),
+                b"v1",
+                "cut before access {cut_at}: a live reader's pinned slot was recycled"
+            );
+            if pass.is_ok() {
+                break;
+            }
+        }
     }
 }

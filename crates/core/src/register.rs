@@ -1,4 +1,5 @@
-//! The byte-payload ARC register: `ArcRegister`, `ArcWriter`, `ArcReader`.
+//! The byte-payload ARC register, [`ArcRegister`], and the one read guard
+//! of every reader handle, [`ReadGuard`].
 //!
 //! This is the user-facing form of the paper's register: values are byte
 //! strings of varying length (up to a fixed capacity), writes copy the new
@@ -11,13 +12,15 @@
 //!
 //! # One register, one slab
 //!
-//! An [`ArcRegister`] is a thin view over a one-register [`ArcGroup`]: the
-//! group is embedded by value, so a handle reaches the slab through the
-//! same single pointer as a [`crate::GroupReader`], and every operation
-//! runs the group's read and write paths with `k = 0`. The safety
-//! architecture is the slab's (see [`crate::group`]): the writer mutates a
-//! slot only between W1 and W2, and a reader dereferences a slot only
-//! while holding an unreleased presence unit on it.
+//! An [`ArcRegister`] is a thin view over a one-register [`ArcGroup`], and
+//! its handles are the group's: [`ArcWriter`] and [`ArcReader`] name
+//! [`GroupWriter`] and [`GroupReader`] keeping an `Arc<ArcRegister>` alive
+//! (one handle type per role; DESIGN.md §3.5). The group is embedded by
+//! value, so a handle reaches the slab through one pointer, and its
+//! register index is the constant 0. The safety architecture is the
+//! slab's (see [`crate::group`]): the writer mutates a slot only between
+//! W1 and W2, and a reader dereferences a slot only while holding an
+//! unreleased presence unit on it.
 //!
 //! # Payload placement: inline vs arena
 //!
@@ -38,11 +41,12 @@ use std::sync::Arc;
 use register_common::traits::BuildError;
 use register_common::OpMetrics;
 
-use crate::errors::{HandleError, WriteError};
-use crate::group::{ArcGroup, GroupBuilder};
-use crate::raw::{RawReader, ReadOutcome, WriterMem};
-use crate::shm::Identity;
-use crate::typed::Versioned;
+use crate::errors::HandleError;
+use crate::group::{
+    ArcGroup, ByteOwner, GroupBuilder, GroupReader, GroupWriter, Local, Register0, RegisterOwner,
+    Sealed,
+};
+use crate::raw::{guard_drop_on, RawReader, ReadOutcome};
 
 /// Largest payload (bytes) stored inline in the slot cache line.
 ///
@@ -188,24 +192,29 @@ impl ArcRegister {
         self.group.outstanding_units(0)
     }
 
-    /// The one-register group this register is a view of.
-    #[inline]
-    pub(crate) fn group(&self) -> &ArcGroup {
-        &self.group
-    }
-
     /// Claim the unique writer handle.
     pub fn writer(self: &Arc<Self>) -> Result<ArcWriter, HandleError> {
-        let mem = self.group.claim_writer(0, &Identity::resolve())?;
-        Ok(ArcWriter { reg: Arc::clone(self), mem, metrics: OpMetrics::default() })
+        GroupWriter::claim(self, Register0)
     }
 
     /// Register a reader handle (up to `max_readers` concurrently).
     pub fn reader(self: &Arc<Self>) -> Result<ArcReader, HandleError> {
-        let rd = self.group.join_reader(0, Identity::resolve().pid)?;
-        Ok(ArcReader { reg: Arc::clone(self), rd: Some(rd), metrics: OpMetrics::default() })
+        GroupReader::join(self, Register0)
     }
 }
+
+impl Sealed for ArcRegister {
+    type Index = Register0;
+
+    #[inline]
+    fn slab_group(&self, _: Local) -> &ArcGroup {
+        &self.group
+    }
+}
+
+impl RegisterOwner for ArcRegister {}
+
+impl ByteOwner for ArcRegister {}
 
 impl fmt::Debug for ArcRegister {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -218,203 +227,13 @@ impl fmt::Debug for ArcRegister {
     }
 }
 
-/// The register's unique writer handle.
-pub struct ArcWriter {
-    reg: Arc<ArcRegister>,
-    mem: WriterMem,
-    metrics: OpMetrics,
-}
+/// The register's unique writer handle: the [`GroupWriter`] of its one
+/// register.
+pub type ArcWriter = GroupWriter<ArcRegister>;
 
-impl ArcWriter {
-    /// Store a new value (wait-free; one memcpy — Algorithm 3).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value.len()` exceeds the register capacity (the
-    /// [`ArcWriter::try_write`] error message).
-    pub fn write(&mut self, value: &[u8]) {
-        if let Err(e) = self.try_write(value) {
-            panic!("{e}");
-        }
-    }
-
-    /// Store a new value by filling the slot buffer in place (avoids the
-    /// caller-side staging copy): `fill` receives exactly `len` bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len` exceeds the register capacity.
-    pub fn write_with(&mut self, len: usize, fill: impl FnOnce(&mut [u8])) {
-        if let Err(e) = self.try_write_with(len, fill) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible [`ArcWriter::write`]: an oversize payload is rejected
-    /// with [`WriteError::PayloadTooLarge`] instead of a panic, and the
-    /// register is untouched (no slot consumed, no version bumped).
-    pub fn try_write(&mut self, value: &[u8]) -> Result<(), WriteError> {
-        self.try_write_with(value.len(), |buf| buf.copy_from_slice(value))
-    }
-
-    /// Fallible [`ArcWriter::write_with`]; see [`ArcWriter::try_write`].
-    ///
-    /// A `fill` that panics unwinds through the panic-safe publication
-    /// guard (DESIGN.md §3.13): the selected slot is discarded, the
-    /// journal retired, and this handle stays valid — the next write
-    /// proceeds normally.
-    #[inline]
-    pub fn try_write_with(
-        &mut self,
-        len: usize,
-        fill: impl FnOnce(&mut [u8]),
-    ) -> Result<(), WriteError> {
-        self.reg.group.write_one(0, &mut self.mem, &mut self.metrics, len, fill)
-    }
-
-    /// The register this writer belongs to.
-    pub fn register(&self) -> &Arc<ArcRegister> {
-        &self.reg
-    }
-
-    /// Slot index of the current publication.
-    pub fn last_slot(&self) -> usize {
-        self.mem.last_slot()
-    }
-
-    /// This handle's operation counts (writes, their RMWs and slot probes).
-    pub fn metrics(&self) -> OpMetrics {
-        self.metrics
-    }
-}
-
-impl fmt::Debug for ArcWriter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ArcWriter").field("last_slot", &self.last_slot()).finish()
-    }
-}
-
-impl Drop for ArcWriter {
-    fn drop(&mut self) {
-        self.reg.group.release_writer(0);
-    }
-}
-
-/// A reader handle (one per reading thread).
-pub struct ArcReader {
-    reg: Arc<ArcRegister>,
-    rd: Option<RawReader>,
-    metrics: OpMetrics,
-}
-
-impl ArcReader {
-    /// Read the most recent value (Algorithm 2). Wait-free, zero-copy,
-    /// constant time.
-    ///
-    /// The returned [`Snapshot`] borrows this handle: the slot it views is
-    /// pinned until this handle's **next** `read` (or drop), exactly the
-    /// paper's read-completion semantics.
-    #[inline]
-    pub fn read(&mut self) -> Snapshot<'_> {
-        let rd = self.rd.as_mut().expect("reader state present until drop");
-        self.reg.group.read_in(0, rd, &mut self.metrics)
-    }
-
-    /// Read the most recent value as an **RAII guard** (Algorithm 2).
-    /// Wait-free, zero-copy at every payload size: the guard dereferences
-    /// straight into the inline slot line or the arena — no memcpy.
-    ///
-    /// Unlike [`ArcReader::read`] (whose pin always lasts until the
-    /// handle's next read), the guard's drop is the read's end: if the
-    /// register has moved on by then, the presence unit is released
-    /// immediately and the slot re-enters the writer's rotation without
-    /// waiting for this handle's next read. While held, the guard is a
-    /// **standing pin** — one slot stays out of rotation per held guard,
-    /// which the `N + 2` slot budget already accounts for (at most one
-    /// guard per handle; DESIGN.md §3.8).
-    #[inline]
-    pub fn read_ref(&mut self) -> ReadGuard<'_> {
-        let rd = self.rd.as_mut().expect("reader state present until drop");
-        self.reg.group.read_ref_in(0, rd, &mut self.metrics)
-    }
-
-    /// Read the most recent value together with its publication version —
-    /// [`ArcReader::read`] re-packaged for version-driven callers.
-    #[inline]
-    pub fn read_versioned(&mut self) -> Versioned<Snapshot<'_>> {
-        let snap = self.read();
-        Versioned { version: snap.version(), value: snap }
-    }
-
-    /// Copy the current value into `out`, returning its length. Built on
-    /// [`ArcReader::read_ref`] + the shared tuned copy routine
-    /// ([`register_common::copy::copy_to_vec`]): `out`'s capacity is
-    /// reused (`clear` + `reserve`, never shrink), so a caller that keeps
-    /// one `Vec` across reads performs zero steady-state allocations.
-    ///
-    /// Named distinctly from [`ReadHandle::read_into`] (the trait method
-    /// copies into a caller-sized `&mut [u8]`); an inherent method with the
-    /// trait's name would shadow it on every `ArcReader` call site.
-    ///
-    /// [`ReadHandle::read_into`]: register_common::traits::ReadHandle::read_into
-    pub fn read_to_vec(&mut self, out: &mut Vec<u8>) -> usize {
-        let guard = self.read_ref();
-        register_common::copy::copy_to_vec(&guard, out)
-    }
-
-    /// Park until the register publishes **past** `last`, then read.
-    ///
-    /// The returned snapshot's [`Snapshot::version`] is at least
-    /// `last + 1` — the wake happens strictly after the W2 publication it
-    /// announces, so the post-wake read can never deliver the old value.
-    /// Typical loop: `last = reader.wait_for_update(last).version()`.
-    /// Waiting is opt-in and outside the wait-free protocol
-    /// ([`crate::watch`]).
-    pub fn wait_for_update(&mut self, last: u64) -> Snapshot<'_> {
-        self.reg.group.wait_for_update(0, last);
-        self.read()
-    }
-
-    /// Like [`ArcReader::wait_for_update`] with a timeout: `None` if no
-    /// newer publication arrived in time.
-    pub fn wait_for_update_timeout(
-        &mut self,
-        last: u64,
-        timeout: std::time::Duration,
-    ) -> Option<Snapshot<'_>> {
-        self.reg.group.wait_for_update_timeout(0, last, timeout)?;
-        Some(self.read())
-    }
-
-    /// The register this reader belongs to.
-    pub fn register(&self) -> &Arc<ArcRegister> {
-        &self.reg
-    }
-
-    /// Slot currently pinned by this handle, if it has read at least once.
-    pub fn pinned_slot(&self) -> Option<usize> {
-        self.rd.as_ref().and_then(|r| r.pinned_slot())
-    }
-
-    /// This handle's operation counts (fast and slow reads, their RMWs).
-    pub fn metrics(&self) -> OpMetrics {
-        self.metrics
-    }
-}
-
-impl fmt::Debug for ArcReader {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ArcReader").field("pinned_slot", &self.pinned_slot()).finish()
-    }
-}
-
-impl Drop for ArcReader {
-    fn drop(&mut self) {
-        if let Some(rd) = self.rd.take() {
-            self.reg.group.leave_reader(0, rd);
-        }
-    }
-}
+/// A reader handle (one per reading thread): a [`GroupReader`] of the
+/// register's one register.
+pub type ArcReader = GroupReader<ArcRegister>;
 
 /// A zero-copy view of the register value returned by [`ArcReader::read`].
 ///
@@ -488,22 +307,23 @@ impl fmt::Debug for Snapshot<'_> {
     }
 }
 
-/// An RAII **zero-copy pinned view** of the register value, returned by
-/// [`ArcReader::read_ref`] (and the group `read_ref` methods).
+/// An RAII **zero-copy pinned view** of a register value, returned by
+/// every reader's `read_ref`: over `[u8]` (the default) for a byte
+/// register or group, over `T` for a [`TypedArc<T>`](crate::TypedArc).
 ///
-/// Dereferences to `&[u8]` — the actual protocol-pinned bytes in the slot
-/// line or the arena, never a copy. While the guard lives, its slot holds
-/// a standing presence unit and cannot be recycled or re-stamped by the
-/// writer (the writer stays wait-free regardless — the `N + 2` slot
-/// budget covers one pinned slot per reader handle, and a handle can hold
-/// at most one guard because the guard borrows it mutably). On drop, the
-/// presence unit is released immediately if the register has moved past
-/// the pinned publication; otherwise the pin is kept cached in the handle
-/// so the next read hits the R2 fast path.
+/// Dereferences to the value itself — the protocol-pinned bytes in the
+/// slot line or the arena, or the `T` in its slot, never a copy. While the
+/// guard lives, its slot holds a standing presence unit and cannot be
+/// recycled or re-stamped by the writer (the writer stays wait-free
+/// regardless — the `N + 2` slot budget covers one pinned slot per reader
+/// handle, and a handle can hold at most one guard because the guard
+/// borrows it mutably). On drop, the presence unit is released immediately
+/// if the register has moved past the pinned publication; otherwise the
+/// pin is kept cached in the handle so the next read hits the R2 fast path.
 ///
 /// The borrow rules *are* the safety argument, enforced at compile time:
 ///
-/// The guard cannot outlive its handle —
+/// The guard cannot outlive its handle, byte or typed —
 ///
 /// ```compile_fail
 /// use arc_register::ArcRegister;
@@ -512,6 +332,15 @@ impl fmt::Debug for Snapshot<'_> {
 /// let guard = r.read_ref();
 /// drop(r); // ERROR: `r` is mutably borrowed by `guard`
 /// assert_eq!(&*guard, b"pinned");
+/// ```
+///
+/// ```compile_fail
+/// use arc_register::TypedArc;
+/// let reg = TypedArc::new(1, String::from("pinned"));
+/// let mut r = reg.reader().unwrap();
+/// let guard = r.read_ref();
+/// drop(r); // ERROR: `r` is mutably borrowed by `guard`
+/// assert_eq!(&*guard, "pinned");
 /// ```
 ///
 /// — the handle cannot read again while a guard is held —
@@ -539,12 +368,11 @@ impl fmt::Debug for Snapshot<'_> {
 /// };
 /// assert_eq!(bytes, b"gone");
 /// ```
-pub struct ReadGuard<'a> {
-    /// The pinned payload view (valid while the guard holds the unit).
-    bytes: &'a [u8],
+pub struct ReadGuard<'a, V: ?Sized = [u8]> {
+    /// The pinned value (valid while the guard holds the unit).
+    value: &'a V,
     slot: usize,
     fast: bool,
-    inline: bool,
     version: u64,
     /// The owning handle's protocol state, mutably borrowed so the drop
     /// probe can release/keep the pin — and so no concurrent read of the
@@ -557,27 +385,20 @@ pub struct ReadGuard<'a> {
     k: usize,
 }
 
-impl ReadGuard<'_> {
-    /// Assemble a guard over register `k` of `group` (the group read
-    /// paths' constructor).
-    pub(crate) fn assemble<'a>(
-        bytes: &'a [u8],
+impl<'a, V: ?Sized> ReadGuard<'a, V> {
+    /// Assemble a guard over `value`, read from register `k` of `group`
+    /// (the read paths' constructor).
+    #[inline]
+    pub(crate) fn assemble(
+        value: &'a V,
         out: ReadOutcome,
-        inline: bool,
         rd: &'a mut RawReader,
         metrics: &'a mut OpMetrics,
         group: &'a ArcGroup,
         k: usize,
-    ) -> ReadGuard<'a> {
+    ) -> Self {
         let ReadOutcome { slot, fast, version } = out;
-        ReadGuard { bytes, slot, fast, inline, version, rd, metrics, group, k }
-    }
-
-    /// The pinned bytes, tied to the guard's own borrow (they must not
-    /// outlive the guard: dropping it may release the slot to the writer).
-    #[inline]
-    pub fn bytes(&self) -> &[u8] {
-        self.bytes
+        ReadGuard { value, slot, fast, version, rd, metrics, group, k }
     }
 
     /// Publication version of this value (same contract as
@@ -597,33 +418,52 @@ impl ReadGuard<'_> {
     pub fn fast(&self) -> bool {
         self.fast
     }
+}
+
+impl ReadGuard<'_, [u8]> {
+    /// The pinned bytes, tied to the guard's own borrow (they must not
+    /// outlive the guard: dropping it may release the slot to the writer).
+    #[inline]
+    pub fn bytes(&self) -> &[u8] {
+        self.value
+    }
 
     /// Whether the value was served from the slot-header inline storage.
     pub fn inline(&self) -> bool {
-        self.inline
+        self.group.stored_inline(self.value.len())
     }
 }
 
-impl Deref for ReadGuard<'_> {
-    type Target = [u8];
+impl<V: ?Sized> Deref for ReadGuard<'_, V> {
+    type Target = V;
     #[inline]
-    fn deref(&self) -> &[u8] {
-        self.bytes
+    fn deref(&self) -> &V {
+        self.value
     }
 }
 
-impl Drop for ReadGuard<'_> {
+impl<V: ?Sized> Drop for ReadGuard<'_, V> {
+    #[inline]
     fn drop(&mut self) {
-        self.group.guard_drop(self.k, self.rd, self.metrics);
+        guard_drop_on(&self.group.cells(self.k), self.rd, self.metrics);
     }
 }
 
-impl fmt::Debug for ReadGuard<'_> {
+impl fmt::Debug for ReadGuard<'_, [u8]> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ReadGuard")
-            .field("len", &self.bytes.len())
+            .field("len", &self.value.len())
             .field("slot", &self.slot)
             .field("fast", &self.fast)
+            .field("version", &self.version)
+            .finish()
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for ReadGuard<'_, T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ReadGuard")
+            .field("value", &self.value)
             .field("version", &self.version)
             .finish()
     }

@@ -6,18 +6,21 @@
 //! the form most applications want (configuration snapshots, routing
 //! tables, market-data books), and it demonstrates that ARC's "no
 //! intermediate copies" property extends to arbitrary data structures.
+//!
+//! The handles are the byte register's: [`TypedWriter<T>`] and
+//! [`TypedReader<T>`] name [`GroupWriter`] and [`GroupReader`] keeping an
+//! `Arc<TypedArc<T>>` alive, and [`TypedReadGuard`] names the one
+//! [`ReadGuard`], over `T`. This module adds only their methods for `T`.
 
 use std::cell::UnsafeCell;
 use std::fmt;
-use std::ops::Deref;
 use std::sync::Arc;
 
-use register_common::OpMetrics;
-
 use crate::errors::HandleError;
-use crate::group::{ArcGroup, GroupBuilder};
-use crate::raw::{RawReader, WriterMem};
-use crate::shm::Identity;
+use crate::group::{
+    ArcGroup, GroupBuilder, GroupReader, GroupWriter, Local, Register0, RegisterOwner, Sealed,
+};
+use crate::register::ReadGuard;
 
 /// A value paired with the publication version it was read at.
 ///
@@ -82,14 +85,12 @@ impl<T: Send + Sync> TypedArc<T> {
 
     /// Claim the unique writer handle.
     pub fn writer(self: &Arc<Self>) -> Result<TypedWriter<T>, HandleError> {
-        let mem = self.group.claim_writer(0, &Identity::resolve())?;
-        Ok(TypedWriter { reg: Arc::clone(self), mem, metrics: OpMetrics::default() })
+        GroupWriter::claim(self, Register0)
     }
 
     /// Register a reader handle.
     pub fn reader(self: &Arc<Self>) -> Result<TypedReader<T>, HandleError> {
-        let rd = self.group.join_reader(0, Identity::resolve().pid)?;
-        Ok(TypedReader { reg: Arc::clone(self), rd: Some(rd), metrics: OpMetrics::default() })
+        GroupReader::join(self, Register0)
     }
 
     /// Reader cap `N`.
@@ -102,12 +103,6 @@ impl<T: Send + Sync> TypedArc<T> {
     #[inline]
     pub fn published_version(&self) -> u64 {
         self.group.published_version(0)
-    }
-
-    /// The one-register group holding the protocol words.
-    #[inline]
-    pub(crate) fn group(&self) -> &ArcGroup {
-        &self.group
     }
 
     /// The value in `slot`.
@@ -132,21 +127,37 @@ impl<T> fmt::Debug for TypedArc<T> {
     }
 }
 
-/// The unique writer for a [`TypedArc`].
-pub struct TypedWriter<T: Send + Sync> {
-    reg: Arc<TypedArc<T>>,
-    mem: WriterMem,
-    metrics: OpMetrics,
+impl<T> Sealed for TypedArc<T> {
+    type Index = Register0;
+
+    #[inline]
+    fn slab_group(&self, _: Local) -> &ArcGroup {
+        &self.group
+    }
 }
 
-impl<T: Send + Sync> TypedWriter<T> {
+impl<T> RegisterOwner for TypedArc<T> {}
+
+/// The unique writer for a [`TypedArc`]: the [`GroupWriter`] of its one
+/// register.
+pub type TypedWriter<T> = GroupWriter<TypedArc<T>>;
+
+/// A reader handle for a [`TypedArc`]: a [`GroupReader`] of its one
+/// register.
+pub type TypedReader<T> = GroupReader<TypedArc<T>>;
+
+/// The RAII zero-copy view a [`TypedReader::read_ref`] returns: a
+/// [`ReadGuard`] over `T`.
+pub type TypedReadGuard<'a, T> = ReadGuard<'a, T>;
+
+impl<T: Send + Sync> GroupWriter<TypedArc<T>> {
     /// Publish a new value (wait-free; no copy beyond the move of `T`).
     ///
     /// Returns the value the new one displaced *from the reused slot* (an
     /// old, already-superseded snapshot) if one was stored there — callers
     /// can recycle expensive allocations this way.
     pub fn write(&mut self, value: T) -> Option<T> {
-        let reg: &TypedArc<T> = &self.reg;
+        let reg: &TypedArc<T> = &self.owner;
         // publish_with's guard repairs any unwind between W1 and the end
         // of publish (injected protocol-point panics; DESIGN.md §3.13).
         reg.group.publish_with(0, &mut self.mem, &mut self.metrics, |slot| {
@@ -154,27 +165,9 @@ impl<T: Send + Sync> TypedWriter<T> {
             unsafe { (*reg.values[slot].get()).replace(value) }
         })
     }
-
-    /// This handle's operation counts (writes, their RMWs and slot probes).
-    pub fn metrics(&self) -> OpMetrics {
-        self.metrics
-    }
 }
 
-impl<T: Send + Sync> Drop for TypedWriter<T> {
-    fn drop(&mut self) {
-        self.reg.group.release_writer(0);
-    }
-}
-
-/// A reader handle for a [`TypedArc`].
-pub struct TypedReader<T: Send + Sync> {
-    reg: Arc<TypedArc<T>>,
-    rd: Option<RawReader>,
-    metrics: OpMetrics,
-}
-
-impl<T: Send + Sync> TypedReader<T> {
+impl<T: Send + Sync> GroupReader<TypedArc<T>> {
     /// Read the most recent value; the reference is pinned until this
     /// handle's next `read` (or drop).
     #[inline]
@@ -187,47 +180,35 @@ impl<T: Send + Sync> TypedReader<T> {
     #[inline]
     pub fn read_versioned(&mut self) -> Versioned<&T> {
         let rd = self.rd.as_mut().expect("reader state present until drop");
-        let out = self.reg.group.acquire(0, rd, &mut self.metrics);
+        let reg: &TypedArc<T> = &self.owner;
+        let out = reg.group.acquire(0, rd, &mut self.metrics);
         // SAFETY: the slot is pinned for this handle until the next acquire
         // or leave, both requiring &mut self, which the returned borrow
         // holds.
-        let value = unsafe { self.reg.value(out.slot) };
+        let value = unsafe { reg.value(out.slot) };
         Versioned { version: out.version, value }
     }
 
-    /// Read the most recent value as an **RAII guard** — the typed form of
-    /// [`crate::ArcReader::read_ref`]: dereferences to `&T` straight from
-    /// the pinned slot (no clone, no copy) and carries the publication
-    /// version. Dropping the guard ends the read: if the register has
-    /// already moved past the pinned publication, the presence unit is
-    /// released immediately (the slot — and the old `T` in it — becomes
-    /// reclaimable without waiting for this handle's next read); otherwise
-    /// the pin stays cached for the R2 fast path.
+    /// Read the most recent value as an RAII [`ReadGuard`] over the `T` in
+    /// its slot, as the byte [`GroupReader::read_ref`] does: dropping it
+    /// releases a pin the register has moved past (and so the old `T`).
     #[inline]
-    pub fn read_ref(&mut self) -> TypedReadGuard<'_, T> {
+    pub fn read_ref(&mut self) -> ReadGuard<'_, T> {
         let rd = self.rd.as_mut().expect("reader state present until drop");
-        let reg: &TypedArc<T> = &self.reg;
-        let metrics = &mut self.metrics;
-        let out = reg.group.acquire(0, rd, metrics);
+        let reg: &TypedArc<T> = &self.owner;
+        let out = reg.group.acquire(0, rd, &mut self.metrics);
         // SAFETY: as in `read_versioned` — the slot is pinned at least for
         // the guard's lifetime (the drop probe only releases, never
         // re-acquires), and `rd` stays mutably borrowed throughout.
         let value = unsafe { reg.value(out.slot) };
-        TypedReadGuard {
-            value,
-            version: out.version,
-            fast: out.fast,
-            rd,
-            metrics,
-            group: &reg.group,
-        }
+        ReadGuard::assemble(value, out, rd, &mut self.metrics, &reg.group, 0)
     }
 
     /// Park until the register publishes past `last`, then read; the
     /// returned version is at least `last + 1` (see
-    /// [`crate::ArcReader::wait_for_update`]).
+    /// [`GroupReader::wait_for_update`]).
     pub fn wait_for_update(&mut self, last: u64) -> Versioned<&T> {
-        self.reg.group.wait_for_update(0, last);
+        self.owner.group.wait_for_update(0, last);
         self.read_versioned()
     }
 
@@ -238,7 +219,7 @@ impl<T: Send + Sync> TypedReader<T> {
         last: u64,
         timeout: std::time::Duration,
     ) -> Option<Versioned<&T>> {
-        self.reg.group.wait_for_update_timeout(0, last, timeout)?;
+        self.owner.group.wait_for_update_timeout(0, last, timeout)?;
         Some(self.read_versioned())
     }
 
@@ -248,78 +229,6 @@ impl<T: Send + Sync> TypedReader<T> {
         T: Clone,
     {
         self.read().clone()
-    }
-
-    /// The register this reader belongs to.
-    pub fn register(&self) -> &Arc<TypedArc<T>> {
-        &self.reg
-    }
-
-    /// This handle's operation counts (fast and slow reads, their RMWs).
-    pub fn metrics(&self) -> OpMetrics {
-        self.metrics
-    }
-}
-
-impl<T: Send + Sync> Drop for TypedReader<T> {
-    fn drop(&mut self) {
-        if let Some(rd) = self.rd.take() {
-            self.reg.group.leave_reader(0, rd);
-        }
-    }
-}
-
-/// An RAII zero-copy view of a [`TypedArc`] value, returned by
-/// [`TypedReader::read_ref`]. Dereferences to `&T`; while held, the value
-/// is pinned against reclamation (a standing presence unit — one slot per
-/// held guard, within the `N + 2` budget). See
-/// [`ReadGuard`](crate::register::ReadGuard) for the byte-register form
-/// and the borrow rules both enforce at compile time.
-pub struct TypedReadGuard<'a, T: Send + Sync> {
-    value: &'a T,
-    version: u64,
-    fast: bool,
-    /// Mutably borrowed so drop can release/keep the pin and no other
-    /// read of the same handle can start while the guard lives.
-    rd: &'a mut RawReader,
-    /// The handle's counts: an eager release at drop is a read RMW.
-    metrics: &'a mut OpMetrics,
-    group: &'a ArcGroup,
-}
-
-impl<T: Send + Sync> TypedReadGuard<'_, T> {
-    /// Publication version of the pinned value (0 = the initial value;
-    /// monotone per handle, strictly increasing when the value changes).
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Whether the read took the no-RMW fast path (R2).
-    pub fn fast(&self) -> bool {
-        self.fast
-    }
-}
-
-impl<T: Send + Sync> Deref for TypedReadGuard<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        self.value
-    }
-}
-
-impl<T: Send + Sync> Drop for TypedReadGuard<'_, T> {
-    fn drop(&mut self) {
-        self.group.guard_drop(0, self.rd, self.metrics);
-    }
-}
-
-impl<T: Send + Sync + fmt::Debug> fmt::Debug for TypedReadGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TypedReadGuard")
-            .field("value", &self.value)
-            .field("version", &self.version)
-            .finish()
     }
 }
 
@@ -427,7 +336,7 @@ mod tests {
         }
         // The stale pin was released at drop; the displaced "old" slot is
         // reclaimable without another read from this handle.
-        assert_eq!(reg.group().outstanding_units(0), 0);
+        assert_eq!(reg.group.outstanding_units(0), 0);
         let g = r.read_ref();
         assert_eq!(&*g, "new");
         assert_eq!(g.version(), 1);

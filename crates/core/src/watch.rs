@@ -20,10 +20,11 @@
 //!
 //! Shapes of watching:
 //!
-//! * [`ArcReader::wait_for_update`], [`TypedReader::wait_for_update`] and
-//!   [`crate::GroupReader::wait_for_update`] park until the version passes
-//!   a watermark, then read; [`crate::ArcGroup::wait_for_update`] parks
-//!   without a reader handle. A thread parks on its register's own
+//! * Every reader handle's `wait_for_update`
+//!   ([`GroupReader::wait_for_update`] for bytes,
+//!   [`TypedReader::wait_for_update`] for `T`) parks until the version
+//!   passes a watermark, then reads; [`crate::ArcGroup::wait_for_update`]
+//!   parks without a reader handle. A thread parks on its register's own
 //!   version word (a futex on Linux), so a publication through any
 //!   mapping of the slab, in any process, wakes it, and nothing else
 //!   does. Elsewhere a parked thread re-checks every millisecond.
@@ -35,36 +36,16 @@
 //!   word, so a stream hears only publications made through its own
 //!   mapping (in its own process).
 //!
-//! [`ArcReader::wait_for_update`]: crate::ArcReader::wait_for_update
+//! [`GroupReader::wait_for_update`]: crate::GroupReader::wait_for_update
 //! [`TypedReader::wait_for_update`]: crate::TypedReader::wait_for_update
 
 use std::pin::Pin;
 use std::sync::Arc;
 use std::task::{Context, Poll};
 
-use crate::group::ArcGroup;
+use crate::group::{Register0, RegisterOwner, LOCAL};
 use crate::register::ArcRegister;
 use crate::typed::TypedArc;
-
-/// Sources a [`VersionStream`] can watch (sealed: [`ArcRegister`] and
-/// [`TypedArc`]).
-pub trait WatchSource: Send + Sync + 'static {
-    /// The one-register group carrying the version word (register 0).
-    #[doc(hidden)]
-    fn group(&self) -> &ArcGroup;
-}
-
-impl WatchSource for ArcRegister {
-    fn group(&self) -> &ArcGroup {
-        ArcRegister::group(self)
-    }
-}
-
-impl<T: Send + Sync + 'static> WatchSource for TypedArc<T> {
-    fn group(&self) -> &ArcGroup {
-        TypedArc::group(self)
-    }
-}
 
 /// An endless stream of publication versions: each successful poll
 /// yields the newest version strictly greater than the last yielded
@@ -79,7 +60,7 @@ pub struct VersionStream<S> {
     last: u64,
 }
 
-impl<S: WatchSource> VersionStream<S> {
+impl<S: RegisterOwner<Index = Register0>> VersionStream<S> {
     /// Watch `src` for publications past `last` (pass the version of
     /// the value you already have, or 0 to hear about the first
     /// write).
@@ -90,7 +71,7 @@ impl<S: WatchSource> VersionStream<S> {
     /// Poll for the next version. On `Pending` the task's waker waits
     /// for the register's next publication, whose wake fires it.
     pub fn poll_next(&mut self, cx: &mut Context<'_>) -> Poll<u64> {
-        match self.src.group().poll_update(0, self.last, cx.waker()) {
+        match self.src.slab_group(LOCAL).poll_update(0, self.last, cx.waker()) {
             Some(v) => {
                 self.last = v;
                 Poll::Ready(v)
@@ -118,7 +99,7 @@ pub struct NextVersion<'a, S> {
     stream: &'a mut VersionStream<S>,
 }
 
-impl<S: WatchSource> std::future::Future for NextVersion<'_, S> {
+impl<S: RegisterOwner<Index = Register0>> std::future::Future for NextVersion<'_, S> {
     type Output = u64;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<u64> {
@@ -133,7 +114,7 @@ impl ArcRegister {
     }
 }
 
-impl<T: Send + Sync + 'static> TypedArc<T> {
+impl<T: Send + Sync> TypedArc<T> {
     /// An async stream of this register's publication versions.
     pub fn version_stream(self: &Arc<Self>, last: u64) -> VersionStream<TypedArc<T>> {
         VersionStream::new(Arc::clone(self), last)
@@ -146,6 +127,7 @@ mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
 
+    use crate::group::Sealed;
     use crate::typed::Versioned;
 
     #[test]
@@ -171,7 +153,7 @@ mod tests {
         // A watcher registers in the waiter word only once it has found
         // no newer version, right before it parks: seeing the
         // registration proves it was waiting before the write.
-        while reg.group().waiters(0) == 0 {
+        while reg.slab_group(LOCAL).waiters(0) == 0 {
             std::thread::yield_now();
         }
         let mut w = reg.writer().unwrap();

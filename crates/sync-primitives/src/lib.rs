@@ -9,8 +9,6 @@
 //!   used by the lock-based register baseline;
 //! * [`seqlock::SeqCounter`] — the version-counter core of a sequence lock,
 //!   used by the seqlock register ablation (optimistic lock-free reads);
-//! * [`ticket::TicketLock`] — a fair FIFO mutex, used where fairness
-//!   matters more than raw speed;
 //! * [`backoff::Backoff`] — bounded exponential backoff for all spin loops.
 //!
 //! None of the locks are wait-free; that is exactly why the paper includes
@@ -23,9 +21,7 @@
 pub mod backoff;
 pub mod rwlock;
 pub mod seqlock;
-pub mod ticket;
 
 pub use backoff::Backoff;
 pub use rwlock::{ReadGuard, SpinRwLock, WriteGuard};
 pub use seqlock::SeqCounter;
-pub use ticket::TicketLock;

@@ -10,7 +10,7 @@
 //! | [`register`] | `arc-register` | the ARC algorithm: [`ArcRegister`], [`TypedArc`] |
 //! | [`baselines`] | `baseline-registers` | RF, Peterson-style, spin-rwlock, seqlock comparators |
 //! | [`common`] | `register-common` | the shared register traits + stamped payloads |
-//! | [`sync`] | `sync-primitives` | spin rwlock / seqlock / ticket substrate |
+//! | [`sync`] | `sync-primitives` | spin rwlock / seqlock substrate |
 //! | [`lincheck`] | `linearizer` | atomicity checker for recorded histories |
 //! | [`modelcheck`] | `interleave` | exhaustive interleaving model checker |
 //! | [`bench_support`] | `workload-harness` | hold/processing workloads, steal injection |
