@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Seeded-defect gate for the shipped protocol, recovery, watch edge and
-# watchdog code.
+# Seeded-defect gate for the shipped protocol, recovery, watch edge,
+# watchdog and (M,N) composition code.
 #
 # Each patch under ci/defects/ breaks the shipped code in one small,
 # plausible way. For each one this script applies the patch, runs the
 # listed tests in release (most are arc-register lib tests: configurations
-# of the real-code model checker, crates/core/src/model_check.rs), requires
+# of the real-code model checker, crates/core/src/model_check.rs, or of
+# the (M,N) one, crates/mn-register/src/group/model_check.rs), requires
 # every one of them to fail with its expected message, and reverts the
 # patch. A patch that no longer applies fails the gate, so a change that
 # moves the patched lines must refresh the patch.
@@ -22,8 +23,9 @@ trap '[ -n "$applied" ] && git apply -R "$applied"' EXIT
 
 # check PATCH TEST MESSAGE [TEST MESSAGE]...
 #   TEST is an arc-register lib test path (e.g. model_check::k1_1r_3w_2x),
-#   or FILE/NAME for test NAME of the root package's tests/FILE.rs; MESSAGE
-#   is a fixed string its failure output must contain.
+#   PACKAGE:PATH for lib test PATH of another package, or FILE/NAME for
+#   test NAME of the root package's tests/FILE.rs; MESSAGE is a fixed
+#   string its failure output must contain.
 check() {
     local patch="ci/defects/$1.patch"
     shift
@@ -39,6 +41,9 @@ check() {
         if [[ $test == */* ]]; then
             target=(--test "${test%%/*}")
             test=${test#*/}
+        elif [[ $test =~ ^([a-z0-9_-]+):([^:].*)$ ]]; then
+            target=(-p "${BASH_REMATCH[1]}" --lib)
+            test=${BASH_REMATCH[2]}
         fi
         if out=$(cargo test -q --release "${target[@]}" -- --exact "$test" 2>&1); then
             echo "defects: $patch was not caught by $test"
@@ -62,6 +67,7 @@ collision="VIOLATION: writer collision"
 lost="VIOLATION: lost wakeup"
 woken="VIOLATION: woken read"
 mc=model_check
+mn=mn-register:group::model_check
 
 check release_early $mc::k1_1r_3w_2x "$exclusion" $mc::walks_1r_3w_2x "$exclusion"
 check no_freeze $mc::k1_1r_3w_2x "$exclusion"
@@ -87,5 +93,7 @@ check unregistered_park $mc::watch_1_2w "$lost"
 check bump_before_w2 $mc::watch_1_2w "$woken"
 check stale_registration_kept group::tests::stale_watcher_registrations_cost_at_most_one_idle_wake \
     "a registration nobody parks on outlived two publications"
+check skip_collect $mn::m2_n1_2x "VIOLATION: timestamp order violates real time"
+check counter_seed_zero $mn::m2_n1_2x "VIOLATION: timestamp order violates real time: wrote (1, 0) after (1, 0)"
 
 exit $status

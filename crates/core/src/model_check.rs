@@ -17,13 +17,13 @@
 //! too.
 //!
 //! The explorer clones, compares and hashes states, so a thread cannot be
-//! parked inside a shipped function. Instead one step *replays* the
-//! thread's current operation from its start, setting the real word to
-//! the value logged for each replayed access before the accessor returns.
-//! The step then makes one new access to a word another thread can touch;
-//! at the next accessor call for such a word it unwinds with a private
-//! payload (`resume_unwind`, which skips the panic hook). A `PublishGuard`
-//! dropped by that unwind is handed scratch words.
+//! parked inside a shipped function. Instead each step runs under
+//! [`interleave::stepper`]: it *replays* the thread's current operation
+//! from its start, setting the real word to the value logged for each
+//! replayed access before the accessor returns, makes one new access to a
+//! word another thread can touch, and ends at the next accessor call for
+//! such a word. A `PublishGuard` dropped by the step's end is handed
+//! scratch words.
 //!
 //! Words only a register's writer touches — its journal, lease, birth,
 //! heartbeat, version, waiter and churn-budget words — never end a step:
@@ -42,9 +42,9 @@
 //! standing sub-register readers of an `MnReader`, and each reader also
 //! stands in for the other writer's collect reader on its register: two
 //! independent readers reach every pin combination one scanning reader
-//! could. The (M,N) timestamp checks stay with `interleave::mn_model`,
-//! which assumes atomic sub-registers; these runs show the sub-registers
-//! are atomic while two writers store into one slab at once.
+//! could. These runs show the sub-registers are atomic while two writers
+//! store into one slab at once; `mn-register`'s test-only `model_check`
+//! module checks the (M,N) collect and scan over atomic sub-registers.
 //!
 //! # Watchers
 //!
@@ -79,14 +79,12 @@
 //!   then claims the role again through `writer_claim_on`.
 //! * **Unwind.** The daemon records the access index at which the
 //!   in-flight write unwinds. On every replay the accessor call at that
-//!   index raises the private payload instead of accessing, and the real
-//!   `PublishGuard::drop` runs against model memory. A second unwind
-//!   inside that `Drop` would abort, so after its one new access an
-//!   unwinding step hands out scratch words until the unwind completes,
-//!   and the next step replays the guard's logged accesses. The write is
-//!   over once a replay reaches the end of the `Drop` with no new access
-//!   pending; it counts as completed iff the guard moved the handle's
-//!   `last_slot`, and the same handle makes the remaining writes.
+//!   index raises a payload of its own instead of accessing, and the real
+//!   `PublishGuard::drop` runs against model memory, one new access per
+//!   step with scratch words after it. The write is over once a replay
+//!   reaches the end of the `Drop` with no new access pending; it counts
+//!   as completed iff the guard moved the handle's `last_slot`, and the
+//!   same handle makes the remaining writes.
 //!
 //! A fault may land between any two accesses, so in fault runs only the
 //! heartbeat and churn-budget words stay writer-private: every journal,
@@ -119,13 +117,14 @@
 
 use std::cell::{Cell, RefCell};
 use std::hash::{Hash, Hasher};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use interleave::spec::ReadObs;
-use interleave::{explore, random_walks, ExploreLimits, Model, ObsChecker, Outcome};
+use interleave::stepper::{self, Next, Replay};
+use interleave::{explore, random_walks, ExploreLimits, Model, ObsChecker};
 use register_common::OpMetrics;
 
 use crate::current::index_of;
@@ -418,10 +417,8 @@ enum Holder {
     Writer(usize),
 }
 
-/// How an operation ended a step without completing.
+/// How an operation stopped, besides the stepper's end of a step.
 enum Stop {
-    /// The step made its access.
-    Step,
     /// The daemon's unwind of the writer.
     Unwind,
     /// The operation passed the access bound.
@@ -779,12 +776,9 @@ impl Model for RealCode {
         let cells = setup.group.cells(k);
         let run = RefCell::new(Run {
             tid,
-            log: std::mem::take(&mut self.threads[tid].log),
+            replay: Replay::new(std::mem::take(&mut self.threads[tid].log)),
             mem: std::mem::take(&mut self.mem),
             held: if tid < setup.cfg.writers() { self.held(tid) } else { Vec::new() },
-            cursor: 0,
-            shared_done: false,
-            finished: false,
             parked: self.threads.iter().map(|t| t.parked).collect(),
             unwind_at: match self.phase {
                 Phase::Unwind(at) if tid == 0 => Some(at),
@@ -801,7 +795,7 @@ impl Model for RealCode {
         };
         let mut m = OpMetrics::default();
         let mut wr = self.writer[k];
-        let result = catch_unwind(AssertUnwindSafe(|| match op {
+        let result = stepper::step(|| match op {
             Op::Write { seq, .. } => {
                 publish_with_on(&cx, &mut wr, &mut m, |slot| {
                     cx.payload_store(slot, 0, seq);
@@ -827,20 +821,21 @@ impl Model for RealCode {
                 recover_register(&cx, &mut |pid| pid != OTHER_PROCESS, &mut report);
                 Done::Recover(report)
             }
-        }));
+        });
         cx.settle();
         let run = run.into_inner();
+        let over = run.replay.is_over();
         self.mem = run.mem;
-        self.threads[tid].log = run.log;
+        self.threads[tid].log = run.replay.into_log();
         for (t, parked) in self.threads.iter_mut().zip(run.parked) {
             t.parked = parked;
         }
         match result {
-            Ok(done) => self.complete(tid, op, done, wr),
+            Ok(Some(done)) => self.complete(tid, op, done, wr),
+            Ok(None) => Ok(()),
             Err(payload) => match payload.downcast::<Stop>().map(|s| *s) {
-                Ok(Stop::Step) => Ok(()),
                 // Scratch words were handed out: the guard goes on next step.
-                Ok(Stop::Unwind) if run.finished => Ok(()),
+                Ok(Stop::Unwind) if over => Ok(()),
                 Ok(Stop::Unwind) => {
                     self.unwound(op, wr);
                     Ok(())
@@ -929,16 +924,11 @@ fn addr<W: Word + ?Sized>(w: &W) -> usize {
 /// One step's execution state.
 struct Run {
     tid: usize,
-    log: Vec<Access>,
+    /// The operation's accesses, replayed up to the step's new one.
+    replay: Replay<Access>,
     mem: Vec<u64>,
     /// The slots this thread may not store into (writer steps only).
     held: Vec<(usize, Holder)>,
-    /// Accessor calls made so far.
-    cursor: usize,
-    /// The step has made its access to a shared word.
-    shared_done: bool,
-    /// The step is over: accessors hand out scratch words.
-    finished: bool,
     /// Which threads are parked in a wait.
     parked: Vec<bool>,
     /// The accessor call at this index raises the daemon's unwind.
@@ -969,65 +959,54 @@ struct Stepped<'c> {
 }
 
 impl<'c> Stepped<'c> {
-    /// Enter an access to `key`: settle the previous new access, end the
-    /// step if it already made its shared access, and return the value
-    /// this access sees and whether it is new. `None` once the step is over.
+    /// Enter an access to `key`: settle the previous new access, and
+    /// return the value this access sees and whether it is new. A shared
+    /// access after the step's new one ends the step; `None` once it is
+    /// over.
     fn enter(&self, key: usize) -> Option<(u64, bool)> {
-        if self.run.borrow().finished {
-            return None;
-        }
         self.settle();
         let owner = self.setup.owner[key];
         let mut run = self.run.borrow_mut();
-        if run.shared_done && owner.is_none() {
-            if std::thread::panicking() {
-                // A second unwind inside the guard's `Drop` would abort.
-                run.finished = true;
-                return None;
-            }
-            drop(run);
-            self.stop(Stop::Step);
-        }
-        if run.unwind_at == Some(run.cursor) && !std::thread::panicking() {
+        if run.unwind_at == Some(run.replay.cursor()) && !std::thread::panicking() {
             drop(run);
             resume_unwind(Box::new(Stop::Unwind));
         }
-        let i = run.cursor;
-        run.cursor += 1;
-        let logged = run.log.get(i).copied();
-        if let Some(Access { key: logged_key, seen, .. }) = logged {
-            if logged_key as usize != key {
+        match run.replay.next(owner.is_none()) {
+            Next::Over => None,
+            Next::Logged(a) if a.key as usize == key => Some((a.seen, false)),
+            Next::Logged(_) => {
+                let i = run.replay.cursor() - 1;
                 drop(run);
                 self.fail(format!("replay diverged at access {i}"));
             }
-            return Some((seen, false));
+            Next::New => {
+                // Recovery may read any private word: it runs only while
+                // every other thread is between operations.
+                let tid = run.tid;
+                if let Some(o) = owner.filter(|&o| o != tid && tid <= self.setup.daemon()) {
+                    drop(run);
+                    self.fail(format!(
+                        "thread {tid} touched word {:#x}, private to thread {o}",
+                        self.setup.keys[key].0
+                    ));
+                }
+                if run.replay.cursor() > self.setup.bound {
+                    drop(run);
+                    self.stop(Stop::Starved(format!(
+                        "access bound exceeded: thread {tid} took {} accesses in one operation",
+                        self.setup.bound
+                    )));
+                }
+                Some((run.mem[key], true))
+            }
         }
-        // Recovery may read any private word: it runs only while every
-        // other thread is between operations.
-        let tid = run.tid;
-        if let Some(o) = owner.filter(|&o| o != tid && tid <= self.setup.daemon()) {
-            drop(run);
-            self.fail(format!(
-                "thread {tid} touched word {:#x}, private to thread {o}",
-                self.setup.keys[key].0
-            ));
-        }
-        if run.log.len() >= self.setup.bound {
-            drop(run);
-            self.stop(Stop::Starved(format!(
-                "access bound exceeded: thread {tid} took {} accesses in one operation",
-                self.setup.bound
-            )));
-        }
-        run.shared_done |= owner.is_none();
-        Some((run.mem[key], true))
     }
 
     /// Log a new access that completed in place.
     fn record(&self, key: usize, seen: u64, now: u64) {
         let mut run = self.run.borrow_mut();
         run.mem[key] = now;
-        run.log.push(Access { key: key as u8, wrote: now != seen, seen });
+        run.replay.push(Access { key: key as u8, wrote: now != seen, seen });
     }
 
     /// Read back the pending access, if any, and log it.
@@ -1038,12 +1017,12 @@ impl<'c> Stepped<'c> {
     }
 
     fn stop(&self, why: Stop) -> ! {
-        self.run.borrow_mut().finished = true;
+        self.run.borrow_mut().replay.end();
         resume_unwind(Box::new(why))
     }
 
     fn fail(&self, msg: String) -> ! {
-        self.run.borrow_mut().finished = true;
+        self.run.borrow_mut().replay.end();
         panic!("model checker: {msg}")
     }
 
@@ -1057,7 +1036,7 @@ impl<'c> Stepped<'c> {
     /// The accessor protocol: the real word, set to the value this access
     /// sees; a scratch word while unwinding.
     fn word<'s, W: Word + 'c>(&'s self, scratch: &'s W, real: impl FnOnce() -> &'c W) -> &'s W {
-        if self.run.borrow().finished {
+        if self.run.borrow().replay.is_over() {
             return scratch;
         }
         let real = real();
@@ -1083,15 +1062,11 @@ impl<'c> Stepped<'c> {
 
     fn payload_load(&self, slot: usize, word: u8) -> u8 {
         let key = self.payload_key(slot, word);
-        match self.enter(key) {
-            Some((seen, new)) => {
-                if new {
-                    self.record(key, seen, seen);
-                }
-                seen as u8
-            }
-            None => 0,
+        let Some((seen, new)) = self.enter(key) else { return 0 };
+        if new {
+            self.record(key, seen, seen);
         }
+        seen as u8
     }
 
     /// The version word's key: a park is a load of it that may block, and
@@ -1164,8 +1139,7 @@ impl ArcCells for Stepped<'_> {
                 let mut run = self.run.borrow_mut();
                 let tid = run.tid;
                 run.parked[tid] = true;
-                drop(run);
-                self.stop(Stop::Step);
+                run.replay.end_step();
             }
         }
     }
@@ -1185,7 +1159,7 @@ impl ArcCells for Stepped<'_> {
                         woke += usize::from(std::mem::take(parked));
                     }
                 }
-                run.log.push(Access { key: key as u8, wrote: false, seen: woke as u64 });
+                run.replay.push(Access { key: key as u8, wrote: false, seen: woke as u64 });
                 woke
             }
         }
@@ -1233,28 +1207,16 @@ impl ArcCells for Stepped<'_> {
 /// machine's memory.
 static EXHAUSTIVE: Mutex<()> = Mutex::new(());
 
-fn assert_ok(out: Outcome, cfg: Config) {
-    match out {
-        Outcome::Ok(r) => {
-            println!("{cfg:?}: {} states, {} transitions", r.states, r.transitions);
-            assert!(r.terminals > 0, "{cfg:?}: no terminal state reached");
-        }
-        Outcome::Violation { message, schedule, .. } => {
-            panic!("{cfg:?}: VIOLATION: {message}\nschedule: {schedule:?}")
-        }
-        other => panic!("{cfg:?}: exploration did not complete: {other:?}"),
-    }
-}
-
 /// Every interleaving of `cfg`.
 fn exhaustive(cfg: Config) {
     let _turn = EXHAUSTIVE.lock().unwrap_or_else(|p| p.into_inner());
-    assert_ok(explore(RealCode::new(cfg), ExploreLimits::default()), cfg);
+    explore(RealCode::new(cfg), ExploreLimits::default()).assert_ok(&format!("{cfg:?}"));
 }
 
 /// `walks` random schedules of `cfg`.
 fn walks(cfg: Config, walks: usize, seed: u64) {
-    assert_ok(random_walks(RealCode::new(cfg), walks, seed, ExploreLimits::default()), cfg);
+    let out = random_walks(RealCode::new(cfg), walks, seed, ExploreLimits::default());
+    out.assert_ok(&format!("{cfg:?}"));
 }
 
 // One register, hint off.

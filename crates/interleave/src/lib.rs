@@ -22,29 +22,23 @@
 //! consistency; the (strictly weaker-ordering) questions about the C11
 //! mapping are addressed separately (DESIGN.md §3.1, stress tests).
 //!
-//! The ARC protocol, the slab layout, two writers sharing one slab, crash
-//! recovery and the watch edge have no model here: the `arc-register`
-//! crate's test-only `model_check` module drives [`explore`] and
-//! [`random_walks`] over the shipped `raw.rs` and `recovery.rs` functions
-//! themselves, with one batch writer or one writer thread per register,
-//! watcher threads that park and are woken through the shipped wait and
-//! wake, and a daemon that kills or unwinds the real writer at every
-//! access, and checks them with [`ObsChecker`]. The models here cover
-//! only the other constructions:
-//! RF, Peterson, and the MN timestamp construction over atomic
-//! sub-registers ([`mn_model`]).
+//! Every mechanism the registers run is checked on its shipped code, which
+//! [`stepper`] runs one shared access per step: `arc-register`'s test-only
+//! `model_check` module steps the ARC protocol, two writers on one slab,
+//! crash recovery and the watch edge, checked with [`ObsChecker`], and
+//! `mn-register`'s steps the (M,N) collect and scan, checked with
+//! [`MwChecker`]. The models here cover only the RF and Peterson baselines.
 
 #![deny(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod explorer;
-pub mod mn_model;
 pub mod peterson_model;
 pub mod rf_model;
 pub mod spec;
+pub mod stepper;
 
 pub use explorer::{explore, random_walks, ExploreLimits, Model, Outcome, Report};
-pub use mn_model::{MnDefect, MnModel};
 pub use peterson_model::PetersonModel;
 pub use rf_model::RfModel;
-pub use spec::{ModelConfig, ObsChecker};
+pub use spec::{ModelConfig, MwChecker, ObsChecker};

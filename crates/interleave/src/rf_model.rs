@@ -226,7 +226,6 @@ mod tests {
     #[test]
     fn single_reader_exhaustive() {
         let m = RfModel::new(ModelConfig { readers: 1, writes: 2, reads_each: 2 });
-        let out = explore(m, ExploreLimits::default());
-        assert!(out.is_ok(), "violation: {:?}", out.violation());
+        explore(m, ExploreLimits::default()).assert_ok("RF 1r/2w/2x");
     }
 }

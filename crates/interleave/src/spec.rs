@@ -16,7 +16,9 @@
 //!   two data words must agree (no tear).
 //!
 //! These are exactly the paper's Criterion-1 obligations, specialized to a
-//! single writer.
+//! single writer. [`MwChecker`] checks the same three for a multi-writer
+//! register whose writes are ordered by `(counter, writer)` stamps, and
+//! that the stamp order respects real time.
 
 /// Model configuration: how many threads and operations to explore.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -27,13 +29,6 @@ pub struct ModelConfig {
     pub writes: u8,
     /// Number of reads each reader performs.
     pub reads_each: u8,
-}
-
-impl ModelConfig {
-    /// A small default that exhausts in well under a second.
-    pub const fn small() -> Self {
-        Self { readers: 2, writes: 2, reads_each: 2 }
-    }
 }
 
 /// Snapshot taken at a read's invocation.
@@ -99,6 +94,80 @@ impl ObsChecker {
             ));
         }
         self.max_read_seq = self.max_read_seq.max(s);
+        Ok(())
+    }
+}
+
+/// A multi-writer timestamp, `(counter, writer)`, ordered lexicographically.
+pub type Stamp = (u8, u8);
+
+/// Snapshot taken at a multi-writer operation's invocation: the newest
+/// stamps a completed write wrote and a completed read returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct MwObs {
+    completed: Stamp,
+    read: Stamp,
+}
+
+/// The online checker of a register whose writes are ordered by their
+/// stamps, as in `mn-register`: the order must respect real time, and
+/// reads must be atomic in it.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct MwChecker {
+    /// The newest stamp of a completed write.
+    completed: Stamp,
+    /// Each writer's largest published counter.
+    published: Vec<u8>,
+    /// The newest stamp a completed read returned.
+    read: Stamp,
+}
+
+impl MwChecker {
+    /// A checker for a register whose writers' sub-registers start at
+    /// `initial`; the newest of them completed before every operation.
+    pub fn new(initial: &[Stamp]) -> Self {
+        let completed = initial.iter().copied().max().unwrap_or_default();
+        Self { completed, published: initial.iter().map(|s| s.0).collect(), read: (0, 0) }
+    }
+
+    /// Snapshot the floor of a write invoked now.
+    pub fn on_write_start(&self) -> MwObs {
+        MwObs { completed: self.completed, read: (0, 0) }
+    }
+
+    /// Snapshot the constraints for a read invoked now.
+    pub fn on_read_start(&self) -> MwObs {
+        MwObs { completed: self.completed, read: self.read }
+    }
+
+    /// Validate a write invoked at `obs` that completes now with stamp `ts`.
+    pub fn on_write_complete(&mut self, obs: MwObs, ts: Stamp) -> Result<(), String> {
+        let completed = obs.completed;
+        if ts <= completed {
+            return Err(format!(
+                "timestamp order violates real time: wrote {ts:?} after {completed:?} completed"
+            ));
+        }
+        self.completed = self.completed.max(ts);
+        let published = &mut self.published[usize::from(ts.1)];
+        *published = (*published).max(ts.0);
+        Ok(())
+    }
+
+    /// Validate a read invoked at `obs` that returns the value stamped `ts`
+    /// now.
+    pub fn on_read_complete(&mut self, obs: MwObs, ts: Stamp) -> Result<(), String> {
+        let MwObs { completed, read } = obs;
+        if ts < completed {
+            return Err(format!("stale read: returned {ts:?} after {completed:?} completed"));
+        }
+        if ts < read {
+            return Err(format!("new-old inversion: {ts:?} after a completed read of {read:?}"));
+        }
+        if ts.0 > self.published[usize::from(ts.1)] {
+            return Err(format!("future read: {ts:?} was never written"));
+        }
+        self.read = self.read.max(ts);
         Ok(())
     }
 }

@@ -21,13 +21,13 @@
 //!   sub-registers once).
 //!
 //! A standalone [`crate::MnRegister`] is a one-cell table. Each cell runs
-//! the timestamp construction on its own: per-cell atomicity is the
-//! register's (the `linearizer::mw` checker validates per-cell histories
-//! recorded through these handles), and cells never interfere —
-//! sub-register disjointness in the slab is the `ArcGroup` layout
-//! argument, which `arc-register`'s test-only `model_check` module checks
-//! on the shipped code with one writer thread per register of a
-//! two-register slab, the shape of a two-writer cell.
+//! the timestamp construction on its own: its collect (`next_stamp`) and
+//! scan (`newest`) are checked by the test-only `model_check` module, and
+//! `linearizer::mw` validates per-cell histories recorded through these
+//! handles. Cells never interfere: sub-register disjointness in the slab
+//! is the `ArcGroup` layout argument, which `arc-register`'s test-only
+//! `model_check` module checks on the shipped code with one writer thread
+//! per register of a two-register slab, the shape of a two-writer cell.
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -179,9 +179,9 @@ impl MnGroup {
 
     /// Register one of the `N` whole-table reader handles.
     pub fn reader(self: &Arc<Self>) -> Result<MnGroupReader, HandleError> {
-        let live = self.live_readers.fetch_add(1, Ordering::SeqCst);
+        let live = self.live_readers.fetch_add(1, Ordering::Acquire);
         if live >= self.n_readers {
-            self.live_readers.fetch_sub(1, Ordering::SeqCst);
+            self.live_readers.fetch_sub(1, Ordering::Relaxed);
             return Err(HandleError::ReadersExhausted { max_readers: self.n_readers as u32 });
         }
         let subs = (0..self.cells * self.writers_per_cell)
@@ -201,6 +201,22 @@ impl fmt::Debug for MnGroup {
             .field("heap_bytes", &self.heap_bytes())
             .finish()
     }
+}
+
+/// The collect of writer `id`'s write to a cell: one past the largest
+/// counter among the `peers`' stamps and `last`, the largest the writer
+/// has used in the cell, which it becomes. Panics rather than wrap.
+fn next_stamp(peers: impl Iterator<Item = Timestamp>, last: &mut u64, id: usize) -> Timestamp {
+    let max = peers.fold(*last, |max, ts| max.max(ts.counter));
+    *last = max.checked_add(1).expect("MN timestamp counter exhausted (2^64 writes)");
+    Timestamp { counter: *last, writer: id as u64 }
+}
+
+/// The scan of a read of a cell: the sub-register value with the largest
+/// stamp (the first of equals).
+fn newest<V>(subs: impl Iterator<Item = (Timestamp, V)>) -> (Timestamp, V) {
+    subs.reduce(|best, sub| if sub.0 > best.0 { sub } else { best })
+        .expect("at least one sub-register per cell")
 }
 
 /// Writer role `id` over every cell of an [`MnGroup`].
@@ -234,16 +250,9 @@ impl MnGroupWriter {
             self.table.capacity
         );
         let m1 = self.table.writers_per_cell - 1;
-        let mut max_counter = self.last_counter[k];
-        for peer in &mut self.peers[k * m1..(k + 1) * m1] {
-            let snap = peer.read();
-            let ts = Timestamp::decode(&snap);
-            max_counter = max_counter.max(ts.counter);
-        }
-        let counter =
-            max_counter.checked_add(1).expect("MN timestamp counter exhausted (2^64 writes)");
-        let ts = Timestamp { counter, writer: self.id as u64 };
-        self.last_counter[k] = counter;
+        let peers =
+            self.peers[k * m1..(k + 1) * m1].iter_mut().map(|p| Timestamp::decode(&p.read()));
+        let ts = next_stamp(peers, &mut self.last_counter[k], self.id);
         self.own[k].write_with(HEADER + value.len(), |buf| {
             ts.encode(buf);
             buf[HEADER..].copy_from_slice(value);
@@ -307,21 +316,14 @@ impl MnGroupReader {
     pub fn read_with<R>(&mut self, k: usize, f: impl FnOnce(&[u8], Timestamp) -> R) -> R {
         assert!(k < self.table.cells, "cell index {k} out of range ({})", self.table.cells);
         let m = self.table.writers_per_cell;
-        let mut best_ts = Timestamp { counter: 0, writer: 0 };
         // Every sub-register's pin persists independently for the whole
         // scan, so the winning view stays valid while later sub-registers
         // are read — no per-read allocation on the hot path.
-        let mut best: Option<&[u8]> = None;
-        for sub in self.subs[k * m..(k + 1) * m].iter_mut() {
-            let snap = sub.read();
-            let bytes = snap.bytes();
-            let ts = Timestamp::decode(bytes);
-            if best.is_none() || ts > best_ts {
-                best_ts = ts;
-                best = Some(bytes);
-            }
-        }
-        f(&best.expect("at least one sub-register per cell")[HEADER..], best_ts)
+        let (ts, best) = newest(self.subs[k * m..(k + 1) * m].iter_mut().map(|sub| {
+            let bytes = sub.read().bytes();
+            (Timestamp::decode(bytes), bytes)
+        }));
+        f(&best[HEADER..], ts)
     }
 
     /// Copy cell `k`'s newest value out, with its timestamp.
@@ -362,9 +364,12 @@ impl Drop for MnGroupReader {
         // the gate joins them next, and the gate's release/acquire pair
         // orders these leaves before its joins.
         self.subs.clear();
-        self.table.live_readers.fetch_sub(1, Ordering::SeqCst);
+        self.table.live_readers.fetch_sub(1, Ordering::Release);
     }
 }
+
+#[cfg(test)]
+mod model_check;
 
 #[cfg(test)]
 mod tests {

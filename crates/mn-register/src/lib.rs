@@ -41,11 +41,12 @@
 //! `ts` and completed before r₂ began, every sub-register r₂ reads is at
 //! least as new as what r₁ saw. The `linearizer::mw` checker validates
 //! exactly these conditions on recorded executions of this implementation,
-//! and `interleave::mn_model` model-checks them over atomic
-//! sub-registers. That the sub-registers are atomic with two writers
-//! storing into one slab at once is checked on the shipped ARC code by
-//! `arc-register`'s test-only `model_check` module, with one writer
-//! thread per register of a two-register slab.
+//! and the test-only `group::model_check` module through every interleaving
+//! of the shipped collect and scan over atomic sub-registers. That the
+//! sub-registers are atomic with two writers storing into one slab at once
+//! is checked on the shipped ARC code by `arc-register`'s test-only
+//! `model_check` module, with one writer thread per register of a
+//! two-register slab.
 //!
 //! # Progress and costs
 //!

@@ -135,13 +135,18 @@ pub fn run_register<F: RegisterFamily>(cfg: &RunConfig) -> RunResult {
                         let mut round = 0u64;
                         barrier.wait();
                         let mut ops = 0u64;
-                        while !stop.load(Ordering::Relaxed) {
+                        // One write before honouring `stop`, so every run
+                        // has one, however the threads are scheduled.
+                        loop {
                             if mode == WorkloadMode::Processing {
                                 round += 1;
                                 generate(&mut buf, round);
                             }
                             writer.write(&buf);
                             ops += 1;
+                            if stop.load(Ordering::Relaxed) {
+                                break;
+                            }
                         }
                         (ops, 0u64)
                     })
@@ -166,7 +171,8 @@ pub fn run_register<F: RegisterFamily>(cfg: &RunConfig) -> RunResult {
                         barrier.wait();
                         let mut ops = 0u64;
                         let mut sink = 0u64;
-                        while !stop.load(Ordering::Relaxed) {
+                        // Likewise one read.
+                        loop {
                             match mode {
                                 WorkloadMode::Hold => {
                                     // The paper: "a read only retrieves the
@@ -178,6 +184,9 @@ pub fn run_register<F: RegisterFamily>(cfg: &RunConfig) -> RunResult {
                                 }
                             }
                             ops += 1;
+                            if stop.load(Ordering::Relaxed) {
+                                break;
+                            }
                         }
                         std::hint::black_box(sink);
                         (0u64, ops)

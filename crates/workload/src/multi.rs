@@ -163,7 +163,10 @@ impl MultiResult {
     }
 }
 
-/// Every Nth burst/batch is timed per-operation for the histograms.
+/// Every Nth burst/batch is timed per-operation for the histograms,
+/// starting with the first. Every worker completes one round before it
+/// honours `stop`, so each run has a sample of every worker, however the
+/// threads are scheduled.
 const SAMPLE_EVERY: u64 = 32;
 
 /// Run the mixed multi-register workload against table layout `F`.
@@ -217,9 +220,8 @@ pub fn run_table<F: TableFamily>(cfg: &MultiConfig) -> MultiResult {
             barrier.wait();
             let mut ops = 0u64;
             let mut rounds = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
                 sampler.fill(&mut keys, cfg.write_batch);
-                rounds += 1;
                 if rounds.is_multiple_of(SAMPLE_EVERY) {
                     // Sampled round: individual timed writes.
                     for &k in &keys {
@@ -233,6 +235,10 @@ pub fn run_table<F: TableFamily>(cfg: &MultiConfig) -> MultiResult {
                     writer.write_batch(&batch);
                 }
                 ops += cfg.write_batch as u64;
+                rounds += 1;
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
             }
             (0u64, ops, hist)
         }));
@@ -256,9 +262,8 @@ pub fn run_table<F: TableFamily>(cfg: &MultiConfig) -> MultiResult {
             let mut ops = 0u64;
             let mut sink = 0u64;
             let mut rounds = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
                 sampler.fill(&mut keys, cfg.read_burst);
-                rounds += 1;
                 if rounds.is_multiple_of(SAMPLE_EVERY) {
                     // Sampled round: individual timed reads.
                     for &k in &keys {
@@ -274,6 +279,10 @@ pub fn run_table<F: TableFamily>(cfg: &MultiConfig) -> MultiResult {
                     });
                 }
                 ops += cfg.read_burst as u64;
+                rounds += 1;
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
             }
             std::hint::black_box(sink);
             (ops, 0u64, hist)
@@ -370,9 +379,8 @@ pub fn run_mw_table<F: MwTableFamily>(cfg: &MwMultiConfig) -> MultiResult {
             barrier.wait();
             let mut ops = 0u64;
             let mut rounds = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
                 sampler.fill(&mut keys, cfg.write_batch);
-                rounds += 1;
                 if rounds.is_multiple_of(SAMPLE_EVERY) {
                     for &k in &keys {
                         let t0 = Instant::now();
@@ -385,6 +393,10 @@ pub fn run_mw_table<F: MwTableFamily>(cfg: &MwMultiConfig) -> MultiResult {
                     writer.write_batch(&batch);
                 }
                 ops += cfg.write_batch as u64;
+                rounds += 1;
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
             }
             (0u64, ops, hist)
         }));
@@ -404,9 +416,8 @@ pub fn run_mw_table<F: MwTableFamily>(cfg: &MwMultiConfig) -> MultiResult {
             let mut ops = 0u64;
             let mut sink = 0u64;
             let mut rounds = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
                 sampler.fill(&mut keys, cfg.read_burst);
-                rounds += 1;
                 if rounds.is_multiple_of(SAMPLE_EVERY) {
                     for &k in &keys {
                         let t0 = Instant::now();
@@ -421,6 +432,10 @@ pub fn run_mw_table<F: MwTableFamily>(cfg: &MwMultiConfig) -> MultiResult {
                     });
                 }
                 ops += cfg.read_burst as u64;
+                rounds += 1;
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
             }
             std::hint::black_box(sink);
             (ops, 0u64, hist)

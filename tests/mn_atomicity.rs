@@ -76,10 +76,6 @@ fn run_mn(writers: usize, readers: usize, size: usize, window: Duration) {
                     ts
                 });
                 let responded = clock.tick();
-                // Map the initial value (1, 0) to the checker's (0, 0)
-                // sentinel? No: the initial value IS a write nobody logged.
-                // Represent it as ts (1,0) and inject a synthetic write
-                // record below instead.
                 log.push(MwRead {
                     reader: reader_id,
                     ts: (ts.counter, ts.writer),
@@ -103,17 +99,8 @@ fn run_mn(writers: usize, readers: usize, size: usize, window: Duration) {
 
     let mut writes = Arc::try_unwrap(writes).unwrap().into_inner().unwrap();
     let reads = Arc::try_unwrap(reads).unwrap().into_inner().unwrap();
-    // The initial value carries ts (1, 0) and "completed" before every
-    // tick: model it as a synthetic write by a phantom writer that finished
-    // before the run started. (Ticks start at 0, so use the 0..1 window —
-    // every real tick is ≥ 0; shift all real ticks by +2 is unnecessary
-    // because the recorder drew its first tick at 0 only after this write
-    // would have completed; to be exact, shift the synthetic write to
-    // negative-equivalent by giving it the first two ticks drawn *before*
-    // the barrier: simpler, prepend with invoked=0, responded=0 is invalid
-    // (needs invoked < responded), so renumber: all recorded ticks were
-    // drawn starting at 0; add +2 to every recorded tick and give the
-    // synthetic write (0, 1).
+    // Ticks move up by 2 so that the initial value, stamped (1, 0), can be
+    // a write over ticks 0–1 that completed before every recorded operation.
     for w in writes.iter_mut() {
         w.invoked += 2;
         w.responded += 2;
