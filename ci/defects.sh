@@ -93,6 +93,8 @@ check unregistered_park $mc::watch_1_2w "$lost"
 check bump_before_w2 $mc::watch_1_2w "$woken"
 check stale_registration_kept group::tests::stale_watcher_registrations_cost_at_most_one_idle_wake \
     "a registration nobody parks on outlived two publications"
+check read_hint_write_intent group::tests::prefetches_name_their_lines_and_intents \
+    "fast read: one shared hint, on the pinned slot"
 check skip_collect $mn::m2_n1_2x "VIOLATION: timestamp order violates real time"
 check counter_seed_zero $mn::m2_n1_2x "VIOLATION: timestamp order violates real time: wrote (1, 0) after (1, 0)"
 

@@ -98,16 +98,16 @@ use crate::errors::{HandleError, WriteError};
 use crate::raw::{
     outstanding_units_on, publish_with_on, quarantine_on, read_acquire_on, reader_join_on,
     reader_leave_on, register_watcher_on, wait_for_version_on, wait_for_version_timeout_on,
-    wip_slot, wip_stage, writer_claim_on, writer_release_on, ArcCells, RawOptions, RawReader,
-    ReadOutcome, WriterMem, HEALTH_BAD_CURRENT, HEALTH_BAD_JOURNAL, HEALTH_BAD_LEN, HEALTH_OK,
-    NO_HINT, SLOT_INDEX_BITS, STAGE_IDLE, STAGE_PUB_RAW,
+    wip_slot, wip_stage, writer_claim_on, writer_release_on, ArcCells, Intent, Line, RawOptions,
+    RawReader, ReadOutcome, WriterMem, HEALTH_BAD_CURRENT, HEALTH_BAD_JOURNAL, HEALTH_BAD_LEN,
+    HEALTH_OK, NO_HINT, SLOT_INDEX_BITS, STAGE_IDLE, STAGE_PUB_RAW,
 };
 use crate::recovery::{self, RecoveryReport};
 use crate::register::{ReadGuard, Snapshot, INLINE_CAP};
 use crate::shm::{
-    futex_wait, futex_wake, pid_alive, Identity, PlacementInfo, Slab, SlabBackend, SlabError,
-    SlabGeometry, SlabLayout, SlabPlacement, FLAG_FAST_PATH, FLAG_HINT, FLAG_INLINE, FLAG_PINS,
-    HDR_BYTES, SLOT_BYTES,
+    futex_wait, futex_wake, pid_alive, prefetch_read, prefetch_write, Identity, PlacementInfo,
+    Slab, SlabBackend, SlabError, SlabGeometry, SlabLayout, SlabPlacement, FLAG_FAST_PATH,
+    FLAG_HINT, FLAG_INLINE, FLAG_PINS, HDR_BYTES, SLOT_BYTES,
 };
 use crate::typed::Versioned;
 
@@ -497,6 +497,50 @@ impl ArcCells for GroupCells<'_> {
     #[inline]
     fn opts(&self) -> RawOptions {
         self.g.opts
+    }
+    #[inline]
+    fn prefetch(&self, line: Line, intent: Intent) {
+        // `wrapping_add`, not the unchecked accessors: R1 and the
+        // candidate FIFO may name a slot no range check has vetted yet (a
+        // scribbled word), and a prefetch of any address is harmless.
+        let p = match line {
+            Line::Slot(s) => self.slots.as_ptr().wrapping_add(s).cast::<u8>(),
+            Line::Stamp(s) => self.versions.as_ptr().wrapping_add(s).cast::<u8>(),
+        };
+        #[cfg(test)]
+        prefetch_log::record(p, intent);
+        match intent {
+            Intent::Read => prefetch_read(p),
+            Intent::Write => prefetch_write(p),
+        }
+    }
+}
+
+/// The prefetches `GroupCells` issue on this thread while a test records
+/// them: each line's address and intent.
+#[cfg(test)]
+mod prefetch_log {
+    use std::cell::RefCell;
+
+    use crate::raw::Intent;
+
+    thread_local! {
+        static LOG: RefCell<Option<Vec<(usize, Intent)>>> = const { RefCell::new(None) };
+    }
+
+    pub(crate) fn record(p: *const u8, intent: Intent) {
+        LOG.with_borrow_mut(|log| {
+            if let Some(log) = log {
+                log.push((p as usize, intent));
+            }
+        });
+    }
+
+    /// Run `f` and return the prefetches it issued.
+    pub(crate) fn of(f: impl FnOnce()) -> Vec<(usize, Intent)> {
+        LOG.set(Some(Vec::new()));
+        f();
+        LOG.take().unwrap_or_default()
     }
 }
 
@@ -2134,6 +2178,54 @@ mod tests {
             let mut r = g.reader(k).unwrap();
             assert_eq!(&*r.read(), b"init");
         }
+    }
+
+    /// Each prefetch asks for the line its operation touches next, with
+    /// the intent that touch needs: a read shares every line it asks for,
+    /// because all readers of the register share them, and a write owns
+    /// the lines it stores to, never the header every reader loads.
+    #[test]
+    fn prefetches_name_their_lines_and_intents() {
+        use crate::raw::current_index_on;
+        use Intent::{Read, Write};
+
+        let g = ArcGroup::builder(2, 1, 8).build().unwrap();
+        let (mut w, mut r) = (g.writer(1).unwrap(), g.reader(1).unwrap());
+        let cells = g.cells(1);
+        let slot = |s: usize| std::ptr::from_ref(cells.slot(s)) as usize;
+        let stamp = |s: usize| std::ptr::from_ref(cells.slot_version(s)) as usize;
+        let header = std::ptr::from_ref(cells.header) as usize;
+
+        let mut read = || {
+            prefetch_log::of(|| {
+                r.read();
+            })
+        };
+
+        let first = current_index_on(&cells);
+        assert_eq!(read(), [(slot(first), Read), (stamp(first), Read)], "first read");
+        assert_eq!(read(), [(slot(first), Read)], "fast read: one shared hint, on the pinned slot");
+
+        // Two writes past the reader's pin leave the older of them in the
+        // writer's candidate FIFO, unread, for the write recorded next.
+        w.write(b"a");
+        let queued = current_index_on(&cells);
+        w.write(b"b");
+        let last = current_index_on(&cells);
+        let hints = prefetch_log::of(|| w.write(b"c"));
+        assert_eq!(current_index_on(&cells), queued, "the write takes the queued slot");
+        assert_eq!(
+            hints,
+            [(slot(queued), Write), (stamp(queued), Write), (slot(last), Write)],
+            "write: owned hints on the candidate, the new stamp and the old slot"
+        );
+        assert!(hints.iter().all(|&(p, _)| p / 64 != header / 64), "write hinted the header");
+
+        assert_eq!(
+            read(),
+            [(slot(first), Read), (slot(queued), Read), (stamp(queued), Read)],
+            "slow read: shared hints on the pinned slot, the new slot and its stamp"
+        );
     }
 
     #[test]

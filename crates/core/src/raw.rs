@@ -174,6 +174,22 @@
 //! ablation switch disables the whole candidate machinery at once,
 //! restoring the pure rotating scan the E6 experiment compares against.
 //!
+//! # Prefetch hints
+//!
+//! On x86 each locked instruction drains the store buffer, so on a plane
+//! larger than the private caches the misses of one operation queue
+//! behind each drain. The read and write paths therefore ask for a line
+//! one locked instruction ahead of its use, through
+//! `ArcCells::prefetch`: a read asks for its pinned slot on entry, and
+//! for the new slot and its version stamp once R1 finds a new index, all
+//! with read intent, because every reader of the register shares those
+//! lines. A write asks to own the head of its candidate FIFO before W1's
+//! hint `swap`, and the new stamp and `last_slot`'s line before the
+//! `gen_joins` reset, never the header that every reader loads. A hint
+//! is no atomic access: it orders nothing, has no ordering-budget entry,
+//! and is a no-op on any storage but the slab's, so the model checker
+//! never sees one (DESIGN.md, "Prefetch hints").
+//!
 //! # Operation counts
 //!
 //! Every handle owns an [`OpMetrics`] and passes it by `&mut` into the
@@ -434,6 +450,31 @@ pub(crate) trait ArcCells {
     fn max_readers(&self) -> u32;
     /// Protocol ablation switches.
     fn opts(&self) -> RawOptions;
+    /// Ask for `line` ahead of its use, with `intent`: no access and no
+    /// ordering, only an earlier start for its cache miss (module docs,
+    /// prefetch hints). A no-op unless the storage is real memory.
+    #[inline]
+    fn prefetch(&self, _line: Line, _intent: Intent) {}
+}
+
+/// A line of one register's storage that the protocol asks for ahead of
+/// its use ([`ArcCells::prefetch`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Line {
+    /// The slot's line: its counters, length and inline bytes.
+    Slot(usize),
+    /// The slot's version stamp.
+    Stamp(usize),
+}
+
+/// Whether a prefetched line is wanted shared, to read it, or owned, to
+/// store to it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Intent {
+    /// Shared: readers of the line keep their copies.
+    Read,
+    /// Owned: every other copy of the line is invalidated.
+    Write,
 }
 
 /// Width of a slot index: bit 31 of a cached candidate tags its hint
@@ -487,6 +528,12 @@ impl WriterMem {
         if let Some(c) = self.cand.iter_mut().find(|c| **c == NO_CAND) {
             *c = tagged;
         }
+    }
+
+    /// The candidate the next pop returns, if any.
+    #[inline]
+    fn head_candidate(&self) -> Option<usize> {
+        (self.cand[0] != NO_CAND).then_some((self.cand[0] & !CAND_HINT_BIT) as usize)
     }
 
     /// Dequeue the oldest candidate, if any.
@@ -554,6 +601,12 @@ pub(crate) fn read_acquire_on<C: ArcCells>(
     rd: &mut RawReader,
     m: &mut OpMetrics,
 ) -> ReadOutcome {
+    // The pinned slot's line: the fast path returns its bytes, and the
+    // slow path's R3 releases its unit there. Read intent, never write:
+    // every reader of the register shares this line.
+    if let Some(pinned) = rd.last_index {
+        c.prefetch(Line::Slot(pinned as usize), Intent::Read);
+    }
     if c.opts().fast_path {
         // R1: SeqCst is part of the `current` budget (table above). On
         // x86 this is a plain `mov`; the *correctness* of the hit
@@ -570,6 +623,10 @@ pub(crate) fn read_acquire_on<C: ArcCells>(
             m.fast_reads += 1;
             return ReadOutcome { slot: index as usize, fast: true, version: rd.last_version };
         }
+        // R1 named a new slot: ask for its line and stamp now, so their
+        // misses overlap the drains of R3 and R4 below.
+        c.prefetch(Line::Slot(index as usize), Intent::Read);
+        c.prefetch(Line::Stamp(index as usize), Intent::Read);
     }
     // Slow path: release the previously pinned slot (R3) ...
     m.slow_reads += 1;
@@ -761,6 +818,12 @@ pub(crate) fn select_slot_on<C: ArcCells>(c: &C, wr: &mut WriterMem, m: &mut OpM
     heartbeat_tick_on(c);
 
     if c.opts().hint {
+        // Ask to own the line of the first candidate: the validation
+        // below loads it and the fill stores to it, and its miss then
+        // overlaps the drain of the hint swap.
+        if let Some(cand) = wr.head_candidate().filter(|&s| s != wr.last_slot()) {
+            c.prefetch(Line::Slot(cand), Intent::Write);
+        }
         // Drain the shared hint word into the local FIFO (the one RMW
         // this step has always cost). Acquire pairs with the posting
         // Release, though the real data edge is re-established by the
@@ -844,6 +907,12 @@ fn publish_core<C: ArcCells>(
 ) {
     debug_assert_ne!(slot, wr.last_slot(), "W1 forbids reusing the current slot");
     debug_assert!(slot_free_on(c, slot), "publishing a slot with standing readers");
+    // Ask to own the new slot's stamp and the superseded slot's line: the
+    // stamp store and W3's freeze below need them, and their misses then
+    // overlap the drain of the gen_joins reset. W3 takes the old line from
+    // its readers a few instructions later in any case.
+    c.prefetch(Line::Stamp(slot), Intent::Write);
+    c.prefetch(Line::Slot(wr.last_slot()), Intent::Write);
     // Journal the publication intent (§3.9): capture the previous slot,
     // then advance the stage. From here until the PUB_RAW capture below,
     // a crash is classified by comparing `current.index` against

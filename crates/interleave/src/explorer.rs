@@ -2,6 +2,7 @@
 //! randomized mode for configurations too large to exhaust.
 
 use std::collections::HashSet;
+use std::fmt;
 use std::hash::Hash;
 
 /// A protocol model: a deterministic state machine stepped one thread at a
@@ -44,12 +45,25 @@ impl Default for ExploreLimits {
 /// Statistics from a completed exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Report {
-    /// Distinct states visited.
+    /// Distinct states visited (0 for random walks, which keep none).
     pub states: usize,
     /// Transitions executed.
     pub transitions: usize,
-    /// Number of terminal (all-threads-done) states reached.
+    /// Number of terminal (all-threads-done) states reached: for random
+    /// walks, the walks completed.
     pub terminals: usize,
+}
+
+/// What a search covered: its states, or the walks of a randomized one,
+/// and its transitions.
+impl fmt::Display for Report {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.states == 0 {
+            write!(f, "{} walks, {} transitions", self.terminals, self.transitions)
+        } else {
+            write!(f, "{} states, {} transitions", self.states, self.transitions)
+        }
+    }
 }
 
 /// Result of an exploration.
@@ -91,7 +105,7 @@ impl Outcome {
     pub fn assert_ok(self, what: &str) {
         match self {
             Outcome::Ok(r) => {
-                println!("{what}: {} states, {} transitions", r.states, r.transitions);
+                println!("{what}: {r}");
                 assert!(r.terminals > 0, "{what}: exploration never reached a terminal state");
             }
             Outcome::Violation { message, schedule, .. } => {
@@ -228,6 +242,7 @@ mod tests {
                 // (a,b) pairs with a+b steps taken: 4*4 = 16 states.
                 assert_eq!(r.states, 16);
                 assert!(r.terminals >= 1);
+                assert_eq!(r.to_string(), format!("16 states, {} transitions", r.transitions));
             }
             other => panic!("expected Ok, got {other:?}"),
         }
@@ -256,7 +271,11 @@ mod tests {
     fn random_walks_cover_terminals() {
         let m = Counter { value: 0, remaining: [3, 3], poison_at: None };
         match random_walks(m, 32, 42, ExploreLimits::default()) {
-            Outcome::Ok(r) => assert_eq!(r.terminals, 32),
+            Outcome::Ok(r) => {
+                assert_eq!((r.terminals, r.transitions), (32, 32 * 6));
+                // The report counts the walks, not states walks never keep.
+                assert_eq!(r.to_string(), "32 walks, 192 transitions");
+            }
             other => panic!("expected Ok, got {other:?}"),
         }
     }
