@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Seeded-defect gate for the shipped protocol, recovery, watch edge,
-# watchdog and (M,N) composition code.
+# watchdog, slab set-up and (M,N) composition code.
 #
 # Each patch under ci/defects/ breaks the shipped code in one small,
 # plausible way. For each one this script applies the patch, runs the
@@ -95,6 +95,12 @@ check stale_registration_kept group::tests::stale_watcher_registrations_cost_at_
     "a registration nobody parks on outlived two publications"
 check read_hint_write_intent group::tests::prefetches_name_their_lines_and_intents \
     "fast read: one shared hint, on the pinned slot"
+check prefault_arena group::tests::shm_build_commits_the_protocol_regions_and_no_more_of_the_arena \
+    "arena pages committed at set-up"
+check memo_trusts_dead group::tests::a_dead_verdict_is_confirmed_before_a_repair_acts_on_it \
+    "a live claim was cleared"
+check pin_trusts_dead group::tests::a_dead_pin_verdict_is_confirmed_before_the_sweep_acts_on_it \
+    "a live pin was swept"
 check skip_collect $mn::m2_n1_2x "VIOLATION: timestamp order violates real time"
 check counter_seed_zero $mn::m2_n1_2x "VIOLATION: timestamp order violates real time: wrote (1, 0) after (1, 0)"
 

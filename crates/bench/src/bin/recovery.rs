@@ -17,6 +17,14 @@
 //! (one lease/journal inspection per register) — recovery is a
 //! supervisor-side O(K) walk, nowhere near the data plane's hot path.
 //!
+//! A second table, `setup`, prices what a shm plane pays before it serves
+//! its first read, set up as `e2ebench`'s `plane_20k` sets it up (one
+//! reader per register, 48 B values, an initial value): `build`, a second
+//! mapping's `attach`, the creator's `writer_set` and the second
+//! mapping's `reader_set`, each timed on its own, p1 and p50 over the
+//! trials. K = 20,000 in every profile, and K = 2^20 in standard and
+//! full.
+//!
 //! Linux-only (memfd + fork); elsewhere the bin prints a note and exits
 //! without touching the JSON trajectory.
 
@@ -133,6 +141,55 @@ mod imp {
         xs[xs.len() / 2]
     }
 
+    /// The set-up phases of one shm plane, in order.
+    const PHASES: [&str; 4] = ["build", "attach", "writer_set", "reader_set"];
+
+    /// One set-up of a K-register plane as `plane_20k` does it; the
+    /// nanoseconds of each of [`PHASES`].
+    fn setup_trial(registers: usize) -> [u64; 4] {
+        let t0 = Instant::now();
+        let g = ArcGroup::builder(registers, 1, 48)
+            .backend(SlabBackend::Shm)
+            .initial(&[1u8; 48])
+            .build()
+            .expect("shm plane");
+        let t1 = Instant::now();
+        let mirror = ArcGroup::attach_fd(g.memfd().expect("memfd")).expect("attach");
+        let t2 = Instant::now();
+        let writers = g.writer_set().expect("claim every writer role");
+        let t3 = Instant::now();
+        let readers = mirror.reader_set().expect("join every register");
+        let t4 = Instant::now();
+        drop((readers, writers, mirror, g));
+        [t1 - t0, t2 - t1, t3 - t2, t4 - t3].map(|d| d.as_nanos() as u64)
+    }
+
+    fn setup_table(profile: BenchProfile) -> Table {
+        let (points, trials): (&[usize], usize) = match profile {
+            BenchProfile::Quick => (&[20_000], 100),
+            BenchProfile::Standard => (&[20_000, 1 << 20], 40),
+            BenchProfile::Full => (&[20_000, 1 << 20], 100),
+        };
+        let mut table = Table::new(vec!["registers", "phase", "trials", "p1_ns", "p50_ns"]);
+        for &registers in points {
+            let runs: Vec<[u64; 4]> = (0..trials).map(|_| setup_trial(registers)).collect();
+            for (i, phase) in PHASES.iter().enumerate() {
+                let mut xs: Vec<u64> = runs.iter().map(|r| r[i]).collect();
+                xs.sort_unstable();
+                let (p1, p50) = (xs[xs.len() / 100], xs[xs.len() / 2]);
+                println!("  K={registers:>7}  {phase:>10}  p1={p1:>10} ns  p50={p50:>10} ns");
+                table.row(vec![
+                    registers.to_string(),
+                    phase.to_string(),
+                    trials.to_string(),
+                    p1.to_string(),
+                    p50.to_string(),
+                ]);
+            }
+        }
+        table
+    }
+
     pub fn run(profile: BenchProfile) {
         let trials = match profile {
             BenchProfile::Quick => 5,
@@ -194,5 +251,14 @@ mod imp {
         merge_section(&json_path, "arc-bench/latency/v1", "recovery", table_to_json(&table))
             .expect("write BENCH_latency.json");
         println!("merged recovery into {}", json_path.display());
+
+        println!("\n# set-up of a shm plane, phase by phase\n");
+        let setup = setup_table(profile);
+        let path = out_dir().join("setup.csv");
+        write_csv(&setup, &path).expect("write CSV");
+        println!("\nwrote {}", path.display());
+        merge_section(&json_path, "arc-bench/latency/v1", "setup", table_to_json(&setup))
+            .expect("write BENCH_latency.json");
+        println!("merged setup into {}", json_path.display());
     }
 }

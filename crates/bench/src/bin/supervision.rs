@@ -5,7 +5,7 @@
 //! ARC_BENCH_PROFILE=quick|standard|full cargo run -p arc-bench --release --bin supervision
 //! ```
 //!
-//! Three metrics, one table:
+//! Five metrics, one table:
 //!
 //! * `kill_to_detect` — a forked child claims a register's writer lease
 //!   and publishes in a loop; the parent SIGKILLs (and reaps) it and
@@ -19,6 +19,12 @@
 //!   journal/ledger invariants), swept up to K = 1M. Reported per cycle
 //!   and per register; this is the steady-state tax a supervisor pays
 //!   every `scrub_interval`.
+//! * `probe_cycle` — one watchdog probe pass (`ArcGroup::probe_pass`)
+//!   over a shm plane of K registers, every one held by a live writer set
+//!   and pinned by a live reader set (both of this process, so the pass
+//!   checks 2K liveness records of one pid); `probe_cycle_idle` is the
+//!   same pass over the same plane with no lease and no pin. The
+//!   supervisor pays one pass every `probe_interval`.
 //!
 //! Shape to expect: detection tracks the probe interval, healing adds
 //! tens of microseconds, and scrubbing is linear in K at a few tens of
@@ -152,6 +158,39 @@ mod imp {
         (median(xs), max)
     }
 
+    /// Per-cycle cost of one watchdog probe pass over a K-register shm
+    /// plane: `(idle, held)`, each `(median, max)` over `cycles`. Held:
+    /// a live writer set claims every register and a live reader set
+    /// pins a slot on each.
+    fn probe_point(registers: usize, cycles: usize) -> ((u64, u64), (u64, u64)) {
+        let g = ArcGroup::builder(registers, 1, 16)
+            .backend(SlabBackend::Shm)
+            .initial(&[7u8; 16])
+            .build()
+            .expect("shm plane");
+        let time = || {
+            let mut xs = Vec::with_capacity(cycles);
+            for _ in 0..=cycles {
+                let t = Instant::now();
+                let damaged = g.probe_pass(|_, probe| assert!(!probe.lease_dead));
+                xs.push(t.elapsed().as_nanos() as u64);
+                assert!(!damaged, "a live plane read as damaged");
+            }
+            xs.remove(0); // the warm pass
+            let max = *xs.iter().max().expect("at least one cycle");
+            (median(xs), max)
+        };
+        let idle = time();
+        let writers = g.writer_set().expect("claim every writer role");
+        let mut readers = g.reader_set().expect("join every register");
+        for k in 0..registers {
+            let _ = readers.read(k);
+        }
+        let held = time();
+        drop((readers, writers));
+        (idle, held)
+    }
+
     fn median(mut xs: Vec<u64>) -> u64 {
         xs.sort_unstable();
         xs[xs.len() / 2]
@@ -211,6 +250,13 @@ mod imp {
         for &registers in &scrub_counts {
             let (p50, max) = scrub_point(registers, cycles);
             row("scrub_cycle", registers, cycles, p50, max);
+        }
+        // Every profile probes plane_20k's K = 20,000, where json_schema
+        // holds the committed held pass to 3× the idle one.
+        for registers in [1024usize, 20_000, 65_536, 1_000_000] {
+            let ((i50, imax), (h50, hmax)) = probe_point(registers, cycles);
+            row("probe_cycle_idle", registers, cycles, i50, imax);
+            row("probe_cycle", registers, cycles, h50, hmax);
         }
 
         let path = out_dir().join("supervision.csv");

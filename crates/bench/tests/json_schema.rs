@@ -352,11 +352,35 @@ fn bench_latency_sections_conform() {
         );
     }
 
+    // The set-up section (E13's binary): a shm plane set up as plane_20k
+    // sets it up, phase by phase. Every phase must carry a real p1 ≤ p50,
+    // at K = 20,000 in every report and at K = 2^20 in the committed one
+    // (standard and full profiles run it; CI's quick smoke does not).
+    check_rows(&doc, file, "setup", &["registers", "phase", "trials", "p1_ns", "p50_ns"]);
+    let Some(arc_bench::Json::Arr(rows)) = doc.get("setup") else { unreachable!() };
+    for (i, row) in rows.iter().enumerate() {
+        let p1 = row.get("p1_ns").and_then(Json::as_f64).expect("p1 numeric");
+        let p50 = row.get("p50_ns").and_then(Json::as_f64).expect("p50 numeric");
+        assert!(p1 > 0.0 && p1 <= p50, "{file}: setup[{i}] has p1 {p1} ns against p50 {p50} ns");
+    }
+    let has = |registers: f64, phase: &str| {
+        rows.iter().any(|r| {
+            r.get("registers").and_then(Json::as_f64) == Some(registers)
+                && r.get("phase") == Some(&Json::str(phase))
+        })
+    };
+    for phase in ["build", "attach", "writer_set", "reader_set"] {
+        assert!(has(20_000.0, phase), "{file}: setup lacks the K = 20,000 {phase:?} row");
+        if std::env::var_os("ARC_SCHEMA_LENIENT").is_none() {
+            assert!(has(1_048_576.0, phase), "{file}: setup lacks the K = 2^20 {phase:?} row");
+        }
+    }
+
     // The supervision section (E14): kill→detection latency, auto-recover
-    // end-to-end time, and per-cycle scrub cost. Every metric must carry a
-    // real (non-zero) latency distribution, the scrub sweep must reach the
-    // K = 1M acceptance point, and healing can never be faster than the
-    // detection it starts from.
+    // end-to-end time, per-cycle scrub cost and per-pass probe cost. Every
+    // metric must carry a real (non-zero) latency distribution, the scrub
+    // sweep must reach the K = 1M acceptance point, and healing can never
+    // be faster than the detection it starts from.
     check_rows(
         &doc,
         file,
@@ -382,6 +406,34 @@ fn bench_latency_sections_conform() {
         healed >= detect,
         "{file}: supervision healed p50 {healed} ns beat its own detection p50 {detect} ns"
     );
+    // One watchdog probe pass, over a held and pinned plane and over the
+    // same plane idle. At plane_20k's K = 20,000 the held pass, which
+    // asks about each pid once, must stay within 3× of the idle one in
+    // the committed report: it measured 1.9–2.8×, and a pass that asks
+    // `kill(2)` once per register reads hundreds of times the idle one.
+    // (CI's quick smoke times 3 passes on a shared runner, too few to
+    // hold a ratio to.)
+    let probe_at = |metric: &str, registers: f64| {
+        rows.iter()
+            .find(|r| {
+                r.get("metric") == Some(&Json::str(metric))
+                    && r.get("registers").and_then(Json::as_f64) == Some(registers)
+            })
+            .unwrap_or_else(|| {
+                panic!("{file}: supervision lacks the K = {registers} {metric:?} row")
+            })
+            .get("p50_ns")
+            .and_then(Json::as_f64)
+            .expect("supervision p50 numeric")
+    };
+    let held = probe_at("probe_cycle", 20_000.0);
+    let idle = probe_at("probe_cycle_idle", 20_000.0);
+    if std::env::var_os("ARC_SCHEMA_LENIENT").is_none() {
+        assert!(
+            held <= 3.0 * idle,
+            "{file}: a held K = 20,000 probe pass took {held} ns, over 3× the idle {idle} ns"
+        );
+    }
     let scrub_at_1m = rows.iter().any(|r| {
         r.get("metric") == Some(&Json::str("scrub_cycle"))
             && r.get("registers").and_then(Json::as_f64).is_some_and(|k| k >= 1_000_000.0)

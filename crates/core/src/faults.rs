@@ -75,10 +75,17 @@ pub enum FaultSite {
     SysfsRead,
     /// Spawning the supervisor thread.
     ThreadSpawn,
+    /// `fallocate` allocating a new base-page shared slab's protocol
+    /// regions. Injection fails the build with the typed error.
+    Fallocate,
+    /// `madvise(MADV_POPULATE_WRITE)` mapping protocol regions in bulk.
+    /// Injection means the *advice is not applied*: the pages fault in
+    /// on first touch, never an error.
+    Populate,
 }
 
 /// All sites, for exhaustive fail-at-every-site sweeps.
-pub const ALL_SITES: [FaultSite; 11] = [
+pub const ALL_SITES: [FaultSite; 13] = [
     FaultSite::MemfdCreate,
     FaultSite::Ftruncate,
     FaultSite::Mmap,
@@ -90,6 +97,8 @@ pub const ALL_SITES: [FaultSite; 11] = [
     FaultSite::ProcRead,
     FaultSite::SysfsRead,
     FaultSite::ThreadSpawn,
+    FaultSite::Fallocate,
+    FaultSite::Populate,
 ];
 
 /// An armed injection schedule: fail hits `skip .. skip + run` of

@@ -84,7 +84,7 @@
 
 use std::cell::UnsafeCell;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::Waker;
 
@@ -102,7 +102,7 @@ use crate::raw::{
     RawReader, ReadOutcome, WriterMem, HEALTH_BAD_CURRENT, HEALTH_BAD_JOURNAL, HEALTH_BAD_LEN,
     HEALTH_OK, NO_HINT, SLOT_INDEX_BITS, STAGE_IDLE, STAGE_PUB_RAW,
 };
-use crate::recovery::{self, RecoveryReport};
+use crate::recovery::{self, Liveness, RecoveryReport};
 use crate::register::{ReadGuard, Snapshot, INLINE_CAP};
 use crate::shm::{
     futex_wait, futex_wake, pid_alive, prefetch_read, prefetch_write, Identity, PlacementInfo,
@@ -552,6 +552,13 @@ mod prefetch_log {
 /// call) cannot wedge the loser forever.
 const RECOVERY_WAIT: std::time::Duration = std::time::Duration::from_secs(5);
 
+/// [`ArcGroup::populate`] bits: the headers and the pin registry, which
+/// both set constructors walk ...
+const POPULATED_HEADERS_PINS: u8 = 1;
+/// ... and the lease extension, which only a writer set's claims do.
+const POPULATED_EXT: u8 = 2;
+const POPULATED_ALL: u8 = POPULATED_HEADERS_PINS | POPULATED_EXT;
+
 /// Builder for [`ArcGroup`].
 #[derive(Debug, Clone)]
 pub struct GroupBuilder {
@@ -699,7 +706,7 @@ impl GroupBuilder {
         let slab = match self.backend {
             SlabBackend::Heap => Slab::heap(layout.total)?,
             #[cfg(target_os = "linux")]
-            SlabBackend::Shm => Slab::shm(layout.total, self.placement)?,
+            SlabBackend::Shm => Slab::shm(layout.total, layout.arena_off, self.placement)?,
             #[cfg(not(target_os = "linux"))]
             SlabBackend::Shm => {
                 return Err(BuildError::Slab(SlabError::Unsupported {
@@ -710,7 +717,8 @@ impl GroupBuilder {
         // Region initialization: a zeroed slab is already a valid slot /
         // version / pin state (`Current::fresh(0) == 0`, empty registry),
         // so only the headers need their non-zero words (the NO_HINT
-        // sentinel) written — O(K), not O(K * n_slots).
+        // sentinel) written — O(K), not O(K * n_slots). A shm slab's
+        // protocol pages are already mapped (`Slab::shm`).
         let hdr = slab.base().wrapping_add(layout.hdr_off).cast::<RegHeader>();
         for k in 0..self.registers {
             // SAFETY: the header region holds `registers` RegHeader-sized,
@@ -721,6 +729,7 @@ impl GroupBuilder {
         let group = ArcGroup {
             slab,
             layout,
+            populated: AtomicU8::new(POPULATED_ALL),
             streams: StreamWakers::default(),
             registers: self.registers,
             n_slots,
@@ -728,7 +737,6 @@ impl GroupBuilder {
             max_readers: self.max_readers,
             opts: self.opts,
             inline: self.inline,
-            backend: self.backend,
         };
         // Algorithm 1 per register: the initial value goes to slot 0,
         // which every header already publishes. No handle exists yet, so
@@ -802,6 +810,9 @@ pub struct ArcGroup {
     slab: Slab,
     /// Region offsets, computed at build / validated at attach.
     layout: SlabLayout,
+    /// Which protocol regions this mapping has populated (`POPULATED_*`
+    /// bits): all of them at build, none at attach.
+    populated: AtomicU8,
     /// Wakers of this mapping's version streams. Process-local: a stream
     /// hears only publications made through this mapping.
     streams: StreamWakers,
@@ -813,7 +824,6 @@ pub struct ArcGroup {
     max_readers: u32,
     opts: RawOptions,
     inline: bool,
-    backend: SlabBackend,
 }
 
 impl ArcGroup {
@@ -850,7 +860,7 @@ impl ArcGroup {
 
     /// The storage backend this group's slab lives on.
     pub fn backend(&self) -> SlabBackend {
-        self.backend
+        self.slab.backend()
     }
 
     /// The slab's *effective* placement (§3.11): page rounding quantum,
@@ -898,6 +908,7 @@ impl ArcGroup {
         Ok(Arc::new(ArcGroup {
             slab,
             layout,
+            populated: AtomicU8::new(0),
             streams: StreamWakers::default(),
             registers: g.registers,
             n_slots: g.n_slots,
@@ -905,7 +916,6 @@ impl ArcGroup {
             max_readers: g.max_readers,
             opts,
             inline: g.flags & FLAG_INLINE != 0,
-            backend: SlabBackend::Shm,
         }))
     }
 
@@ -920,9 +930,15 @@ impl ArcGroup {
     }
 
     /// [`ArcGroup::needs_recovery`] with a custom liveness oracle
-    /// (supervisors that track membership themselves; tests).
-    pub fn needs_recovery_with(&self, mut alive: impl FnMut(u64) -> bool) -> bool {
-        (0..self.registers).any(|k| recovery::register_needs_recovery(&self.cells(k), &mut alive))
+    /// (supervisors that track membership themselves; tests). `alive` is
+    /// called at most once per distinct pid per call.
+    pub fn needs_recovery_with(&self, alive: impl FnMut(u64) -> bool) -> bool {
+        self.needs_recovery_in(&mut Liveness::new(alive))
+    }
+
+    /// [`ArcGroup::needs_recovery_with`] within the pass `live` belongs to.
+    fn needs_recovery_in(&self, live: &mut Liveness<impl FnMut(u64) -> bool>) -> bool {
+        (0..self.registers).any(|k| recovery::register_needs_recovery(&self.cells(k), live))
     }
 
     /// Alias for [`ArcGroup::needs_recovery`]: the plane is poisoned by a
@@ -971,14 +987,20 @@ impl ArcGroup {
 
     /// [`ArcGroup::recover`] with a custom liveness oracle.
     ///
+    /// `alive` is called at most once per distinct pid per call, plus
+    /// once before each repair (a dead writer's lease, a dead reader's
+    /// pin), which it confirms: a pid that came back to life meanwhile
+    /// keeps its role.
+    ///
     /// Reader-pin sweeps (and the at-W2 census) read the pin registry,
     /// which shm slabs always carry; on a heap slab enable it with
     /// [`GroupBuilder::pin_registry`] or sweeps find nothing. Writer
     /// (lease/journal) recovery works on every layout.
-    pub fn recover_with(&self, mut alive: impl FnMut(u64) -> bool) -> RecoveryReport {
+    pub fn recover_with(&self, alive: impl FnMut(u64) -> bool) -> RecoveryReport {
         let mut report = RecoveryReport::default();
+        let mut live = Liveness::new(alive);
         for k in 0..self.registers {
-            recovery::recover_register(&self.cells(k), &mut alive, &mut report);
+            recovery::recover_register(&self.cells(k), &mut live, &mut report);
         }
         if report.repaired_anything() {
             self.slab.superblock().bump_epoch();
@@ -1096,14 +1118,36 @@ impl ArcGroup {
     /// classification (with history) is [`crate::supervise::classify`].
     pub fn writer_probe(&self, k: usize) -> WriterProbe {
         self.check_index(k);
+        self.writer_probe_in(k, &mut Liveness::new(pid_alive))
+    }
+
+    /// [`ArcGroup::writer_probe`] within the pass `live` belongs to.
+    fn writer_probe_in(
+        &self,
+        k: usize,
+        live: &mut Liveness<impl FnMut(u64) -> bool>,
+    ) -> WriterProbe {
         let cells = self.cells(k);
         let lease = cells.lease_word().load(Ordering::Acquire);
         WriterProbe {
             lease,
             heartbeat: cells.heartbeat_word().load(Ordering::Acquire),
             mid_publication: wip_stage(cells.wip_word().load(Ordering::Acquire)) != STAGE_IDLE,
-            lease_dead: recovery::lease_dead(&cells, lease, &mut pid_alive),
+            lease_dead: recovery::lease_dead(&cells, lease, live),
         }
+    }
+
+    /// One watchdog probe pass, as [`crate::supervise::PlaneSupervisor`]
+    /// runs it: every register's [`ArcGroup::writer_probe`], handed to
+    /// `f` in register order, then the [`ArcGroup::needs_recovery`]
+    /// check, whose answer it returns. Each distinct pid is probed, and
+    /// its birth token read, once for the whole pass.
+    pub fn probe_pass(&self, mut f: impl FnMut(usize, WriterProbe)) -> bool {
+        let mut live = Liveness::new(pid_alive);
+        for k in 0..self.registers {
+            f(k, self.writer_probe_in(k, &mut live));
+        }
+        self.needs_recovery_in(&mut live)
     }
 
     /// Fault injection: forge register `k`'s writer lease (pid + birth
@@ -1284,11 +1328,13 @@ impl ArcGroup {
     /// [`HandleError::Quarantined`] if a scrub pass benched any register
     /// (§3.10 — sticky for the life of the mapping).
     pub fn writer_set(self: &Arc<Self>) -> Result<GroupWriterSet, HandleError> {
+        self.populate(POPULATED_ALL);
         // Resolved once, before the first claim's swap.
         let me = Identity::resolve();
+        let mut live = Liveness::new(pid_alive);
         let mut mems = Vec::with_capacity(self.registers);
         for k in 0..self.registers {
-            match self.claim_writer(k, &me) {
+            match self.claim_writer(k, &me, &mut live) {
                 Ok(mem) => mems.push(mem),
                 Err(e) => {
                     // Roll back the claims made so far.
@@ -1307,6 +1353,7 @@ impl ArcGroup {
     /// Counts as one of each register's `max_readers` reader handles;
     /// fails (joining nothing) if any register is at its cap.
     pub fn reader_set(self: &Arc<Self>) -> Result<GroupReaderSet, HandleError> {
+        self.populate(POPULATED_HEADERS_PINS);
         let pid = Identity::resolve().pid;
         let mut rds = Vec::with_capacity(self.registers);
         for k in 0..self.registers {
@@ -1328,15 +1375,37 @@ impl ArcGroup {
         })
     }
 
+    /// Map the protocol regions `need` names on this mapping, one
+    /// populate each, unless this mapping has already: the loops of
+    /// [`ArcGroup::writer_set`] and [`ArcGroup::reader_set`] then walk
+    /// mapped pages instead of faulting one in per page. Single handles
+    /// populate nothing, so a light attacher of a large plane stays cheap.
+    fn populate(&self, need: u8) {
+        if self.populated.load(Ordering::Relaxed) & need == need {
+            return;
+        }
+        let l = &self.layout;
+        self.slab.populate(l.hdr_off, l.slot_off - l.hdr_off);
+        let end = if need & POPULATED_EXT != 0 { l.arena_off } else { l.ext_off };
+        self.slab.populate(l.pin_off, end - l.pin_off);
+        self.populated.fetch_or(need, Ordering::Relaxed);
+    }
+
     /// Claim register `k`'s writer role (`k < registers`) for process
     /// `me`, refusing quarantined registers and ones a dead process left
-    /// damaged; the claim hook of every writer handle.
-    pub(crate) fn claim_writer(&self, k: usize, me: &Identity) -> Result<WriterMem, HandleError> {
+    /// damaged (as `live`'s pass sees them); the claim hook of every
+    /// writer handle.
+    pub(crate) fn claim_writer(
+        &self,
+        k: usize,
+        me: &Identity,
+        live: &mut Liveness<impl FnMut(u64) -> bool>,
+    ) -> Result<WriterMem, HandleError> {
         let cells = self.cells(k);
         if cells.health_word().load(Ordering::Acquire) != HEALTH_OK {
             return Err(HandleError::Quarantined);
         }
-        if recovery::register_needs_recovery(&cells, &mut pid_alive) {
+        if recovery::register_needs_recovery(&cells, live) {
             return Err(HandleError::NeedsRecovery);
         }
         let last_slot = writer_claim_on(&cells, me)?;
@@ -1603,7 +1672,7 @@ impl fmt::Debug for ArcGroup {
             .field("n_slots", &self.n_slots)
             .field("capacity", &self.capacity)
             .field("max_readers", &self.max_readers)
-            .field("backend", &self.backend)
+            .field("backend", &self.backend())
             .field("heap_bytes", &self.heap_bytes())
             .finish()
     }
@@ -1707,7 +1776,8 @@ impl<O: RegisterOwner> GroupWriter<O> {
     /// Claim the writer role of register `k` (in range) of `owner`: the
     /// constructor behind every `writer` method.
     pub(crate) fn claim(owner: &Arc<O>, k: O::Index) -> Result<Self, HandleError> {
-        let mem = owner.slab_group(LOCAL).claim_writer(k.into(), &Identity::resolve())?;
+        let live = &mut Liveness::new(pid_alive);
+        let mem = owner.slab_group(LOCAL).claim_writer(k.into(), &Identity::resolve(), live)?;
         Ok(Self { owner: Arc::clone(owner), k, mem, metrics: OpMetrics::default() })
     }
 
@@ -3010,6 +3080,154 @@ mod tests {
         assert!(!p2.mid_publication, "journal is idle between publications");
         drop(w);
         assert_eq!(g.writer_probe(0).lease, 0, "release clears the lease");
+    }
+
+    /// Set-up in bulk commits the protocol regions and nothing more: after
+    /// a shm build every page below the arena is resident, and of the
+    /// arena only the pages the initial value filled.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn shm_build_commits_the_protocol_regions_and_no_more_of_the_arena() {
+        let (registers, capacity) = (64, 4096);
+        let initial = [9u8; 100];
+        assert!(capacity > INLINE_CAP);
+        let g = ArcGroup::builder(registers, 2, capacity)
+            .backend(SlabBackend::Shm)
+            .initial(&initial)
+            .build()
+            .unwrap();
+        let page = crate::shm::page_len();
+        let resident = g.slab.resident_pages();
+        let arena_page = g.layout.arena_off.div_ceil(page);
+        assert!(arena_page < resident.len(), "the slab must have arena pages");
+        let unmapped: Vec<usize> = (0..arena_page).filter(|&p| !resident[p]).collect();
+        assert!(unmapped.is_empty(), "protocol pages left to first touch: {unmapped:?}");
+        let filled = |p: usize| {
+            (0..registers).any(|k| {
+                let at = g.layout.arena_off + layout::arena_offset(k, g.n_slots, capacity, 0);
+                (at / page..=(at + initial.len() - 1) / page).contains(&p)
+            })
+        };
+        let extra: Vec<usize> =
+            (arena_page..resident.len()).filter(|&p| resident[p] && !filled(p)).collect();
+        assert!(extra.is_empty(), "arena pages committed at set-up: {extra:?}");
+        // The initial value reads back through a second mapping's sets.
+        let other = ArcGroup::attach_fd(g.memfd().unwrap()).unwrap();
+        let mut readers = other.reader_set().unwrap();
+        assert_eq!(&*readers.read(registers - 1), &initial[..]);
+    }
+
+    /// A K = 64 shm plane, every register held by this process's writer
+    /// set and pinned by its reader set.
+    #[cfg(target_os = "linux")]
+    fn held_plane() -> (Arc<ArcGroup>, GroupWriterSet, GroupReaderSet) {
+        let g = ArcGroup::builder(64, 2, 48).backend(SlabBackend::Shm).build().unwrap();
+        let writers = g.writer_set().unwrap();
+        let mut readers = g.reader_set().unwrap();
+        for k in 0..g.registers() {
+            let _ = readers.read(k);
+        }
+        (g, writers, readers)
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn liveness_walks_ask_once_per_pid_and_once_per_repair() {
+        let (g, _writers, _readers) = held_plane();
+        let me = crate::shm::self_pid();
+        let mut asked = Vec::new();
+        assert!(!g.needs_recovery_with(|pid| {
+            asked.push(pid);
+            true
+        }));
+        assert_eq!(asked, [me], "needs_recovery_with asked about a pid more than once");
+        asked.clear();
+        let report = g.recover_with(|pid| {
+            asked.push(pid);
+            true
+        });
+        assert_eq!(report, RecoveryReport::default());
+        assert_eq!(asked, [me], "recover_with asked about a pid more than once");
+
+        // Dead leases on 8 registers of a pinned plane: one question per
+        // distinct pid, plus one confirming each repair.
+        const DEAD: u64 = 0x7fff_fff0;
+        let g = ArcGroup::builder(64, 2, 48).backend(SlabBackend::Shm).build().unwrap();
+        let mut readers = g.reader_set().unwrap();
+        for k in 0..g.registers() {
+            let _ = readers.read(k);
+        }
+        for k in 0..8 {
+            g.fault_forge_lease(k, DEAD, 0);
+        }
+        let mut calls = 0;
+        let report = g.recover_with(|pid| {
+            calls += 1;
+            pid != DEAD
+        });
+        assert_eq!(report.writers_recovered, 8);
+        assert!(calls <= 2 + 8, "{calls} oracle calls for 2 pids and 8 repairs");
+        assert!(!g.needs_recovery());
+
+        // Many distinct pids: each is asked about once.
+        for k in 0..12 {
+            g.fault_forge_lease(20 + k, 1000 + k as u64, 0);
+        }
+        let mut asked = Vec::new();
+        assert!(!g.needs_recovery_with(|pid| {
+            asked.push(pid);
+            true
+        }));
+        let asked_len = asked.len();
+        asked.sort_unstable();
+        asked.dedup();
+        assert_eq!((asked_len, asked.len()), (13, 13), "13 distinct pids, each asked once");
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_dead_verdict_is_confirmed_before_a_repair_acts_on_it() {
+        let (g, mut writers, mut readers) = held_plane();
+        // Dead on the first question, alive on every later one: a pid
+        // recycled, or a process slow to answer, during the pass.
+        let mut asked = 0;
+        let report = g.recover_with(|_| {
+            asked += 1;
+            asked > 1
+        });
+        assert_eq!(report.writers_recovered, 0, "a live claim was cleared: {report:?}");
+        assert_eq!(report.pins_swept, 0, "a live pin was swept: {report:?}");
+        assert_eq!(g.writer_probe(0).lease, crate::shm::self_pid());
+        writers.write(0, b"still held");
+        assert_eq!(&*readers.read(0), b"still held");
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_dead_pin_verdict_is_confirmed_before_the_sweep_acts_on_it() {
+        // Pins and no lease, so the first question about the reader's pid
+        // comes from the pin sweep.
+        let g = ArcGroup::builder(64, 2, 48)
+            .backend(SlabBackend::Shm)
+            .initial(b"pinned")
+            .build()
+            .unwrap();
+        let mut readers = g.reader_set().unwrap();
+        for k in 0..g.registers() {
+            assert_eq!(&*readers.read(k), b"pinned");
+        }
+        let mut asked = 0;
+        let report = g.recover_with(|_| {
+            asked += 1;
+            asked > 1
+        });
+        assert_eq!(report.pins_swept, 0, "a live pin was swept: {report:?}");
+        assert_eq!(report, RecoveryReport::default());
+        let mut writers = g.writer_set().unwrap();
+        for k in 0..g.registers() {
+            writers.write(k, b"still pinned");
+            assert_eq!(&*readers.read(k), b"still pinned");
+        }
     }
 
     #[test]

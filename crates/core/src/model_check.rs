@@ -134,7 +134,7 @@ use crate::raw::{
     guard_drop_on, publish_with_on, read_acquire_on, reader_join_on, wait_for_version_on,
     writer_claim_on, ArcCells, RawOptions, RawReader, WriterMem,
 };
-use crate::recovery::{recover_register, RecoveryReport};
+use crate::recovery::{recover_register, Liveness, RecoveryReport};
 use crate::shm::Identity;
 
 /// The lease pid of a killed writer: another process, which the liveness
@@ -818,7 +818,7 @@ impl Model for RealCode {
             Op::Claim => Done::Claim(writer_claim_on(&cx, &setup.me)),
             Op::Recover => {
                 let mut report = RecoveryReport::default();
-                recover_register(&cx, &mut |pid| pid != OTHER_PROCESS, &mut report);
+                recover_register(&cx, &mut Liveness::new(|pid| pid != OTHER_PROCESS), &mut report);
                 Done::Recover(report)
             }
         });

@@ -58,6 +58,73 @@ use crate::raw::{
 };
 use crate::shm::process_birth;
 
+/// The liveness verdicts of one pass over a plane (DESIGN.md §3.10): the
+/// oracle is asked about each distinct pid once, and each birth token is
+/// read once, however many leases and pins name them. A pass is one
+/// O(K) walk: a writer set's claims, one `needs_recovery(_with)`, one
+/// `recover(_with)` or one supervisor probe pass.
+///
+/// A verdict is reused as it stands only where it lets the walk skip a
+/// register or refuse a role. A repair acts on a dead verdict only once
+/// [`Liveness::forget`] has made the next question go to the oracle again
+/// (`recover_register`), so a pid recycled during the pass never has its
+/// live claim cleared.
+pub(crate) struct Liveness<F> {
+    oracle: F,
+    /// Every pid asked about this pass, scanned per lookup: the passes
+    /// measured see one or two (a writer process and its readers).
+    seen: Vec<(u64, Seen)>,
+}
+
+/// What one pass knows about a pid.
+#[derive(Clone, Copy)]
+struct Seen {
+    alive: bool,
+    /// Its birth token, once read ([`process_birth`]; 0 = no evidence).
+    birth: Option<u64>,
+}
+
+impl<F: FnMut(u64) -> bool> Liveness<F> {
+    /// A pass that asks `oracle` whether a pid is alive.
+    pub(crate) fn new(oracle: F) -> Self {
+        Self { oracle, seen: Vec::new() }
+    }
+
+    /// What this pass knows about `pid`, asking the oracle the first time.
+    #[inline]
+    fn seen(&mut self, pid: u64) -> Seen {
+        if let Some(&(_, seen)) = self.seen.iter().find(|e| e.0 == pid) {
+            return seen;
+        }
+        let seen = Seen { alive: (self.oracle)(pid), birth: None };
+        self.seen.push((pid, seen));
+        seen
+    }
+
+    /// Whether `pid` is alive, as the oracle answered it this pass.
+    #[inline]
+    pub(crate) fn alive(&mut self, pid: u64) -> bool {
+        self.seen(pid).alive
+    }
+
+    /// `pid`'s birth token, as read this pass (`pid` has been seen).
+    #[cold]
+    #[inline(never)]
+    fn birth(&mut self, pid: u64) -> u64 {
+        let birth = process_birth(pid);
+        if let Some(e) = self.seen.iter_mut().find(|e| e.0 == pid) {
+            e.1.birth = Some(birth);
+        }
+        birth
+    }
+
+    /// Drop what this pass knows about `pid`, so the next question asks
+    /// the oracle and `/proc` again: the check a repair makes first.
+    fn forget(&mut self, pid: u64) {
+        self.seen.retain(|e| e.0 != pid);
+    }
+}
+
 /// What a [`recover`](crate::ArcGroup::recover) pass found and repaired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
@@ -93,38 +160,44 @@ impl RecoveryReport {
 /// *different incarnation* (pid reuse — lease v2, §3.10). Either side of
 /// the birth comparison reading 0 means "no evidence" and falls back to
 /// pid-only semantics, so the check can delay but never falsify.
+#[inline]
 pub(crate) fn lease_dead<C: ArcCells>(
     c: &C,
     lease: u64,
-    alive: &mut impl FnMut(u64) -> bool,
+    live: &mut Liveness<impl FnMut(u64) -> bool>,
 ) -> bool {
     if lease == 0 {
         return false;
     }
-    if !alive(lease) {
+    let seen = live.seen(lease);
+    if !seen.alive {
         return true;
     }
     let recorded = c.birth_word().load(Ordering::Acquire);
     if recorded == 0 {
         return false;
     }
-    let actual = process_birth(lease);
+    let actual = match seen.birth {
+        Some(birth) => birth,
+        None => live.birth(lease),
+    };
     actual != 0 && actual != recorded
 }
 
 /// Whether this register holds state only recovery may clear: a writer
-/// lease or a pin-registry entry owned by a process `alive` reports dead.
+/// lease or a pin-registry entry owned by a process `live` reports dead.
+#[inline]
 pub(crate) fn register_needs_recovery<C: ArcCells>(
     c: &C,
-    alive: &mut impl FnMut(u64) -> bool,
+    live: &mut Liveness<impl FnMut(u64) -> bool>,
 ) -> bool {
     let lease = c.lease_word().load(Ordering::Acquire);
-    if lease_dead(c, lease, alive) {
+    if lease_dead(c, lease, live) {
         return true;
     }
     for i in 0..c.pin_entries() {
         let e = c.pin_entry(i).load(Ordering::Acquire);
-        if e != 0 && !alive(pin_owner(e)) {
+        if e != 0 && !live.alive(pin_owner(e)) {
             return true;
         }
     }
@@ -143,12 +216,16 @@ pub(crate) fn register_needs_recovery<C: ArcCells>(
 /// supervisor's job — exactly the regime the crash harness exercises.
 pub(crate) fn recover_register<C: ArcCells>(
     c: &C,
-    alive: &mut impl FnMut(u64) -> bool,
+    live: &mut Liveness<impl FnMut(u64) -> bool>,
     report: &mut RecoveryReport,
 ) {
     let lease = c.lease_word().load(Ordering::Acquire);
-    if lease_dead(c, lease, alive) {
-        recover_dead_writer(c, report);
+    if lease_dead(c, lease, live) {
+        // A dead verdict is asked again before the repair acts on it.
+        live.forget(lease);
+        if lease_dead(c, lease, live) {
+            recover_dead_writer(c, report);
+        }
     }
     // Sweep AFTER any at-W2 census: the census counts every registry pin
     // on the previous slot — dead or alive — and the sweep then releases
@@ -156,7 +233,7 @@ pub(crate) fn recover_register<C: ArcCells>(
     // commute arithmetically, but census-then-sweep keeps "frozen count =
     // releases + standing pins" literally true at every instant between
     // them.)
-    sweep_dead_pins(c, alive, report);
+    sweep_dead_pins(c, live, report);
 }
 
 /// Classify a dead writer's journal and repair the register. The
@@ -193,12 +270,17 @@ fn recover_dead_writer<C: ArcCells>(c: &C, report: &mut RecoveryReport) {
 /// reader's join, in that order.
 fn sweep_dead_pins<C: ArcCells>(
     c: &C,
-    alive: &mut impl FnMut(u64) -> bool,
+    live: &mut Liveness<impl FnMut(u64) -> bool>,
     report: &mut RecoveryReport,
 ) {
     for i in 0..c.pin_entries() {
         let e = c.pin_entry(i).load(Ordering::Acquire);
-        if e == 0 || alive(pin_owner(e)) {
+        if e == 0 || live.alive(pin_owner(e)) {
+            continue;
+        }
+        // A dead verdict is asked again before the repair acts on it.
+        live.forget(pin_owner(e));
+        if live.alive(pin_owner(e)) {
             continue;
         }
         // The entry is what tells the next recoverer (a token stealer) to
@@ -290,7 +372,7 @@ mod tests {
 
     #[test]
     fn interrupted_pin_sweep_never_releases_a_unit_twice() {
-        let mut alive = |pid: u64| pid != DEAD;
+        let alive = |pid: u64| pid != DEAD;
         for cut_at in 1.. {
             let g = ArcGroup::builder(1, 2, 64).pin_registry(true).build().unwrap();
             let mut w = g.writer(0).unwrap();
@@ -311,7 +393,7 @@ mod tests {
 
             let cut = CutCells { inner: g.cells(0), cut_at, calls: Cell::new(0) };
             let pass = catch_unwind(AssertUnwindSafe(|| {
-                recover_register(&cut, &mut alive, &mut RecoveryReport::default())
+                recover_register(&cut, &mut Liveness::new(alive), &mut RecoveryReport::default())
             }));
             // A token stealer runs the whole pass again.
             g.recover_with(alive);

@@ -36,6 +36,21 @@
 //! initialization with `Release` ordering, so a concurrent attacher either
 //! sees no magic (refuses) or a fully initialized slab.
 //!
+//! # Set-up in bulk
+//!
+//! A new shm slab's protocol regions, superblock through lease extension,
+//! are mapped with one `madvise(MADV_POPULATE_WRITE)` once the node policy
+//! is bound, so the build's header writes and initial fill find their
+//! pages mapped instead of faulting them in one at a time. On base pages
+//! one `fallocate(2)` allocates them first; huge pages skip it, because
+//! it allocates through the file and would ignore the THP advice and a
+//! hugetlb mapping's node policy. The arena is left to first touch: it is
+//! K × n_slots × capacity bytes, mostly written only by later
+//! publications. A mapping attached later populates what a set
+//! constructor's loop walks, once, at its first writer or reader set. A
+//! refused `fallocate` fails the build with a typed error; a refused
+//! populate only loses the advice (DESIGN.md §3.11).
+//!
 //! # Platform support
 //!
 //! The shareable backend uses `memfd_create` + `mmap(MAP_SHARED)` and is
@@ -656,12 +671,7 @@ unsafe impl Sync for Slab {}
 
 impl std::fmt::Debug for Slab {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let backend = match self.kind {
-            SlabKind::Heap(_) => "heap",
-            #[cfg(target_os = "linux")]
-            SlabKind::Shm { .. } => "shm",
-        };
-        f.debug_struct("Slab").field("len", &self.len).field("backend", &backend).finish()
+        f.debug_struct("Slab").field("len", &self.len).field("backend", &self.backend()).finish()
     }
 }
 
@@ -696,8 +706,21 @@ impl Slab {
     /// fallback is taken, so the recorded length invariant does not
     /// depend on which path succeeded. The effective placement is
     /// recorded on the slab (and later in the superblock).
+    ///
+    /// The first `protocol_len` bytes (superblock through lease
+    /// extension, never the arena) are set up in bulk once the node
+    /// policy is bound: on base pages one `fallocate` allocates them, and
+    /// one `madvise(MADV_POPULATE_WRITE)` maps them (module docs). A
+    /// refused `fallocate` is a typed error. Huge pages only populate:
+    /// `fallocate` allocates through the file, not the mapping, so it
+    /// would fix base pages under the THP advice and, on hugetlb, ignore
+    /// the node policy, which hugetlbfs keeps on the mapping.
     #[cfg(target_os = "linux")]
-    pub fn shm(len: usize, placement: SlabPlacement) -> Result<Self, SlabError> {
+    pub fn shm(
+        len: usize,
+        protocol_len: usize,
+        placement: SlabPlacement,
+    ) -> Result<Self, SlabError> {
         let (fd, base, rounded, pages) = match placement.pages {
             PagePolicy::Huge => {
                 let rounded = round_up(len, HUGE_PAGE_LEN)?;
@@ -733,12 +756,70 @@ impl Slab {
             PageMode::Base => page_len(),
             _ => HUGE_PAGE_LEN,
         };
-        Ok(Self {
+        // From here on a failure drops the slab: the mapping is unmapped
+        // and the memfd closed.
+        let slab = Self {
             base,
             len: rounded,
             kind: SlabKind::Shm { fd },
             placement: PlacementInfo { quantum, pages, nodes },
+        };
+        if pages == PageMode::Base {
+            slab.allocate(protocol_len)?;
+        }
+        slab.populate(0, protocol_len);
+        Ok(slab)
+    }
+
+    /// Allocate the file pages behind the first `len` bytes with one
+    /// `fallocate`, after the node policy is bound: a base-page shmem
+    /// mapping's `mbind` policy lives on the memfd's inode, which
+    /// `fallocate` allocates through. Transient errnos are retried under
+    /// [`RetryPolicy::transient_syscalls`].
+    #[cfg(target_os = "linux")]
+    fn allocate(&self, len: usize) -> Result<(), SlabError> {
+        use std::os::fd::AsRawFd;
+        let SlabKind::Shm { fd } = &self.kind else { return Ok(()) };
+        RetryPolicy::transient_syscalls().run(SlabError::is_transient, |_| {
+            if let Some(errno) = faults::fail_errno(FaultSite::Fallocate) {
+                return Err(SlabError::Os { call: "fallocate", errno });
+            }
+            // SAFETY: plain fallocate (mode 0) of an owned fd over bytes
+            // inside its size; a non-zero return is decoded as errno.
+            match unsafe { ffi::fallocate(fd.as_raw_fd(), 0, 0, len as i64) } {
+                0 => Ok(()),
+                _ => Err(os_err("fallocate")),
+            }
         })
+    }
+
+    /// Map bytes `off .. off + len` of this mapping (widened to whole
+    /// pages) with one `madvise(MADV_POPULATE_WRITE)`, instead of one
+    /// page fault per page at first touch. Advice only: a refusal (a
+    /// kernel before 5.14 answers `EINVAL`) leaves the pages to first
+    /// touch. Heap slabs ignore it.
+    pub fn populate(&self, off: usize, len: usize) {
+        #[cfg(target_os = "linux")]
+        if matches!(self.kind, SlabKind::Shm { .. }) && len != 0 {
+            if faults::fail_errno(FaultSite::Populate).is_some() {
+                return;
+            }
+            let page = page_len();
+            let start = off & !(page - 1);
+            let end = off.saturating_add(len).saturating_add(page - 1) & !(page - 1);
+            let end = end.min(self.len);
+            // SAFETY: advises whole pages inside this live mapping;
+            // populating changes no byte of it.
+            unsafe {
+                ffi::madvise(
+                    self.base.as_ptr().add(start).cast(),
+                    end - start,
+                    ffi::MADV_POPULATE_WRITE,
+                )
+            };
+        }
+        #[cfg(not(target_os = "linux"))]
+        let _ = (off, len);
     }
 
     /// Map an existing slab fd (shared) without validating its contents —
@@ -785,6 +866,15 @@ impl Slab {
         Ok(Self { base, len, kind: SlabKind::Shm { fd }, placement: PlacementInfo::heap() })
     }
 
+    /// The storage this slab lives on.
+    pub fn backend(&self) -> SlabBackend {
+        match self.kind {
+            SlabKind::Heap(_) => SlabBackend::Heap,
+            #[cfg(target_os = "linux")]
+            SlabKind::Shm { .. } => SlabBackend::Shm,
+        }
+    }
+
     /// The effective placement of this mapping (request + fallbacks).
     pub fn placement(&self) -> PlacementInfo {
         self.placement
@@ -800,6 +890,17 @@ impl Slab {
     #[inline]
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// Which pages of this mapping are resident, by `mincore(2)`.
+    #[cfg(all(test, target_os = "linux"))]
+    pub(crate) fn resident_pages(&self) -> Vec<bool> {
+        let mut vec = vec![0u8; self.len.div_ceil(page_len())];
+        // SAFETY: `base` is page-aligned and maps `len` bytes; `vec` holds
+        // the one byte per page mincore writes.
+        let rc = unsafe { ffi::mincore(self.base.as_ptr().cast(), self.len, vec.as_mut_ptr()) };
+        assert_eq!(rc, 0, "mincore: {}", std::io::Error::last_os_error());
+        vec.into_iter().map(|b| b & 1 != 0).collect()
     }
 
     /// The superblock view at offset 0.
@@ -872,7 +973,7 @@ fn shm_create(
 
 /// The system base page size (cached; `getpagesize` cannot fail).
 #[cfg(target_os = "linux")]
-fn page_len() -> usize {
+pub(crate) fn page_len() -> usize {
     use std::sync::atomic::AtomicUsize;
     static CACHE: AtomicUsize = AtomicUsize::new(0);
     let cached = CACHE.load(Ordering::Relaxed);
@@ -1220,6 +1321,10 @@ mod ffi {
     /// `madvise` advice: fold this range into transparent huge pages.
     #[cfg(target_os = "linux")]
     pub const MADV_HUGEPAGE: c_int = 14;
+    /// `madvise` advice (Linux 5.14): map the range writable now, as
+    /// write faults would.
+    #[cfg(target_os = "linux")]
+    pub const MADV_POPULATE_WRITE: c_int = 23;
     /// `mbind` mode: strict allocation from the nodemask.
     #[cfg(target_os = "linux")]
     pub const MPOL_BIND: c_int = 2;
@@ -1244,6 +1349,10 @@ mod ffi {
         pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
         #[cfg(target_os = "linux")]
         pub fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+        #[cfg(target_os = "linux")]
+        pub fn fallocate(fd: c_int, mode: c_int, offset: i64, len: i64) -> c_int;
+        #[cfg(all(test, target_os = "linux"))]
+        pub fn mincore(addr: *mut c_void, len: usize, vec: *mut u8) -> c_int;
         #[cfg(target_os = "linux")]
         pub fn getpagesize() -> c_int;
         #[cfg(target_os = "linux")]
@@ -1508,7 +1617,7 @@ mod tests {
     #[test]
     fn shm_slab_roundtrips_through_attach() {
         let l = SlabLayout::compute(geom()).unwrap();
-        let slab = Slab::shm(l.total, SlabPlacement::default()).unwrap();
+        let slab = Slab::shm(l.total, l.arena_off, SlabPlacement::default()).unwrap();
         slab.superblock().initialize(&l, slab.placement());
         // Scribble a recognizable byte pattern into the header region.
         // SAFETY: we own the only view; offsets are in-bounds.
@@ -1530,7 +1639,7 @@ mod tests {
     #[test]
     fn shm_lengths_are_explicitly_page_rounded() {
         let l = SlabLayout::compute(geom()).unwrap();
-        let slab = Slab::shm(l.total, SlabPlacement::default()).unwrap();
+        let slab = Slab::shm(l.total, l.arena_off, SlabPlacement::default()).unwrap();
         let info = slab.placement();
         assert!(info.quantum >= 4096 && info.quantum.is_power_of_two());
         assert_eq!(slab.len() % info.quantum, 0, "mapping length not quantum-rounded");
@@ -1563,7 +1672,7 @@ mod tests {
     fn huge_request_falls_back_without_changing_semantics() {
         let l = SlabLayout::compute(geom()).unwrap();
         let placement = SlabPlacement { pages: PagePolicy::Huge, nodes: NodePolicy::Bind(0) };
-        let slab = Slab::shm(l.total, placement).unwrap();
+        let slab = Slab::shm(l.total, l.arena_off, placement).unwrap();
         let info = slab.placement();
         assert_eq!(info.quantum, HUGE_PAGE_LEN, "huge quantum survives any fallback");
         assert_eq!(slab.len(), round_up(l.total, HUGE_PAGE_LEN).unwrap());
@@ -1592,6 +1701,7 @@ mod tests {
         let l = SlabLayout::compute(geom()).unwrap();
         let slab = Slab::shm(
             l.total,
+            l.arena_off,
             SlabPlacement { pages: PagePolicy::Base, nodes: NodePolicy::Interleave },
         )
         .unwrap();
@@ -1603,6 +1713,7 @@ mod tests {
         }
         let bound = Slab::shm(
             l.total,
+            l.arena_off,
             SlabPlacement { pages: PagePolicy::Base, nodes: NodePolicy::Bind(9999) },
         )
         .unwrap();

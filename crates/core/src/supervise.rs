@@ -331,8 +331,11 @@ fn run(
     while !stop.load(Ordering::Relaxed) {
         let now = Instant::now();
         let mut corpses = false;
-        for (k, st) in watch.iter_mut().enumerate() {
-            let probe = group.writer_probe(k);
+        // Dead writers probed here are one trigger; dead *reader pins*
+        // (and anything a probe race missed) are caught by the pass's
+        // plane-wide check. Both funnel into the same arbitrated repair.
+        let damaged = group.probe_pass(|k, probe| {
+            let st = &mut watch[k];
             if probe.heartbeat != st.heartbeat || !probe.mid_publication || probe.lease == 0 {
                 // Progress (or no publication in flight): reset the stall
                 // clock and close any open stall report.
@@ -363,11 +366,8 @@ fn run(
                     }
                 }
             }
-        }
-        // Dead writers probed above are one trigger; dead *reader pins*
-        // (and anything a probe race missed) are caught by the plane-wide
-        // check. Both funnel into the same arbitrated repair.
-        if corpses || group.needs_recovery() {
+        });
+        if corpses || damaged {
             auto_recover(&group, &config, &mut on_event, stop);
         }
         if now.duration_since(last_scrub) >= config.scrub_interval {

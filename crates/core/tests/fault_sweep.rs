@@ -1,5 +1,6 @@
 //! Exhaustive resource-fault sweeps over the slab setup/attach/placement
-//! paths (ISSUE: deterministic resource-fault injection plane).
+//! paths (the deterministic resource-fault injection plane, DESIGN.md
+//! §3.13).
 //!
 //! Every fallible syscall/allocation behind `ArcGroup` creation and
 //! attach is tagged with a [`FaultSite`]; these tests fail **every site
@@ -50,10 +51,10 @@ fn clean_shm_build() -> std::sync::Arc<ArcGroup> {
         .expect("clean build after an injected failure must succeed")
 }
 
-/// Sweep the shm *create* path: fail `memfd_create`, `ftruncate`, and
-/// `mmap` at every hit index the path has. Each injected failure must be
-/// the matching typed `SlabError::Os`, leak nothing, and leave the next
-/// clean build working.
+/// Sweep the shm *create* path: fail `memfd_create`, `ftruncate`, `mmap`
+/// and `fallocate` at every hit index the path has. Each injected failure
+/// must be the matching typed `SlabError::Os`, leak nothing, and leave the
+/// next clean build working.
 #[cfg(target_os = "linux")]
 #[test]
 fn create_path_fails_typed_at_every_site_and_leaks_nothing() {
@@ -62,6 +63,7 @@ fn create_path_fails_typed_at_every_site_and_leaks_nothing() {
         (FaultSite::MemfdCreate, "memfd_create"),
         (FaultSite::Ftruncate, "ftruncate"),
         (FaultSite::Mmap, "mmap"),
+        (FaultSite::Fallocate, "fallocate"),
     ];
     for (site, call) in sites {
         for skip in 0..4u32 {
@@ -91,6 +93,22 @@ fn create_path_fails_typed_at_every_site_and_leaks_nothing() {
             drop(clean_shm_build());
         }
     }
+
+    // A transient fallocate refusal is retried away; the policy's third
+    // is surfaced.
+    faults::arm_run(FaultSite::Fallocate, 0, 2, EINTR);
+    let built = ArcGroup::builder(4, 2, 64).backend(arc_register::SlabBackend::Shm).build();
+    faults::disarm();
+    assert!(built.is_ok(), "two EINTRs must be retried away: {built:?}");
+    let before = fd_count();
+    faults::arm_run(FaultSite::Fallocate, 0, 3, EINTR);
+    let built = ArcGroup::builder(4, 2, 64).backend(arc_register::SlabBackend::Shm).build();
+    faults::disarm();
+    assert!(
+        matches!(built, Err(BuildError::Slab(SlabError::Os { call: "fallocate", errno })) if errno == EINTR),
+        "exhausted transients must surface typed: {built:?}"
+    );
+    assert_eq!(fd_count(), before, "an exhausted fallocate retry leaked");
 }
 
 /// Sweep the *attach* path: fail `dup`, `fstat`, and `mmap` at every hit
@@ -137,8 +155,10 @@ fn attach_path_fails_typed_at_every_site_and_leaks_nothing() {
 
 /// Placement sites degrade honestly instead of erroring: an injected
 /// `mbind` refusal records first-touch, an injected `madvise` refusal
-/// skips the advice, and an injected *hugetlb* `memfd_create` failure
-/// deterministically exercises the THP fallback chain.
+/// skips the advice, an injected *hugetlb* `memfd_create` failure
+/// deterministically exercises the THP fallback chain, a huge-page
+/// build never calls `fallocate`, and refused populates leave every page
+/// to first touch.
 #[cfg(target_os = "linux")]
 #[test]
 fn placement_sites_degrade_honestly_never_error() {
@@ -179,6 +199,36 @@ fn placement_sites_degrade_honestly_never_error() {
         .expect("madvise refusal must not fail the build");
     faults::disarm();
     drop(group);
+
+    // Huge pages only populate: `fallocate` would ignore the THP advice
+    // and a hugetlb mapping's node policy, so an armed refusal of it is
+    // never reached, whichever of the two the build gets.
+    faults::arm(FaultSite::Fallocate, 0, EIO);
+    let group = ArcGroup::builder(2, 1, 64)
+        .backend(arc_register::SlabBackend::Shm)
+        .placement(SlabPlacement { pages: PagePolicy::Huge, nodes: NodePolicy::FirstTouch })
+        .build()
+        .expect("a huge-page build must not call fallocate");
+    assert!(faults::armed(), "a huge-page build called fallocate");
+    faults::disarm();
+    drop(group);
+
+    // Every populate refused (the build's, and the two of the attached
+    // mapping's first set) → build, attach and both sets still work and
+    // read the initial value.
+    faults::arm_run(FaultSite::Populate, 0, 3, EIO);
+    let group = clean_shm_build();
+    let attached = ArcGroup::attach_fd(group.memfd().unwrap()).expect("attach");
+    let writers = attached.writer_set().expect("writer set");
+    let mut readers = attached.reader_set().expect("reader set");
+    let mut creator = group.reader_set().expect("the creator's reader set");
+    assert!(!faults::armed(), "a populate was skipped, not refused");
+    faults::disarm();
+    for k in 0..group.registers() {
+        assert_eq!(&*readers.read(k), b"seed");
+        assert_eq!(&*creator.read(k), b"seed");
+    }
+    drop((writers, readers, creator, attached, group));
 }
 
 /// A refused heap allocation is a typed error, not an abort, and the
