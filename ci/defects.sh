@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Seeded-defect gate for the shipped protocol, recovery, watch edge,
-# watchdog, slab set-up and (M,N) composition code.
+# watchdog, process identity, slab set-up and (M,N) composition code.
 #
 # Each patch under ci/defects/ breaks the shipped code in one small,
 # plausible way. For each one this script applies the patch, runs the
@@ -86,7 +86,9 @@ check skip_birth_check group::tests::forged_live_pid_with_stale_birth_token_coun
 check sweep_release_first recovery::tests::interrupted_pin_sweep_never_releases_a_unit_twice \
     "a live reader's pinned slot was recycled"
 check heartbeat_false_positive supervise::tests::classify_matrix "left: Dead"
-check identity_unkeyed crash_recovery/live_forked_child_lease_carries_the_childs_birth \
+check identity_not_wiped crash_recovery/live_forked_child_lease_carries_the_childs_birth \
+    "a live forked child's lease names another pid"
+check identity_unkeyed identity_fallback/refused_page_forked_child_leases_with_its_own_identity \
     "a live forked child's lease reads as dead"
 check check_before_bump $mc::watch_1_2w "$lost"
 check unregistered_park $mc::watch_1_2w "$lost"

@@ -22,8 +22,11 @@
 //! * `probe_cycle` — one watchdog probe pass (`ArcGroup::probe_pass`)
 //!   over a shm plane of K registers, every one held by a live writer set
 //!   and pinned by a live reader set (both of this process, so the pass
-//!   checks 2K liveness records of one pid); `probe_cycle_idle` is the
-//!   same pass over the same plane with no lease and no pin. The
+//!   checks 2K liveness records of its own pid, which it answers from
+//!   its identity word); `probe_cycle_idle` is the same pass over the
+//!   same plane with no lease and no pin; `probe_cycle_forked` the same
+//!   pass while a forked child holds the writer set, so each pass asks
+//!   `kill(2)` about the child and reads its birth from `/proc` once. The
 //!   supervisor pays one pass every `probe_interval`.
 //!
 //! Shape to expect: detection tracks the probe interval, healing adds
@@ -159,10 +162,11 @@ mod imp {
     }
 
     /// Per-cycle cost of one watchdog probe pass over a K-register shm
-    /// plane: `(idle, held)`, each `(median, max)` over `cycles`. Held:
-    /// a live writer set claims every register and a live reader set
-    /// pins a slot on each.
-    fn probe_point(registers: usize, cycles: usize) -> ((u64, u64), (u64, u64)) {
+    /// plane: `[idle, held, forked]`, each `(median, max)` over `cycles`.
+    /// Held: a live writer set claims every register and a live reader
+    /// set pins a slot on each. Forked: a live forked child holds the
+    /// writer set.
+    fn probe_point(registers: usize, cycles: usize) -> [(u64, u64); 3] {
         let g = ArcGroup::builder(registers, 1, 16)
             .backend(SlabBackend::Shm)
             .initial(&[7u8; 16])
@@ -188,7 +192,26 @@ mod imp {
         }
         let held = time();
         drop((readers, writers));
-        (idle, held)
+
+        let gc = Arc::clone(&g);
+        let pid = fork_child(move || {
+            let Ok(_writers) = gc.writer_set() else { child_exit(101) };
+            loop {
+                std::thread::sleep(Duration::from_secs(1));
+            }
+        })
+        .expect("fork");
+        // The set claims in register order: the last lease is the child's
+        // once the whole set is.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while g.writer_probe(registers - 1).lease != u64::from(pid) {
+            assert!(Instant::now() < deadline, "the forked child never held the writer set");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let forked = time();
+        send_signal(pid, SIGKILL).expect("kill");
+        wait_child(pid).expect("waitpid");
+        [idle, held, forked]
     }
 
     fn median(mut xs: Vec<u64>) -> u64 {
@@ -254,9 +277,10 @@ mod imp {
         // Every profile probes plane_20k's K = 20,000, where json_schema
         // holds the committed held pass to 3× the idle one.
         for registers in [1024usize, 20_000, 65_536, 1_000_000] {
-            let ((i50, imax), (h50, hmax)) = probe_point(registers, cycles);
+            let [(i50, imax), (h50, hmax), (f50, fmax)] = probe_point(registers, cycles);
             row("probe_cycle_idle", registers, cycles, i50, imax);
             row("probe_cycle", registers, cycles, h50, hmax);
+            row("probe_cycle_forked", registers, cycles, f50, fmax);
         }
 
         let path = out_dir().join("supervision.csv");

@@ -428,6 +428,9 @@ fn bench_latency_sections_conform() {
     };
     let held = probe_at("probe_cycle", 20_000.0);
     let idle = probe_at("probe_cycle_idle", 20_000.0);
+    // A lease of another process costs every pass a `kill(2)` and a
+    // `/proc` read: that row keeps its price committed too.
+    probe_at("probe_cycle_forked", 20_000.0);
     if std::env::var_os("ARC_SCHEMA_LENIENT").is_none() {
         assert!(
             held <= 3.0 * idle,

@@ -82,10 +82,14 @@ pub enum FaultSite {
     /// Injection means the *advice is not applied*: the pages fault in
     /// on first touch, never an error.
     Populate,
+    /// `mmap` or `madvise(MADV_WIPEONFORK)` of the process's identity
+    /// page. Injection means the page is not used: identities resolve
+    /// through the getpid-keyed word, never an error.
+    IdentityPage,
 }
 
 /// All sites, for exhaustive fail-at-every-site sweeps.
-pub const ALL_SITES: [FaultSite; 13] = [
+pub const ALL_SITES: [FaultSite; 14] = [
     FaultSite::MemfdCreate,
     FaultSite::Ftruncate,
     FaultSite::Mmap,
@@ -99,6 +103,7 @@ pub const ALL_SITES: [FaultSite; 13] = [
     FaultSite::ThreadSpawn,
     FaultSite::Fallocate,
     FaultSite::Populate,
+    FaultSite::IdentityPage,
 ];
 
 /// An armed injection schedule: fail hits `skip .. skip + run` of
@@ -288,9 +293,17 @@ mod tests {
     // schedules.
     static SERIAL: Mutex<()> = Mutex::new(());
 
+    /// Take [`SERIAL`] once this process's identity page is mapped, so
+    /// no schedule armed here refuses the page under another test's
+    /// first resolve.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        crate::shm::Identity::resolve();
+        SERIAL.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     #[test]
     fn disarmed_registry_injects_nothing() {
-        let _g = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+        let _g = serial();
         disarm();
         for site in ALL_SITES {
             assert_eq!(fail_errno(site), None);
@@ -299,7 +312,7 @@ mod tests {
 
     #[test]
     fn one_shot_schedule_fails_the_nth_hit_then_disarms() {
-        let _g = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+        let _g = serial();
         arm(FaultSite::Mmap, 2, EIO);
         assert!(armed());
         // Other sites pass through without consuming the schedule.
@@ -313,7 +326,7 @@ mod tests {
 
     #[test]
     fn run_schedule_fails_consecutive_hits() {
-        let _g = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+        let _g = serial();
         arm_run(FaultSite::Ftruncate, 0, 3, EINTR);
         for _ in 0..3 {
             assert_eq!(fail_errno(FaultSite::Ftruncate), Some(EINTR));
@@ -324,7 +337,7 @@ mod tests {
 
     #[test]
     fn seeded_schedules_are_deterministic() {
-        let _g = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+        let _g = serial();
         let a = arm_seeded(42);
         disarm();
         let b = arm_seeded(42);

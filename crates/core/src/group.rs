@@ -933,11 +933,7 @@ impl ArcGroup {
     /// (supervisors that track membership themselves; tests). `alive` is
     /// called at most once per distinct pid per call.
     pub fn needs_recovery_with(&self, alive: impl FnMut(u64) -> bool) -> bool {
-        self.needs_recovery_in(&mut Liveness::new(alive))
-    }
-
-    /// [`ArcGroup::needs_recovery_with`] within the pass `live` belongs to.
-    fn needs_recovery_in(&self, live: &mut Liveness<impl FnMut(u64) -> bool>) -> bool {
+        let live = &mut Liveness::new(alive);
         (0..self.registers).any(|k| recovery::register_needs_recovery(&self.cells(k), live))
     }
 
@@ -966,7 +962,7 @@ impl ArcGroup {
     /// operations). Surviving readers stay wait-free — recovery writes
     /// only words the dead writer would have written.
     pub fn recover(&self) -> RecoveryReport {
-        let me = crate::shm::self_pid();
+        let me = Identity::resolve().pid;
         if self.slab.superblock().try_claim_recovery(me, pid_alive) {
             let report = self.recover_with(pid_alive);
             self.slab.superblock().release_recovery(me);
@@ -1139,15 +1135,19 @@ impl ArcGroup {
 
     /// One watchdog probe pass, as [`crate::supervise::PlaneSupervisor`]
     /// runs it: every register's [`ArcGroup::writer_probe`], handed to
-    /// `f` in register order, then the [`ArcGroup::needs_recovery`]
-    /// check, whose answer it returns. Each distinct pid is probed, and
-    /// its birth token read, once for the whole pass.
+    /// `f` in register order, and the [`ArcGroup::needs_recovery`]
+    /// answer, which it returns. One walk: each register's pins are
+    /// checked right after its probe, until one reads dead. Each distinct
+    /// pid is probed, and its birth token read, once for the whole pass.
     pub fn probe_pass(&self, mut f: impl FnMut(usize, WriterProbe)) -> bool {
         let mut live = Liveness::new(pid_alive);
+        let mut damaged = false;
         for k in 0..self.registers {
-            f(k, self.writer_probe_in(k, &mut live));
+            let probe = self.writer_probe_in(k, &mut live);
+            damaged = damaged || probe.lease_dead || recovery::pins_dead(&self.cells(k), &mut live);
+            f(k, probe);
         }
-        self.needs_recovery_in(&mut live)
+        damaged
     }
 
     /// Fault injection: forge register `k`'s writer lease (pid + birth
@@ -3128,6 +3128,37 @@ mod tests {
             let _ = readers.read(k);
         }
         (g, writers, readers)
+    }
+
+    /// Once a process has resolved its identity, its claims and joins
+    /// make no system call: no handle takes the cold resolve (a
+    /// `getpid`), and a writer claim on a register this process's own
+    /// reader pins asks no `kill(2)` about the pin.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn claims_of_a_warm_process_make_no_system_call() {
+        use crate::shm::{COLD_RESOLVES, KILLS};
+        use std::cell::Cell;
+        let me = Identity::resolve();
+        assert_eq!(Identity::cached(), Some(me), "no identity page, or no birth in /proc");
+        let register = crate::ArcRegister::builder(2, 64).build().unwrap();
+        let cold = COLD_RESOLVES.with(Cell::get);
+        for _ in 0..1000 {
+            drop(register.writer().unwrap());
+            drop(register.reader().unwrap());
+        }
+        assert_eq!(COLD_RESOLVES.with(Cell::get), cold, "a warm claim or join resolved cold");
+
+        let plane = ArcGroup::builder(1, 2, 48).backend(SlabBackend::Shm).build().unwrap();
+        let mut reader = plane.reader(0).unwrap();
+        let _ = reader.read();
+        assert!(plane.needs_recovery_with(|_| false), "the reader holds no pin");
+        let kills = KILLS.with(Cell::get);
+        let writer = plane.writer(0).unwrap();
+        assert_eq!(KILLS.with(Cell::get), kills, "a claim asked kill(2) about its own pin");
+        assert!(!plane.probe_pass(|_, probe| assert_eq!(probe.lease, me.pid)));
+        assert_eq!(KILLS.with(Cell::get), kills, "a probe asked kill(2) about its own roles");
+        drop((writer, reader));
     }
 
     #[cfg(target_os = "linux")]

@@ -56,7 +56,7 @@ use crate::raw::{
     classify_and_complete_on, pin_owner, pin_pinned_slot, release_unit_on, wake_watchers_on,
     ArcCells, JournalVerdict, STAGE_IDLE,
 };
-use crate::shm::process_birth;
+use crate::shm::{process_birth, Identity};
 
 /// The liveness verdicts of one pass over a plane (DESIGN.md §3.10): the
 /// oracle is asked about each distinct pid once, and each birth token is
@@ -107,11 +107,16 @@ impl<F: FnMut(u64) -> bool> Liveness<F> {
         self.seen(pid).alive
     }
 
-    /// `pid`'s birth token, as read this pass (`pid` has been seen).
+    /// `pid`'s birth token, as read this pass (`pid` has been seen):
+    /// this process's own from its identity word, any other's from
+    /// `/proc`.
     #[cold]
     #[inline(never)]
     fn birth(&mut self, pid: u64) -> u64 {
-        let birth = process_birth(pid);
+        let birth = match Identity::cached() {
+            Some(me) if me.pid == pid => me.birth,
+            _ => process_birth(pid),
+        };
         if let Some(e) = self.seen.iter_mut().find(|e| e.0 == pid) {
             e.1.birth = Some(birth);
         }
@@ -192,16 +197,17 @@ pub(crate) fn register_needs_recovery<C: ArcCells>(
     live: &mut Liveness<impl FnMut(u64) -> bool>,
 ) -> bool {
     let lease = c.lease_word().load(Ordering::Acquire);
-    if lease_dead(c, lease, live) {
-        return true;
-    }
-    for i in 0..c.pin_entries() {
+    lease_dead(c, lease, live) || pins_dead(c, live)
+}
+
+/// Whether a pin-registry entry of this register is owned by a process
+/// `live` reports dead.
+#[inline]
+pub(crate) fn pins_dead<C: ArcCells>(c: &C, live: &mut Liveness<impl FnMut(u64) -> bool>) -> bool {
+    (0..c.pin_entries()).any(|i| {
         let e = c.pin_entry(i).load(Ordering::Acquire);
-        if e != 0 && !live.alive(pin_owner(e)) {
-            return true;
-        }
-    }
-    false
+        e != 0 && !live.alive(pin_owner(e))
+    })
 }
 
 /// Repair one register: classify and finish (or discard) a dead writer's

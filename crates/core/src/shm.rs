@@ -59,7 +59,7 @@
 //! [`SlabError::Unsupported`] and the heap backend — same slab format,
 //! process-private memory — remains available.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 
 pub use register_common::errors::SlabError;
 
@@ -1179,20 +1179,27 @@ fn has_prefetchw() -> bool {
 // ---------------------------------------------------------------------
 
 /// Best-effort "is this pid alive" probe for writer leases and reader
-/// pins. `kill(pid, 0)` on Unix: delivery permission errors (`EPERM`)
-/// count as *alive* — recovery must never adopt from a running writer, so
-/// unknown means alive. On non-Unix platforms every recorded pid is
-/// treated as alive (no false recovery; cross-process sharing is
+/// pins. This process's own pid, as its identity page names it
+/// ([`Identity::cached`]), is alive without a system call. Any other pid
+/// is probed with `kill(pid, 0)` on Unix: delivery permission errors
+/// (`EPERM`) count as *alive* — recovery must never adopt from a running
+/// writer, so unknown means alive. On non-Unix platforms every recorded
+/// pid is treated as alive (no false recovery; cross-process sharing is
 /// Linux-only anyway).
 pub(crate) fn pid_alive(pid: u64) -> bool {
     if pid == 0 {
         return false;
+    }
+    if Identity::cached().is_some_and(|me| me.pid == pid) {
+        return true;
     }
     #[cfg(unix)]
     {
         if pid > i32::MAX as u64 {
             return true; // unprobeable: assume alive
         }
+        #[cfg(test)]
+        KILLS.with(|n| n.set(n.get() + 1));
         const ESRCH: i32 = 3;
         // SAFETY: signal 0 performs only the existence/permission check.
         if unsafe { ffi::kill(pid as i32, 0) } == 0 {
@@ -1207,7 +1214,16 @@ pub(crate) fn pid_alive(pid: u64) -> bool {
     }
 }
 
-/// This process's id, as recorded in leases and pin-registry entries.
+#[cfg(test)]
+thread_local! {
+    /// `kill(2)` probes [`pid_alive`] made on this thread.
+    pub(crate) static KILLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Cold [`Identity::resolve`]s made on this thread.
+    pub(crate) static COLD_RESOLVES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// This process's id, as recorded in leases and pin-registry entries:
+/// one `getpid`.
 #[inline]
 pub(crate) fn self_pid() -> u64 {
     std::process::id() as u64
@@ -1254,29 +1270,71 @@ pub(crate) struct Identity {
     pub(crate) birth: u64,
 }
 
-/// Low bits of [`IDENTITY`] that hold the birth token; the pid sits above
-/// them. The kernel caps pids below 2^22, and a birth in 100 Hz ticks fits
-/// 42 bits for about a billion years.
+/// Low bits of an identity word that hold the birth token; the pid sits
+/// above them. The kernel caps pids below 2^22, and a birth in 100 Hz
+/// ticks fits 42 bits for about a billion years.
 const BIRTH_BITS: u32 = 42;
 
-/// The identity this process last resolved, packed `pid << BIRTH_BITS |
-/// birth` (0 = none: no process has pid 0). One word, so a pid is never
-/// paired with another incarnation's birth.
+/// The birth half of an identity word.
+const BIRTH_MASK: u64 = (1 << BIRTH_BITS) - 1;
+
+/// This process's identity page: one private anonymous page advised
+/// `MADV_WIPEONFORK`, whose first word holds the identity packed `pid <<
+/// BIRTH_BITS | birth` (0 = none: no process has pid 0). The kernel
+/// zeroes the page in every child it copies the address space into, so
+/// a non-zero word was stored by this process. Null until the first cold
+/// resolve maps it, and for good where it cannot be had.
+static IDENTITY_PAGE: AtomicPtr<AtomicU64> = AtomicPtr::new(std::ptr::null_mut());
+
+/// Whether this process has tried to map [`IDENTITY_PAGE`]: it tries
+/// once, so a refused page costs no system call per resolve.
+static IDENTITY_PAGE_TRIED: AtomicBool = AtomicBool::new(false);
+
+/// The fallback where no identity page can be had: the identity this
+/// process last resolved, packed as on the page. A forked child inherits
+/// it, so it is keyed by pid and read only after a `getpid`.
 static IDENTITY: AtomicU64 = AtomicU64::new(0);
 
 impl Identity {
-    /// This process's identity: one `getpid` and one load, plus one
-    /// `/proc` read the first time each process incarnation resolves it.
-    /// The cached word is keyed by pid, so a forked child, which inherits
-    /// its parent's word, reads its own birth.
+    /// This process's identity. With an identity page, one load of its
+    /// word and no system call; the first resolve of each process
+    /// incarnation (and every resolve where the page could not be had)
+    /// takes the cold path, a `getpid` and, unless cached, a `/proc`
+    /// read.
     ///
     /// Claims take the identity as an argument and make no syscall, so
     /// resolve it before a claim's `swap` — in a batch, once before the
     /// first. A signal is delivered on syscall return, and a claimant
     /// killed between the swap and the lease store leaves a claimed role
     /// with no lease for recovery to find.
+    #[inline]
     pub(crate) fn resolve() -> Self {
-        Self::resolve_in(&IDENTITY, self_pid(), process_birth)
+        match Self::cached() {
+            Some(me) => me,
+            None => Self::resolve_cold(),
+        }
+    }
+
+    /// This process's identity as its identity page holds it, without a
+    /// system call; `None` before the first resolve of this incarnation,
+    /// while `/proc` yields no birth, or where the page could not be had.
+    /// The cached birth is never 0.
+    #[inline]
+    pub(crate) fn cached() -> Option<Self> {
+        let cell = page_word()?;
+        let word = cell.load(Ordering::Relaxed);
+        (word != 0).then_some(Identity { pid: word >> BIRTH_BITS, birth: word & BIRTH_MASK })
+    }
+
+    /// The resolve of a zero or absent page word: `getpid`, then the
+    /// identity page's word (mapping the page on the process's first
+    /// call) or, where there is no page, the getpid-keyed fallback.
+    #[cold]
+    #[inline(never)]
+    fn resolve_cold() -> Self {
+        #[cfg(test)]
+        COLD_RESOLVES.with(|n| n.set(n.get() + 1));
+        Self::resolve_in(identity_page().unwrap_or(&IDENTITY), self_pid(), process_birth)
     }
 
     /// [`Identity::resolve`] for process `pid` over the cache word
@@ -1286,7 +1344,7 @@ impl Identity {
         // other data.
         let word = cache.load(Ordering::Relaxed);
         if word >> BIRTH_BITS == pid {
-            return Identity { pid, birth: word & ((1 << BIRTH_BITS) - 1) };
+            return Identity { pid, birth: word & BIRTH_MASK };
         }
         let birth = read_birth(pid);
         // A birth of 0 is no evidence, not a token: leave the word alone
@@ -1296,6 +1354,72 @@ impl Identity {
         }
         Identity { pid, birth }
     }
+}
+
+/// The identity page's word, if this process has mapped the page.
+#[inline]
+fn page_word() -> Option<&'static AtomicU64> {
+    // SAFETY: a non-null page pointer names the first word of a page this
+    // process mapped and never unmaps (a forked child inherits the
+    // mapping at the same address).
+    unsafe { IDENTITY_PAGE.load(Ordering::Acquire).as_ref() }
+}
+
+/// The identity page's word, mapping the page on the process's first
+/// call; `None` where the page cannot be had. A thread that finds another
+/// mid-mapping gets `None` and resolves through the fallback word once.
+fn identity_page() -> Option<&'static AtomicU64> {
+    if let Some(cell) = page_word() {
+        return Some(cell);
+    }
+    if IDENTITY_PAGE_TRIED.swap(true, Ordering::Relaxed) {
+        return None;
+    }
+    IDENTITY_PAGE.store(map_identity_page(), Ordering::Release);
+    page_word()
+}
+
+/// Map one private anonymous page advised `MADV_WIPEONFORK` (Linux 4.14);
+/// null if the kernel refuses either call (an older one answers the
+/// advice with `EINVAL`) or a [`FaultSite::IdentityPage`] fault is armed.
+#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+fn map_identity_page() -> *mut AtomicU64 {
+    let null = std::ptr::null_mut();
+    if faults::fail_errno(FaultSite::IdentityPage).is_some() {
+        return null;
+    }
+    let len = page_len();
+    // SAFETY: an anonymous mapping at an address the kernel picks touches
+    // no existing memory; failure is reported as MAP_FAILED.
+    let page = unsafe {
+        ffi::mmap(
+            std::ptr::null_mut(),
+            len,
+            ffi::PROT_READ | ffi::PROT_WRITE,
+            ffi::MAP_PRIVATE | ffi::MAP_ANONYMOUS,
+            -1,
+            0,
+        )
+    };
+    if page as isize == -1 || page.is_null() {
+        return null;
+    }
+    let refused = faults::fail_errno(FaultSite::IdentityPage).is_some()
+        // SAFETY: advice on the page just mapped.
+        || unsafe { ffi::madvise(page, len, ffi::MADV_WIPEONFORK) } != 0;
+    if refused {
+        // SAFETY: unmaps the page just mapped, which nothing references.
+        unsafe { ffi::munmap(page, len) };
+        return null;
+    }
+    page.cast()
+}
+
+/// No identity page off Linux (or where its constants are not declared):
+/// every resolve takes the getpid-keyed fallback.
+#[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
+fn map_identity_page() -> *mut AtomicU64 {
+    std::ptr::null_mut()
 }
 
 // ---------------------------------------------------------------------
@@ -1313,6 +1437,11 @@ mod ffi {
     pub const PROT_WRITE: c_int = 0x2;
     #[cfg(target_os = "linux")]
     pub const MAP_SHARED: c_int = 0x01;
+    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+    pub const MAP_PRIVATE: c_int = 0x02;
+    /// The x86_64 and aarch64 value (some other architectures differ).
+    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+    pub const MAP_ANONYMOUS: c_int = 0x20;
     #[cfg(target_os = "linux")]
     pub const MFD_CLOEXEC: c_uint = 0x1;
     /// `memfd_create` flag: back the fd with the default hugetlb size.
@@ -1321,6 +1450,10 @@ mod ffi {
     /// `madvise` advice: fold this range into transparent huge pages.
     #[cfg(target_os = "linux")]
     pub const MADV_HUGEPAGE: c_int = 14;
+    /// `madvise` advice (Linux 4.14): hand a child made by `fork` the
+    /// range zero-filled instead of a copy.
+    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+    pub const MADV_WIPEONFORK: c_int = 18;
     /// `madvise` advice (Linux 5.14): map the range writable now, as
     /// write faults would.
     #[cfg(target_os = "linux")]

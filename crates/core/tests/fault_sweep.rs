@@ -231,6 +231,47 @@ fn placement_sites_degrade_honestly_never_error() {
     drop((writers, readers, creator, attached, group));
 }
 
+/// A refused identity page (its `mmap`, or its `MADV_WIPEONFORK` advice)
+/// degrades to the getpid-keyed word and never fails a build or a claim.
+/// A process maps the page at its first resolve, which an earlier test of
+/// this binary may have made, so each refusal runs in a fresh copy of
+/// this binary that runs this test alone.
+#[cfg(target_os = "linux")]
+#[test]
+fn identity_page_refusal_degrades_never_errors() {
+    const HIT: &str = "ARC_FAULT_SWEEP_IDENTITY_HIT";
+    // Held while the copies run too: their pipes are fds of this process.
+    let _g = lock();
+    let Some(hit) = std::env::var_os(HIT) else {
+        // Hit 0 is the page's mmap, hit 1 its madvise.
+        for hit in 0..2 {
+            let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+                .args(["--exact", "identity_page_refusal_degrades_never_errors"])
+                .env(HIT, hit.to_string())
+                .output()
+                .expect("run a fresh copy of this test binary");
+            assert!(
+                out.status.success(),
+                "identity page refused at hit {hit}:\n{}",
+                String::from_utf8_lossy(&out.stdout)
+            );
+        }
+        return;
+    };
+    let hit: u32 = hit.to_str().and_then(|h| h.parse().ok()).expect("a hit index");
+    faults::arm(FaultSite::IdentityPage, hit, EIO);
+    let group = clean_shm_build();
+    let mut w = group.writer(0).expect("a refused identity page must not fail a claim");
+    let mut r = group.reader(0).expect("a refused identity page must not fail a join");
+    assert!(!faults::armed(), "hit {hit}: the first resolve never reached the identity page");
+    w.write(b"value");
+    assert_eq!(&*r.read(), b"value");
+    assert_eq!(group.writer_probe(0).lease, u64::from(std::process::id()));
+    assert!(!group.needs_recovery(), "the fallback identity reads as dead");
+    drop((w, r));
+    drop((group.writer_set().expect("writer set"), group.reader_set().expect("reader set")));
+}
+
 /// A refused heap allocation is a typed error, not an abort, and the
 /// next build succeeds.
 #[test]

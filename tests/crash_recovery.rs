@@ -465,8 +465,8 @@ fn birth_of(pid: &str) -> u64 {
 fn live_forked_child_lease_carries_the_childs_birth() {
     let _s = serial();
     let g = plane();
-    // Claiming warms this process's cached identity, which the child
-    // inherits across the fork.
+    // Claiming warms this process's identity word: the child must not
+    // lease with it (the kernel wipes the identity page at fork).
     let _parent_writer = g.writer(0).expect("parent writer");
     let mut reader = g.reader(1).expect("parent reader");
     // Births tick at 100 Hz: forking two ticks after this process started
@@ -500,11 +500,17 @@ fn live_forked_child_lease_carries_the_childs_birth() {
     // Observed while the child lives, asserted once it is reaped, so a
     // failure leaves no process behind.
     let births = (birth_of("self"), birth_of(&pid.to_string()));
-    let live_child_looks_dead = g.needs_recovery() || g.writer_probe(1).lease_dead;
+    let probe = g.writer_probe(1);
+    let live_child_looks_dead = g.needs_recovery() || probe.lease_dead;
     let _ = send_signal(pid, SIGKILL);
     assert_eq!(wait_child(pid).expect("waitpid"), ChildExit::Signaled(SIGKILL));
     assert!(published, "the child never published its marker");
     assert_ne!(births.0, births.1, "parent and child share a birth tick");
+    assert_eq!(
+        probe.lease,
+        u64::from(pid),
+        "a live forked child's lease names another pid: it must carry the child's identity"
+    );
     assert!(
         !live_child_looks_dead,
         "a live forked child's lease reads as dead: it must carry the child's birth token"
