@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Seeded-defect gate for the shipped protocol, recovery, watch edge,
-# watchdog, process identity, slab set-up and (M,N) composition code.
+# watchdog, process identity, slab set-up and (M,N) composition code, and
+# for the RF and Peterson baselines.
 #
 # Each patch under ci/defects/ breaks the shipped code in one small,
 # plausible way. For each one this script applies the patch, runs the
 # listed tests in release (most are arc-register lib tests: configurations
 # of the real-code model checker, crates/core/src/model_check.rs, or of
-# the (M,N) one, crates/mn-register/src/group/model_check.rs), requires
+# the (M,N) one, crates/mn-register/src/group/model_check.rs, or of the
+# baselines' one, crates/baselines/src/model_check.rs), requires
 # every one of them to fail with its expected message, and reverts the
 # patch. A patch that no longer applies fails the gate, so a change that
 # moves the patched lines must refresh the patch.
@@ -68,6 +70,7 @@ lost="VIOLATION: lost wakeup"
 woken="VIOLATION: woken read"
 mc=model_check
 mn=mn-register:group::model_check
+bl=baseline-registers:model_check
 
 check release_early $mc::k1_1r_3w_2x "$exclusion" $mc::walks_1r_3w_2x "$exclusion"
 check no_freeze $mc::k1_1r_3w_2x "$exclusion"
@@ -105,5 +108,7 @@ check pin_trusts_dead group::tests::a_dead_pin_verdict_is_confirmed_before_the_s
     "a live pin was swept"
 check skip_collect $mn::m2_n1_2x "VIOLATION: timestamp order violates real time"
 check counter_seed_zero $mn::m2_n1_2x "VIOLATION: timestamp order violates real time: wrote (1, 0) after (1, 0)"
+check rf_ignore_trace $bl::rf_1r_2w_2x "VIOLATION: buffer exclusion violated"
+check peterson_check_before_copy $bl::peterson_1r_2w_2x "VIOLATION: torn read"
 
 exit $status

@@ -12,10 +12,14 @@
 //!
 //! The RF and Peterson reconstructions and their deviations from the
 //! original papers are documented in DESIGN.md §3.3 and in the module docs.
+//! The test-only `model_check` module checks both on the code that ships,
+//! through every interleaving of small workloads.
 
 #![deny(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
+#[cfg(test)]
+mod model_check;
 pub mod peterson;
 pub mod rf;
 pub mod rwlock_register;

@@ -16,8 +16,9 @@
 //! module implements a Peterson-*style* algorithm with the same mechanism
 //! inventory (double buffer + switch bit, per-reader handshake bits,
 //! per-reader helping buffers) and the same cost profile, restructured so
-//! that its correctness is provable and mechanically checked (the
-//! `interleave` crate model-checks it exhaustively):
+//! that its correctness is provable and mechanically checked (the crate's
+//! test-only `model_check` runs the shipped read and write through every
+//! interleaving of small workloads):
 //!
 //! * **Writer**: writes the *inactive* main buffer, flips `SW`, then scans
 //!   the handshake bits; for every reader announced since its last help, it
@@ -60,7 +61,7 @@ use crate::wordbuf::WordBuf;
 
 /// Per-reader coordination state (one cache line each — handshake bits are
 /// contended between that reader and the writer only).
-struct ReaderState {
+pub(crate) struct ReaderState {
     /// Written by the reader at announce.
     reading: AtomicBool,
     /// Written by the writer when helping (equalize).
@@ -68,7 +69,7 @@ struct ReaderState {
     /// Which fallback copy is current (writer-owned).
     sel: AtomicUsize,
     /// Double-buffered fallback copies (writer fills `1 - sel`, then flips).
-    copybuff: [WordBuf; 2],
+    pub(crate) copybuff: [WordBuf; 2],
 }
 
 /// The shared Peterson register state.
@@ -149,6 +150,57 @@ impl PetersonRegister {
     }
 }
 
+/// The shared words of one Peterson register, as its read and write reach
+/// them. A reader's words are reached through its [`ReaderState`], so the
+/// help scan walks the register's slice of states and indexes nothing. The
+/// defaults are [`PetersonRegister`]'s, the only implementor in shipped
+/// code; the test-only `model_check` runs [`read_on`] and [`write_on`]
+/// over one of its own, which steps each accessor call as one access and
+/// a copy word by word.
+pub(crate) trait PetersonCells {
+    /// Which main buffer is active.
+    fn sw(&self) -> &AtomicUsize;
+    /// The two main buffers.
+    fn buff(&self) -> &[WordBuf; 2];
+    /// Each reader's state, by handshake slot.
+    fn slots(&self) -> &[CachePadded<ReaderState>];
+    /// `st`'s announce word.
+    fn reading<'a>(&'a self, st: &'a ReaderState) -> &'a AtomicBool {
+        &st.reading
+    }
+    /// `st`'s handshake word.
+    fn writing<'a>(&'a self, st: &'a ReaderState) -> &'a AtomicBool {
+        &st.writing
+    }
+    /// `st`'s current fallback copy.
+    fn sel<'a>(&'a self, st: &'a ReaderState) -> &'a AtomicUsize {
+        &st.sel
+    }
+    /// Copy `value` into `buf`, a main buffer or a fallback copy.
+    fn store(&self, buf: &WordBuf, value: &[u8]) {
+        buf.store_bytes(value);
+    }
+    /// Copy `buf` out into `dst`; returns the length.
+    fn load(&self, buf: &WordBuf, dst: &mut Vec<u8>) -> usize {
+        buf.load_bytes(dst)
+    }
+}
+
+impl PetersonCells for PetersonRegister {
+    #[inline]
+    fn sw(&self) -> &AtomicUsize {
+        &self.sw
+    }
+    #[inline]
+    fn buff(&self) -> &[WordBuf; 2] {
+        &self.buff
+    }
+    #[inline]
+    fn slots(&self) -> &[CachePadded<ReaderState>] {
+        &self.readers
+    }
+}
+
 impl fmt::Debug for PetersonRegister {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PetersonRegister")
@@ -176,28 +228,32 @@ impl PetersonWriter {
             value.len(),
             self.reg.capacity
         );
-        let reg = &*self.reg;
-        // Fill the inactive main buffer, then flip the switch (the write's
-        // linearization point). SeqCst store orders the relaxed word stores
-        // before the flip for readers sampling `sw`.
-        let target = 1 - reg.sw.load(Ordering::Relaxed);
-        reg.buff[target].store_bytes(value);
-        reg.sw.store(target, Ordering::SeqCst);
-        // Helping scan: any reader announced since our last help gets a
-        // private, stable copy. Order within a help is load-bearing:
-        // copybuff → sel → handshake-equalize (the reader trusts the
-        // fallback only after observing the equalized handshake).
-        for st in reg.readers.iter() {
-            let reading = st.reading.load(Ordering::SeqCst);
-            if reading != st.writing.load(Ordering::Relaxed) {
-                let c = 1 - st.sel.load(Ordering::Relaxed);
-                st.copybuff[c].store_bytes(value);
-                st.sel.store(c, Ordering::SeqCst);
-                // Equalize with the *sampled* value: the reader can only
-                // flip `reading` again at its next announce, which is the
-                // event that re-arms helping.
-                st.writing.store(reading, Ordering::SeqCst);
-            }
+        write_on(&*self.reg, value);
+    }
+}
+
+/// The body of [`PetersonWriter::write`] past its capacity check.
+pub(crate) fn write_on<C: PetersonCells>(c: &C, value: &[u8]) {
+    // Fill the inactive main buffer, then flip the switch (the write's
+    // linearization point). SeqCst store orders the relaxed word stores
+    // before the flip for readers sampling `sw`.
+    let target = 1 - c.sw().load(Ordering::Relaxed);
+    c.store(&c.buff()[target], value);
+    c.sw().store(target, Ordering::SeqCst);
+    // Helping scan: any reader announced since our last help gets a
+    // private, stable copy. Order within a help is load-bearing:
+    // copybuff → sel → handshake-equalize (the reader trusts the
+    // fallback only after observing the equalized handshake).
+    for st in c.slots().iter() {
+        let reading = c.reading(st).load(Ordering::SeqCst);
+        if reading != c.writing(st).load(Ordering::Relaxed) {
+            let sel = 1 - c.sel(st).load(Ordering::Relaxed);
+            c.store(&st.copybuff[sel], value);
+            c.sel(st).store(sel, Ordering::SeqCst);
+            // Equalize with the *sampled* value: the reader can only
+            // flip `reading` again at its next announce, which is the
+            // event that re-arms helping.
+            c.writing(st).store(reading, Ordering::SeqCst);
         }
     }
 }
@@ -232,31 +288,35 @@ impl PetersonReader {
     /// it. Wait-free, **zero RMW**, but always ≥ 1 copy (that is the cost
     /// the paper measures).
     pub fn read(&mut self) -> &[u8] {
-        let reg = &*self.reg;
-        let st = &*reg.readers[self.id];
-        // Announce: reading := !writing (forces inequality; only a writer
-        // help can re-equalize).
-        let w = st.writing.load(Ordering::SeqCst);
-        st.reading.store(!w, Ordering::SeqCst);
-        // Optimistic main-path copy of the active buffer.
-        let s1 = reg.sw.load(Ordering::SeqCst);
-        reg.buff[s1].load_bytes(&mut self.scratch);
-        // Handshake check AFTER the copy (module docs: any interleaving
-        // that can tear the main copy forces equality here first).
-        if st.writing.load(Ordering::SeqCst) != w {
-            // A help landed since the announce: the main copy is suspect;
-            // take the private fallback (stable: ≤ 1 help per announce;
-            // visible: sel/copybuff writes happen-before the equalize).
-            let sel = st.sel.load(Ordering::SeqCst);
-            st.copybuff[sel].load_bytes(&mut self.scratch);
-        }
-        &self.scratch
+        read_on(&*self.reg, self.id, &mut self.scratch)
     }
 
     /// This reader's handshake slot.
     pub fn id(&self) -> usize {
         self.id
     }
+}
+
+/// The body of [`PetersonReader::read`]: reader `id` copies into `dst`.
+pub(crate) fn read_on<'s, C: PetersonCells>(c: &C, id: usize, dst: &'s mut Vec<u8>) -> &'s [u8] {
+    let st = &*c.slots()[id];
+    // Announce: reading := !writing (forces inequality; only a writer
+    // help can re-equalize).
+    let w = c.writing(st).load(Ordering::SeqCst);
+    c.reading(st).store(!w, Ordering::SeqCst);
+    // Optimistic main-path copy of the active buffer.
+    let s1 = c.sw().load(Ordering::SeqCst);
+    c.load(&c.buff()[s1], dst);
+    // Handshake check AFTER the copy (module docs: any interleaving
+    // that can tear the main copy forces equality here first).
+    if c.writing(st).load(Ordering::SeqCst) != w {
+        // A help landed since the announce: the main copy is suspect;
+        // take the private fallback (stable: ≤ 1 help per announce;
+        // visible: sel/copybuff writes happen-before the equalize).
+        let sel = c.sel(st).load(Ordering::SeqCst);
+        c.load(&st.copybuff[sel], dst);
+    }
+    dst
 }
 
 impl fmt::Debug for PetersonReader {

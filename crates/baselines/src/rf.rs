@@ -49,7 +49,7 @@ use register_common::OpMetrics;
 /// Maximum readers RF admits: 64 word bits − 6 index bits.
 pub const RF_MAX_READERS: usize = 58;
 
-const INDEX_SHIFT: u32 = 58;
+pub(crate) const INDEX_SHIFT: u32 = 58;
 const MASK_BITS: u64 = (1u64 << INDEX_SHIFT) - 1;
 
 /// One payload buffer (protocol-protected, like ARC's slots).
@@ -159,12 +159,57 @@ impl RfRegister {
     ///
     /// Caller must hold read rights on `buffer` per the RF protocol.
     #[inline]
-    unsafe fn buffer_bytes(&self, buffer: usize) -> &[u8] {
+    pub(crate) unsafe fn buffer_bytes(&self, buffer: usize) -> &[u8] {
         // SAFETY: per the contract, the buffer is stable for the caller.
         unsafe {
             let len = *self.buffers[buffer].len.get();
             let buf: &[u8] = &*self.buffers[buffer].data.get();
             &buf[..len]
+        }
+    }
+}
+
+/// The shared words of one RF register, as its read and write reach them.
+/// [`RfRegister`] is the only implementor in shipped code; the test-only
+/// `model_check` runs [`acquire_on`] and [`write_on`] over one of its own,
+/// which steps each accessor call as one access and a fill word by word.
+pub(crate) trait RfCells {
+    /// The packed (index, reader mask) word.
+    fn word(&self) -> &AtomicU64;
+    /// Number of trace words: the reader cap.
+    fn readers(&self) -> usize;
+    /// `trace[r]`: the last buffer reader `r` was observed on.
+    fn trace(&self, r: usize) -> &AtomicU8;
+    /// Copy `value` into `buffer`.
+    ///
+    /// # Safety
+    ///
+    /// No reader may reach `buffer`: it is neither current nor traced.
+    unsafe fn fill(&self, buffer: usize, value: &[u8]);
+}
+
+impl RfCells for RfRegister {
+    #[inline]
+    fn word(&self) -> &AtomicU64 {
+        &self.word
+    }
+    #[inline]
+    fn readers(&self) -> usize {
+        self.trace.len()
+    }
+    #[inline]
+    fn trace(&self, r: usize) -> &AtomicU8 {
+        &self.trace[r]
+    }
+    #[inline]
+    // SAFETY: the caller keeps the contract of `RfCells::fill`.
+    unsafe fn fill(&self, buffer: usize, value: &[u8]) {
+        // SAFETY: per the contract, nobody references `buffer` (see
+        // Buffer's Sync rationale).
+        unsafe {
+            let buf = &mut *self.buffers[buffer].data.get();
+            buf[..value.len()].copy_from_slice(value);
+            *self.buffers[buffer].len.get() = value.len();
         }
     }
 }
@@ -200,39 +245,7 @@ impl RfWriter {
             value.len(),
             self.reg.capacity
         );
-        self.metrics.writes += 1;
-
-        // Select a buffer that is neither current nor traced (always exists:
-        // ≤ N traced + 1 current among N + 2 buffers).
-        let n = self.reg.buffers.len();
-        let mut used = vec![false; n];
-        used[self.last_written] = true;
-        for t in self.reg.trace.iter() {
-            used[t.load(Ordering::Relaxed) as usize] = true;
-        }
-        let target = (0..n).find(|&b| !used[b]).expect("N+2 buffers guarantee a free one");
-
-        // Exclusive access: nobody references `target`.
-        // SAFETY: see Buffer's Sync rationale.
-        unsafe {
-            let buf = &mut *self.reg.buffers[target].data.get();
-            buf[..value.len()].copy_from_slice(value);
-            *self.reg.buffers[target].len.get() = value.len();
-        }
-
-        // Publish: new index, cleared mask. SeqCst swap = release for the
-        // payload stores, acquire for the mask we fold into the traces.
-        let old = self.reg.word.swap((target as u64) << INDEX_SHIFT, Ordering::SeqCst);
-        self.metrics.write_rmws += 1;
-
-        let old_index = (old >> INDEX_SHIFT) as u8;
-        let mut mask = old & MASK_BITS;
-        while mask != 0 {
-            let r = mask.trailing_zeros() as usize;
-            self.reg.trace[r].store(old_index, Ordering::Relaxed);
-            mask &= mask - 1;
-        }
-        self.last_written = target;
+        write_on(&*self.reg, &mut self.last_written, &mut self.metrics, value);
     }
 
     /// The buffer holding the current publication.
@@ -276,8 +289,7 @@ impl RfReader {
         // RF has no fast path: every read is a slow read with one RMW.
         self.metrics.slow_reads += 1;
         self.metrics.read_rmws += 1;
-        let raw = self.reg.word.fetch_or(1u64 << self.id, Ordering::SeqCst);
-        let index = (raw >> INDEX_SHIFT) as usize;
+        let index = acquire_on(&*self.reg, self.id);
         // SAFETY: our bit is set on the word naming `index`: either the
         // writer's next swap observes it (trace[id] = index pins the
         // buffer), or no swap happens and `index` stays current. Either way
@@ -295,6 +307,44 @@ impl RfReader {
     pub fn metrics(&self) -> OpMetrics {
         self.metrics
     }
+}
+
+/// The body of [`RfWriter::write`] past its capacity check.
+pub(crate) fn write_on<C: RfCells>(c: &C, last: &mut usize, m: &mut OpMetrics, value: &[u8]) {
+    m.writes += 1;
+
+    // Select a buffer that is neither current nor traced (always exists:
+    // ≤ N traced + 1 current among N + 2 ≤ 60 buffers, one bit each).
+    let mut used = 1u64 << *last;
+    for r in 0..c.readers() {
+        used |= 1 << c.trace(r).load(Ordering::Relaxed);
+    }
+    let target = (!used).trailing_zeros() as usize;
+
+    // SAFETY: `target` is neither current nor traced, so no reader can
+    // reach it (module docs).
+    unsafe { c.fill(target, value) };
+
+    // Publish: new index, cleared mask. SeqCst swap = release for the
+    // payload stores, acquire for the mask we fold into the traces.
+    let old = c.word().swap((target as u64) << INDEX_SHIFT, Ordering::SeqCst);
+    m.write_rmws += 1;
+
+    let old_index = (old >> INDEX_SHIFT) as u8;
+    let mut mask = old & MASK_BITS;
+    while mask != 0 {
+        let r = mask.trailing_zeros() as usize;
+        c.trace(r).store(old_index, Ordering::Relaxed);
+        mask &= mask - 1;
+    }
+    *last = target;
+}
+
+/// [`RfReader::read`]'s `fetch_or` for reader `id`: pins the newest buffer.
+#[inline]
+pub(crate) fn acquire_on<C: RfCells>(c: &C, id: u8) -> usize {
+    let raw = c.word().fetch_or(1u64 << id, Ordering::SeqCst);
+    (raw >> INDEX_SHIFT) as usize
 }
 
 impl fmt::Debug for RfReader {
@@ -410,6 +460,29 @@ mod tests {
         }
         assert_eq!(view, b"pinned", "traced buffer must survive 100 writes");
         assert_eq!(camper.read(), &[99u8; 16]);
+    }
+
+    #[test]
+    fn writes_at_the_reader_cap_take_the_one_free_buffer() {
+        // 58 readers traced to distinct buffers and the current one leave one
+        // of 60 free: a write must take it, at 0 and at the top bits 59 and 58.
+        let reg = RfRegister::new(RF_MAX_READERS, 8, b"").unwrap();
+        let mut w = reg.writer().unwrap();
+        let mut readers: Vec<_> = (0..RF_MAX_READERS).map(|_| reg.reader().unwrap()).collect();
+        w.write(b"");
+        // Reader k reads buffer k + 1, which the next write traces to it.
+        for r in &mut readers {
+            r.read();
+            w.write(b"");
+        }
+        let mut write_takes = |free: usize| {
+            w.write(b"");
+            assert_eq!(w.last_written(), free, "the one buffer neither current nor traced");
+        };
+        write_takes(0); // current 59, traces 1..=58
+        readers[57].read(); // pins the current buffer 0 for reader 57
+        write_takes(59); // current 0, traces 1..=58
+        write_takes(58); // current 59, traces 0..=57
     }
 
     #[test]

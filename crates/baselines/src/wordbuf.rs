@@ -44,21 +44,26 @@ impl WordBuf {
     ///
     /// Panics if `src.len() > capacity`.
     pub fn store_bytes(&self, src: &[u8]) {
+        self.store_via(src, |w| w);
+    }
+
+    /// [`WordBuf::store_bytes`], reaching each word through `at`.
+    pub(crate) fn store_via<'a>(&'a self, src: &[u8], at: impl Fn(&'a AtomicU64) -> &'a AtomicU64) {
         assert!(src.len() <= self.capacity, "value exceeds WordBuf capacity");
-        self.words[0].store(src.len() as u64, Ordering::Relaxed);
+        at(&self.words[0]).store(src.len() as u64, Ordering::Relaxed);
         let mut chunks = src.chunks_exact(8);
         let mut i = 1;
         for c in chunks.by_ref() {
             let mut w = [0u8; 8];
             w.copy_from_slice(c);
-            self.words[i].store(u64::from_le_bytes(w), Ordering::Relaxed);
+            at(&self.words[i]).store(u64::from_le_bytes(w), Ordering::Relaxed);
             i += 1;
         }
         let rem = chunks.remainder();
         if !rem.is_empty() {
             let mut w = [0u8; 8];
             w[..rem.len()].copy_from_slice(rem);
-            self.words[i].store(u64::from_le_bytes(w), Ordering::Relaxed);
+            at(&self.words[i]).store(u64::from_le_bytes(w), Ordering::Relaxed);
         }
     }
 
@@ -68,15 +73,30 @@ impl WordBuf {
     /// The copy may be torn if a writer races; the recorded length is
     /// clamped to the capacity so a torn length can never over-read.
     pub fn load_bytes(&self, dst: &mut Vec<u8>) -> usize {
-        let len = (self.words[0].load(Ordering::Relaxed) as usize).min(self.capacity);
+        self.load_via(dst, |w| w)
+    }
+
+    /// [`WordBuf::load_bytes`], reaching each word through `at`.
+    pub(crate) fn load_via<'a>(
+        &'a self,
+        dst: &mut Vec<u8>,
+        at: impl Fn(&'a AtomicU64) -> &'a AtomicU64,
+    ) -> usize {
+        let len = (at(&self.words[0]).load(Ordering::Relaxed) as usize).min(self.capacity);
         let data_words = len.div_ceil(8);
         dst.clear();
         dst.reserve(data_words * 8);
         for i in 1..=data_words {
-            dst.extend_from_slice(&self.words[i].load(Ordering::Relaxed).to_le_bytes());
+            dst.extend_from_slice(&at(&self.words[i]).load(Ordering::Relaxed).to_le_bytes());
         }
         dst.truncate(len);
         len
+    }
+
+    /// The words: the length, then the payload.
+    #[cfg(test)]
+    pub(crate) fn words(&self) -> &[AtomicU64] {
+        &self.words
     }
 }
 

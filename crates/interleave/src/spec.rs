@@ -1,4 +1,4 @@
-//! Online atomicity specification shared by all protocol models.
+//! Online atomicity specification shared by every model check.
 //!
 //! The offline checker in `linearizer` uses clock ticks; a model checker
 //! cannot (timestamps would make every state unique and destroy
@@ -19,17 +19,6 @@
 //! single writer. [`MwChecker`] checks the same three for a multi-writer
 //! register whose writes are ordered by `(counter, writer)` stamps, and
 //! that the stamp order respects real time.
-
-/// Model configuration: how many threads and operations to explore.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ModelConfig {
-    /// Number of reader threads.
-    pub readers: usize,
-    /// Number of writes the writer performs.
-    pub writes: u8,
-    /// Number of reads each reader performs.
-    pub reads_each: u8,
-}
 
 /// Snapshot taken at a read's invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

@@ -66,8 +66,10 @@ impl StealInjector {
                 std::thread::Builder::new()
                     .name(format!("stealer-{i}"))
                     .spawn(move || {
+                        // Each stealer finishes one burst before it honours
+                        // `stop`, so a stop never finds it without one.
                         let mut bursts = 0u64;
-                        while !stop.load(Ordering::Relaxed) {
+                        loop {
                             // Jittered burst: spin hard, stealing the core.
                             let factor = rng.random_range(0.5..1.5);
                             let burst = cfg.burst.mul_f64(factor);
@@ -76,11 +78,13 @@ impl StealInjector {
                                 std::hint::spin_loop();
                             }
                             bursts += 1;
+                            if stop.load(Ordering::Relaxed) {
+                                return bursts;
+                            }
                             // Jittered idle: give the core back.
                             let factor = rng.random_range(0.5..1.5);
                             std::thread::sleep(cfg.idle.mul_f64(factor));
                         }
-                        bursts
                     })
                     .expect("spawn stealer thread")
             })
@@ -88,7 +92,8 @@ impl StealInjector {
         Self { stop, handles }
     }
 
-    /// Stop all stealers; returns the total number of bursts executed.
+    /// Stop all stealers; returns the total number of bursts executed, at
+    /// least one per stealer.
     pub fn stop(mut self) -> u64 {
         self.stop.store(true, Ordering::Relaxed);
         self.handles.drain(..).map(|h| h.join().expect("stealer panicked")).sum()
@@ -118,7 +123,7 @@ mod tests {
         });
         std::thread::sleep(Duration::from_millis(20));
         let bursts = inj.stop();
-        assert!(bursts > 0, "stealers must have burned at least one burst");
+        assert!(bursts >= 2, "each stealer burns at least one burst");
     }
 
     #[test]
